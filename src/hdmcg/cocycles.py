@@ -16,7 +16,17 @@ Meyer cocycle model used here: for A, B symplectic, put
 and take the signature of the symmetrised restriction of beta to V.  The
 sign and transpose conventions are pinned by the invariant suite (cocycle
 identity, vanishing on torus classes, divisibility by 4); the convention
-self-check asserts that beta is already symmetric on V.
+self-check asserts that beta is already symmetric on V.  By Sylvester's
+law the signature depends only on V (x) Q, so V is taken from a rational
+kernel basis.
+
+Inputs are validated once, at the boundary: ``meyer_tau`` checks that
+both matrices are symplectic, and the class types check every holonomy
+on construction, so ``signature_of_class`` evaluates its terms without
+re-checking them.  Terms that are zero by the formula are skipped: if
+B = I then 1 - B = 0; if A = I then every (x, y) in V has (B - 1) y = 0;
+if B = A^{-1} then x + y is fixed by A on V, and A-invariance of J gives
+(x + y)^T J A^{-1} y2 = (A (x + y))^T J y2 = (x + y)^T J y2, so beta = 0.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .linalg import IntMatrix, exact_signature, hstack, kernel_basis
+from .linalg import IntMatrix, exact_signature, hstack, rational_kernel
 from .symplectic import GroupFamily, is_member, j_matrix, sp_inverse
 
 
@@ -225,54 +235,46 @@ def meyer_tau(a: IntMatrix, b: IntMatrix, g: int) -> int:
     for m in (a, b):
         if not is_member(GroupFamily.SP, m, g):
             raise ValueError("Meyer cocycle needs symplectic matrices")
+    return _tau(a, b, g)
+
+
+def _meyer_form(a: IntMatrix, b: IntMatrix, g: int) -> IntMatrix:
+    """Matrix of beta on a rational basis of V: Z^T . J(1 - B) . Y, where
+    the basis columns are (x, y) stacked as (X; Y) and Z = X + Y."""
     n = 2 * g
     ident = IntMatrix.identity(n)
-    lhs = hstack(sp_inverse(a, g) - ident, b - ident)
-    v = kernel_basis(lhs)
-    if v.cols == 0:
+    v = rational_kernel(hstack(sp_inverse(a, g) - ident, b - ident))
+    x = IntMatrix._of(v.data[:n], v.cols)
+    y = IntMatrix._of(v.data[n:], v.cols)
+    return (x + y).transpose() @ (j_matrix(g, -1) @ (ident - b)) @ y
+
+
+def _tau(a: IntMatrix, b: IntMatrix, g: int) -> int:
+    """Meyer cocycle of two matrices already known to be symplectic."""
+    ident = IntMatrix.identity(2 * g)
+    if a == ident or b == ident or b == sp_inverse(a, g):
         return 0
-    jib = j_matrix(g, -1) @ (ident - b)
-
-    def beta(u1, u2):
-        s = 0
-        y2 = u2[n:]
-        for i in range(n):
-            xy = u1[i] + u1[n + i]
-            if xy:
-                row = jib.data[i]
-                s += xy * sum(row[k] * y2[k] for k in range(n))
-        return s
-
-    cols = v.columns()
-    m = len(cols)
-    gram = [[beta(cols[i], cols[j]) + beta(cols[j], cols[i]) for j in range(m)]
-            for i in range(m)]
-    return exact_signature(gram)
+    form = _meyer_form(a, b, g)
+    return exact_signature(form + form.transpose())
 
 
 def beta_is_symmetric_on_kernel(a: IntMatrix, b: IntMatrix, g: int) -> bool:
     """Convention self-check: the Meyer form restricted to V is symmetric."""
-    n = 2 * g
-    ident = IntMatrix.identity(n)
-    v = kernel_basis(hstack(sp_inverse(a, g) - ident, b - ident))
-    jib = j_matrix(g, -1) @ (ident - b)
-
-    def beta(u1, u2):
-        y2 = u2[n:]
-        return sum((u1[i] + u1[n + i])
-                   * sum(jib.data[i][k] * y2[k] for k in range(n))
-                   for i in range(n))
-
-    cols = v.columns()
-    return all(beta(x, y) == beta(y, x) for x in cols for y in cols)
+    form = _meyer_form(a, b, g)
+    return form - form.transpose() == IntMatrix.zeros(form.rows, form.cols)
 
 
 def signature_of_class(cls) -> int:
-    """Pairing of the signature cocycle with the canonical 2-cycle."""
+    """Pairing of the signature cocycle with the canonical 2-cycle.
+
+    The class validated every holonomy on construction, and every term of
+    the 2-cycle is a product of holonomies and their inverses, so the terms
+    go to the unchecked evaluator.
+    """
     if isinstance(cls, AffineSurfaceClass):
         cls = cls.matrix_class()
     cycle = surface_two_cycle(cls)
-    return sum(c * meyer_tau(a, b, cls.g) for a, b, c in cycle.terms)
+    return sum(c * _tau(a, b, cls.g) for a, b, c in cycle.terms)
 
 
 def chi2_of_class(cls: AffineSurfaceClass) -> int:
@@ -327,14 +329,58 @@ def divided_eval(which: str, cls) -> int:
                      f"expected one of {DIVIDED_FUNCTIONALS}")
 
 
+def _json_int(x, what: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _json_pairs(x, what: str, item: str) -> list:
+    if not isinstance(x, list) or not all(isinstance(p, list) and len(p) == 2
+                                          for p in x):
+        raise ValueError(f"{what} must be a list of [{item}] pairs")
+    return x
+
+
+def _json_vector(x, n: int, what: str) -> tuple[int, ...]:
+    if not isinstance(x, list) or len(x) != n or any(
+            isinstance(t, bool) or not isinstance(t, int) for t in x):
+        raise ValueError(f"{what} must be lists of {n} integers")
+    return tuple(x)
+
+
+def _json_matrix(x, n: int) -> IntMatrix:
+    if not isinstance(x, list) or len(x) != n:
+        raise ValueError(f"holonomy matrices must be {n}x{n}")
+    return IntMatrix([_json_vector(r, n, "matrix rows") for r in x])
+
+
 def class_from_json_dict(d: dict):
-    """Parse the class-file schema into a (possibly affine) surface class."""
-    g = int(d["g"])
-    pairs = tuple((IntMatrix(a), IntMatrix(b)) for a, b in d["pairs"])
-    if "h" in d and int(d["h"]) != len(pairs):
+    """Parse the class-file schema into a (possibly affine) surface class.
+
+    Malformed input raises ValueError with a one-line message: a top-level
+    value that is not an object, a missing ``g`` or ``pairs``, non-integer
+    entries, ragged or wrongly sized matrices, translations of the wrong
+    length, or a relator that does not close up.
+    """
+    if not isinstance(d, dict):
+        raise ValueError("a class file must hold a JSON object")
+    for key in ("g", "pairs"):
+        if key not in d:
+            raise ValueError(f"class file has no {key!r} entry")
+    g = _json_int(d["g"], "g")
+    if g < 1:
+        raise ValueError("genus g must be >= 1")
+    n = 2 * g
+    pairs = tuple((_json_matrix(a, n), _json_matrix(b, n))
+                  for a, b in _json_pairs(d["pairs"], "pairs", "A, B"))
+    if "h" in d and _json_int(d["h"], "h") != len(pairs):
         raise ValueError("h does not match the number of pairs")
     if d.get("translations") is not None:
-        tr = tuple((tuple(v), tuple(w)) for v, w in d["translations"])
+        tr = tuple((_json_vector(v, n, "translation vectors"),
+                    _json_vector(w, n, "translation vectors"))
+                   for v, w in _json_pairs(d["translations"], "translations",
+                                           "v, w"))
         return AffineSurfaceClass(g, pairs, tr)
     return SurfaceClass(g, pairs)
 

@@ -1,8 +1,9 @@
 """Exact linear algebra over Z, Z/m and Q.
 
-Everything runs on Python's arbitrary-precision integers, with
-``fractions.Fraction`` for the one rational routine (``exact_signature``).
-There is no floating point anywhere in this package.
+Everything runs on Python's arbitrary-precision integers; rationals
+appear only where ``exact_signature`` clears the denominators of
+``fractions.Fraction`` input.  There is no floating point anywhere in this
+package.
 
 The Smith normal form here is the engine behind every quotient group the
 other modules compute.  Pivoting picks the smallest nonzero entry in
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -21,7 +24,9 @@ class IntMatrix:
     """Immutable integer matrix, stored row-major as nested tuples.
 
     Instances are hashable so they can serve as group elements in the
-    bar-complex chains of :mod:`hdmcg.cocycles`.
+    bar-complex chains of :mod:`hdmcg.cocycles`.  The public constructor
+    coerces every entry with ``int()`` and checks the row widths; results
+    of the package's own operations skip both through ``_of``.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -40,8 +45,19 @@ class IntMatrix:
             self.cols = 0 if cols is None else int(cols)
 
     @classmethod
+    def _of(cls, data: tuple[tuple[int, ...], ...], cols: int) -> "IntMatrix":
+        """Trusted constructor: ``data`` is already a tuple of int tuples,
+        each of length ``cols``."""
+        m = object.__new__(cls)
+        m.data = data
+        m.rows = len(data)
+        m.cols = cols
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+        return cls._of(tuple(tuple(1 if i == j else 0 for j in range(n))
+                             for i in range(n)), n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -85,23 +101,24 @@ class IntMatrix:
         if self.cols == 0:
             return IntMatrix.zeros(self.rows, other.cols)
         ot = tuple(zip(*other.data))
-        out = []
-        for row in self.data:
-            out.append([sum(a * b for a, b in zip(row, col)) for col in ot])
-        return IntMatrix(out, cols=other.cols)
+        return IntMatrix._of(tuple(tuple(sum(map(mul, row, col)) for col in ot)
+                                   for row in self.data), other.cols)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix([[a + b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.data, other.data)], cols=self.cols)
+        return IntMatrix._of(tuple(tuple(a + b for a, b in zip(r1, r2))
+                                   for r1, r2 in zip(self.data, other.data)),
+                             self.cols)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix([[a - b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.data, other.data)], cols=self.cols)
+        return IntMatrix._of(tuple(tuple(a - b for a, b in zip(r1, r2))
+                                   for r1, r2 in zip(self.data, other.data)),
+                             self.cols)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-a for a in r] for r in self.data], cols=self.cols)
+        return IntMatrix._of(tuple(tuple(-a for a in r) for r in self.data),
+                             self.cols)
 
     def _same_shape(self, other: "IntMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -111,7 +128,7 @@ class IntMatrix:
         return IntMatrix([[c * a for a in r] for r in self.data], cols=self.cols)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(list(zip(*self.data)) if self.data else [], cols=self.rows)
+        return IntMatrix._of(tuple(zip(*self.data)), self.rows)
 
     def mod(self, m: int) -> "IntMatrix":
         return IntMatrix([[a % m for a in r] for r in self.data], cols=self.cols)
@@ -142,8 +159,8 @@ def hstack(*mats: IntMatrix) -> IntMatrix:
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise ValueError("row count mismatch in hstack")
-    data = [sum((list(m.data[i]) for m in mats), []) for i in range(rows)]
-    return IntMatrix(data, cols=sum(m.cols for m in mats))
+    data = tuple(sum((m.data[i] for m in mats), ()) for i in range(rows))
+    return IntMatrix._of(data, sum(m.cols for m in mats))
 
 
 def vstack(*mats: IntMatrix) -> IntMatrix:
@@ -312,6 +329,51 @@ def kernel_basis(m: IntMatrix, modulus: int | None = None) -> IntMatrix:
     return IntMatrix.from_columns(cols, rows=m.cols)
 
 
+def rational_kernel(m: IntMatrix) -> IntMatrix:
+    """Basis of ker(M) over Q, as primitive integral columns.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968):
+    after each pivot step every entry is a minor of M, so the division by
+    the previous pivot is exact.  At the end each pivot row r reads
+    d * e_{p_r} + (entries in free columns), d the last pivot, and each
+    free column f gives the kernel vector d * e_f - sum_r a[r][f] e_{p_r},
+    divided by its content.  Unlike ``kernel_basis`` the columns need not
+    span the integral kernel; they span it over Q.
+    """
+    a = [list(r) for r in m.data]
+    nr, nc = m.rows, m.cols
+    pivots: list[int] = []
+    prev = 1
+    for c in range(nc):
+        r = len(pivots)
+        if r == nr:
+            break
+        p = next((i for i in range(r, nr) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        prow = a[r]
+        d = prow[c]
+        for i in range(nr):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(d * x - f * y) // prev for x, y in zip(a[i], prow)]
+        prev = d
+        pivots.append(c)
+    pivot_set = set(pivots)
+    cols = []
+    for f in range(nc):
+        if f in pivot_set:
+            continue
+        v = [0] * nc
+        v[f] = prev
+        for r, pc in enumerate(pivots):
+            v[pc] = -a[r][f]
+        content = gcd(*v)
+        cols.append([x // content for x in v])
+    return IntMatrix._of(tuple(zip(*cols)) if cols else ((),) * nc, len(cols))
+
+
 def column_basis(m: IntMatrix) -> IntMatrix:
     """Basis of the column-span lattice of M (columns of the result)."""
     a, _, _, uinv = _snf_core(m)
@@ -387,58 +449,54 @@ def cokernel_presentation(m: IntMatrix):
 
 
 def exact_signature(s) -> int:
-    """Signature of a symmetric rational matrix by congruence diagonalization.
+    """Signature of a symmetric rational matrix by integer congruence moves.
 
-    Accepts an IntMatrix or a nested sequence of ints/Fractions.  A zero
-    diagonal with a nonzero off-diagonal entry is split off as a hyperbolic
-    pair, contributing +1 and -1 (so nothing) to the count.
+    Accepts an IntMatrix or a nested sequence of ints/Fractions.  Input that
+    is not all integers is scaled by the lcm of its denominators, a positive
+    factor.  Each step pivots on the nonzero diagonal entry d of least
+    absolute value, counts its sign, and replaces the remaining block by
+    |d| times its Schur complement, divided by the gcd of its entries; all
+    of these are positive rescalings of a congruent matrix, so the
+    signature is unchanged and no fractions appear.  When every diagonal
+    entry is zero but some a_ij is not, the congruence move "row i += row j,
+    column i += column j" makes the diagonal entry a_ii = 2 a_ij nonzero.
     """
-    if isinstance(s, IntMatrix):
-        rows = s.to_lists()
-    else:
-        rows = [list(r) for r in s]
+    rows = s.data if isinstance(s, IntMatrix) else [list(r) for r in s]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("signature needs a square matrix")
-    a = [[Fraction(x) for x in row] for row in rows]
+    if not all(isinstance(x, int) for r in rows for x in r):
+        rows = [[Fraction(x) for x in r] for r in rows]
+        den = lcm(*(x.denominator for r in rows for x in r))
+        rows = [[int(x * den) for x in r] for r in rows]
     for i in range(n):
         for j in range(i + 1, n):
-            if a[i][j] != a[j][i]:
+            if rows[i][j] != rows[j][i]:
                 raise ValueError("signature needs a symmetric matrix")
-    active = list(range(n))
-    pos = neg = 0
-    while active:
-        p = next((i for i in active if a[i][i] != 0), None)
+    a = [list(r) for r in rows]
+    sig = 0
+    while a:
+        m = len(a)
+        p = min((i for i in range(m) if a[i][i]), key=lambda i: abs(a[i][i]),
+                default=None)
         if p is None:
-            pair = None
-            for ii, i in enumerate(active):
-                for j in active[ii + 1:]:
-                    if a[i][j] != 0:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
+            pair = next(((i, j) for i in range(m) for j in range(i + 1, m)
+                         if a[i][j]), None)
             if pair is None:
                 break  # remaining block is zero
             i, j = pair
-            for t in active:
-                a[i][t] += a[j][t]
-            for t in active:
-                a[t][i] += a[t][j]
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[i] += row[j]
             continue
-        d = a[p][p]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        active.remove(p)
-        row_p = {j: a[p][j] for j in active}
-        col_p = {i: a[i][p] for i in active}
-        for i in active:
-            ci = col_p[i]
-            if ci:
-                f = ci / d
-                ai = a[i]
-                for j in active:
-                    ai[j] -= f * row_p[j]
-    return pos - neg
+        piv = a.pop(p)
+        d = piv.pop(p)
+        sd = 1 if d > 0 else -1
+        sig += sd
+        col = [row.pop(p) for row in a]
+        a = [[sd * (d * x - c * y) for x, y in zip(row, piv)]
+             for row, c in zip(a, col)]
+        content = gcd(*(x for row in a for x in row))
+        if content > 1:
+            a = [[x // content for x in row] for row in a]
+    return sig

@@ -164,6 +164,8 @@ def h1_torelli(g: int, n: int, params: MCGParams | None = None) -> FinAbGroup:
     Genus 0 gives the full homotopy-sphere group; otherwise the quotient
     by Sigma_Q plus 2g copies of SpiSO(n).
     """
+    if g < 0:
+        raise ValueError("genus must be >= 0")
     params = params or MCGParams(g, n)
     data = _theta(params)
     if g == 0:
@@ -180,6 +182,8 @@ def h1_mcg(g: int, n: int, params: MCGParams | None = None) -> FinAbGroup:
     and Sigma_Q for g >= 2) plus the automorphism-group abelianisation and
     the coinvariants summand.
     """
+    if g < 0:
+        raise ValueError("genus must be >= 0")
     params = params or MCGParams(g, n)
     data = _theta(params)
     if g == 0:

@@ -80,12 +80,6 @@ def q_eval(form: WallForm, x) -> int:
     return s % form.q_value_modulus
 
 
-def lambda_eval(g: int, epsilon: int, x, y) -> int:
-    """Pairing x^T J_{g,eps} y."""
-    j = j_matrix(g, epsilon)
-    return sum(a * b for a, b in zip(x, j.mult_vec(list(y))))
-
-
 def _q2(g: int, x) -> int:
     return sum(x[i] * x[g + i] for i in range(g)) % 2
 
@@ -93,6 +87,8 @@ def _q2(g: int, x) -> int:
 def is_member(family: GroupFamily, a: IntMatrix, g: int) -> bool:
     """Defining congruence of the family, with q checked on basis vectors.
 
+    For Sp and SpQ the pairing test is ``sp_inverse(A) @ A == I``, that is
+    -J A^T J A = I, which is A^T J A = J because J is invertible.
     Checking q on the 2g standard basis vectors suffices for SpQ: when a
     matrix preserves the pairing, q(Ax) - q(x) is linear mod 2 in x.
     """
@@ -102,8 +98,7 @@ def is_member(family: GroupFamily, a: IntMatrix, g: int) -> bool:
     if family is GroupFamily.OGG:
         j = j_matrix(g, 1)
         return a.transpose() @ j @ a == j
-    j = j_matrix(g, -1)
-    if a.transpose() @ j @ a != j:
+    if sp_inverse(a, g) @ a != IntMatrix.identity(n):
         return False
     if family is GroupFamily.SP:
         return True
@@ -115,10 +110,20 @@ def is_member(family: GroupFamily, a: IntMatrix, g: int) -> bool:
 
 
 def sp_inverse(a: IntMatrix, g: int) -> IntMatrix:
-    """Inverse inside Sp_2g(Z): A^{-1} = J^{-1} A^T J."""
-    j = j_matrix(g, -1)
-    jinv = -j
-    return jinv @ a.transpose() @ j
+    """Inverse inside Sp_2g(Z): A^{-1} = J^{-1} A^T J.
+
+    For A = [[a, b], [c, d]] in g x g blocks this is the signed block
+    transpose [[d^T, -b^T], [-c^T, a^T]].
+    """
+    if g < 1:
+        raise ValueError("genus must be >= 1")
+    n = 2 * g
+    if a.rows != n or a.cols != n:
+        raise ValueError(f"matrix must be {n}x{n}")
+    t = tuple(zip(*a.data))  # A^T = [[a^T, c^T], [b^T, d^T]]
+    top = tuple(r[g:] + tuple(-x for x in r[:g]) for r in t[g:])
+    bottom = tuple(tuple(-x for x in r[g:]) + r[:g] for r in t[:g])
+    return IntMatrix._of(top + bottom, n)
 
 
 def _embed_2x2(m2: list[list[int]], g: int, block: int = 0) -> IntMatrix:

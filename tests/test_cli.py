@@ -137,3 +137,37 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
+
+
+IDENT2 = [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("blob, message", [
+    ([{"g": 1, "pairs": [[IDENT2, IDENT2]]}], "JSON object"),
+    ({"pairs": [[IDENT2, IDENT2]]}, "'g'"),
+    ({"g": 2, "h": 1}, "'pairs'"),
+    ({"g": 1, "pairs": [[[[1, 0], [0, 1.5]], IDENT2]]}, "integers"),
+    ({"g": 1, "pairs": [[[[1, 0], [0]], IDENT2]]}, "integers"),
+    ({"g": 2, "pairs": [[IDENT2, IDENT2]]}, "4x4"),
+    ({"g": 1, "pairs": [[IDENT2, IDENT2]], "translations": [[[1], [0, 1]]]},
+     "translation"),
+], ids=["top-level-list", "missing-g", "missing-pairs", "non-integer-entry",
+        "ragged-rows", "wrong-size", "short-translation"])
+def test_malformed_class_file_is_a_one_line_error(tmp_path, capsys, blob,
+                                                  message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    for verb in ("signature", "chi2"):
+        code, out, err = run(capsys, verb, "--file", str(path))
+        assert code == 1 and not out
+        assert len(err.strip().splitlines()) == 1
+        assert message in err
+
+
+def test_negative_genus_is_refused(capsys):
+    for group in ("mcg", "torelli", "halfmcg", "gg"):
+        code, out, err = run(capsys, "abelianization", "--g", "-3", "--n", "5",
+                             "--group", group)
+        assert code == 1 and not out
+        assert "genus must be >=" in err
+        assert "copies" not in err

@@ -163,3 +163,11 @@ def test_full_report_flags_defaulted_sigma_q(tmp_path):
     rep2 = full_report(MCGParams(1, 15, sigma_q_order=2,
                                  coker_j_path=str(path)))
     assert rep2.provenance_flags == ()
+
+
+def test_negative_genus_is_refused():
+    for h1 in (h1_mcg, h1_torelli):
+        with pytest.raises(ValueError, match="genus must be >= 0"):
+            h1(-3, 5)
+    with pytest.raises(ValueError, match="genus must be >= 1"):
+        h1_half_mcg(-3, 5)
