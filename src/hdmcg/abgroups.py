@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
-from .linalg import IntMatrix, cokernel_presentation, hstack
+from .linalg import IntMatrix, cokernel_presentation, hstack, subquotient
 
 
 def _normalize_chain(factors: Iterable[int]) -> tuple[int, ...]:
@@ -228,21 +228,15 @@ def quotient_by(g: FinAbGroup, gens: Sequence[GroupElement]) -> FinAbGroup:
 
 
 def subgroup_iso(g: FinAbGroup, gens: Sequence[GroupElement]) -> FinAbGroup:
-    """Isomorphism type of the subgroup of g generated by gens."""
-    from .linalg import column_basis, solve_exact
-
+    """Isomorphism type of the subgroup of g generated by gens: the lifts
+    of gens plus the relation lattice, modulo the relation lattice."""
     for x in gens:
         if x.owner != g:
             raise ValueError("generator does not belong to the group")
-    n = g.num_coords
     lat = _presentation_lattice(g)
-    lifts = IntMatrix.from_columns([list(x.coords) for x in gens], rows=n)
-    span = column_basis(hstack(lifts, lat))
-    if span.cols == 0:
-        return FinAbGroup.trivial()
-    rel_in_span = solve_exact(span, lat)
-    group, _ = cokernel_presentation(rel_in_span)
-    return group
+    lifts = IntMatrix.from_columns([list(x.coords) for x in gens],
+                                   rows=g.num_coords)
+    return subquotient(hstack(lifts, lat), lat)
 
 
 def direct_sum(groups: Iterable[FinAbGroup]) -> FinAbGroup:

@@ -4,7 +4,10 @@ and (co)invariants of matrix-group actions.
 Coefficient rings are Z (modulus 0) and Z/m.  H^1 of a presented group
 with a module action is computed as Z^1/B^1, where Z^1 is the joint
 kernel of the Fox-derivative matrices of the relators and B^1 the image
-of m |-> ((rho(x_i) - 1) m).
+of m |-> ((rho(x_i) - 1) m).  Over Z/m both are taken as lattices in Z^n:
+Z^1 is the preimage lattice ``kernel_basis(F, m)`` and B^1 gains m Z^n,
+so every (co)homology group here is one ``linalg.subquotient`` of
+lattices, or one cokernel.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abgroups import FinAbGroup
-from .linalg import (IntMatrix, column_basis, cokernel_presentation, hstack,
-                     inverse_mod, kernel_basis, solve_exact, vstack)
+from .linalg import (IntMatrix, cokernel_presentation, hstack, inverse_mod,
+                     kernel_basis, subquotient, vstack)
 
 
 @dataclass(frozen=True)
@@ -118,30 +121,11 @@ def abelianization(p: Presentation) -> FinAbGroup:
     return cokernel_presentation(m)[0]
 
 
-def _lattice_of_solutions(f: IntMatrix, modulus: int) -> IntMatrix:
-    """Basis of the lattice {x in Z^n : f x = 0 over the ring}.
-
-    For modulus m > 0 this is the preimage in Z^n of the mod-m solution
-    set, a full-rank lattice containing m Z^n.
-    """
-    if modulus == 0:
-        return kernel_basis(f)
-    aug = hstack(f, IntMatrix.identity(f.rows).scaled(modulus))
-    full = kernel_basis(aug)
-    proj = IntMatrix(full.data[:f.cols], cols=full.cols)
-    return column_basis(proj)
-
-
-def _subquotient(zspan: IntMatrix, bgens: IntMatrix, modulus: int) -> FinAbGroup:
-    """(lattice spanned by zspan) / (span of bgens + modulus * Z^n)."""
-    n = zspan.rows
-    if modulus:
-        bgens = hstack(bgens, IntMatrix.identity(n).scaled(modulus))
-    basis = column_basis(zspan)
-    if basis.cols == 0:
-        return FinAbGroup.trivial()
-    coords = solve_exact(basis, bgens)
-    return cokernel_presentation(coords)[0]
+def _plus_modulus(b: IntMatrix, modulus: int) -> IntMatrix:
+    """The columns of b together with modulus * Z^n, n = b.rows."""
+    if not modulus:
+        return b
+    return hstack(b, IntMatrix.identity(b.rows).scaled(modulus))
 
 
 def h1(p: Presentation, module: GModule) -> FinAbGroup:
@@ -166,10 +150,10 @@ def h1(p: Presentation, module: GModule) -> FinAbGroup:
         f = vstack(*blocks)
     else:
         f = IntMatrix.zeros(0, k * d)
-    cocycles = _lattice_of_solutions(f, module.modulus)
     principal = vstack(*[module.reduce(a - ident) for a in module.actions]) \
         if k else IntMatrix.zeros(0, d)
-    return _subquotient(cocycles, principal, module.modulus)
+    return subquotient(kernel_basis(f, module.modulus),
+                       _plus_modulus(principal, module.modulus))
 
 
 def _check_square_same(generators) -> int:
@@ -189,9 +173,7 @@ def coinvariants(generators, modulus: int = 0) -> FinAbGroup:
     n = _check_square_same(gens)
     ident = IntMatrix.identity(n)
     cols = hstack(*[(g - ident) for g in gens])
-    if modulus:
-        cols = hstack(cols, ident.scaled(modulus))
-    return cokernel_presentation(cols)[0]
+    return cokernel_presentation(_plus_modulus(cols, modulus))[0]
 
 
 def invariants(generators, modulus: int = 0) -> FinAbGroup:
@@ -200,10 +182,8 @@ def invariants(generators, modulus: int = 0) -> FinAbGroup:
     n = _check_square_same(gens)
     ident = IntMatrix.identity(n)
     f = vstack(*[(g - ident) for g in gens])
-    if modulus == 0:
-        return FinAbGroup.free(kernel_basis(f).cols)
-    sol = _lattice_of_solutions(f, modulus)
-    return _subquotient(sol, IntMatrix.zeros(n, 0), modulus)
+    return subquotient(kernel_basis(f, modulus),
+                       _plus_modulus(IntMatrix.zeros(n, 0), modulus))
 
 
 def h1_free_product_of_cyclics(orders, actions, modulus: int) -> FinAbGroup:
@@ -235,13 +215,13 @@ def h1_free_product_of_cyclics(orders, actions, modulus: int) -> FinAbGroup:
 
     def cyclic_z1(order, a):
         if order == 0:
-            return _lattice_of_solutions(IntMatrix.zeros(0, n), modulus)
+            return kernel_basis(IntMatrix.zeros(0, n), modulus)
         norm = IntMatrix.zeros(n, n)
         power = ident
         for _ in range(order):
             norm = (norm + power).mod(modulus)
             power = (power @ a).mod(modulus)
-        return _lattice_of_solutions(norm, modulus)
+        return kernel_basis(norm, modulus)
 
     # crossed homs on the free product = product of the factors' cocycles;
     # principal ones are the diagonal image of M
@@ -257,4 +237,4 @@ def h1_free_product_of_cyclics(orders, actions, modulus: int) -> FinAbGroup:
                           IntMatrix.zeros(rows_after, blk.cols)))
     zspan = hstack(*big)
     principal = vstack(*[(a - ident).mod(modulus) for a in mats])
-    return _subquotient(zspan, principal, modulus)
+    return subquotient(zspan, _plus_modulus(principal, modulus))

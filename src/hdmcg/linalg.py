@@ -5,10 +5,14 @@ appear only where ``exact_signature`` clears the denominators of
 ``fractions.Fraction`` input.  There is no floating point anywhere in this
 package.
 
-The Smith normal form here is the engine behind every quotient group the
-other modules compute.  Pivoting picks the smallest nonzero entry in
-absolute value, which keeps entry growth manageable at the matrix sizes
-this package deals with (a few dozen rows at most).
+One Smith normal form, ``snf``, is the single lattice engine: kernels
+over Z and mod m, column bases, exact solving, inverses, subquotients and
+cokernel presentations all read their answer off its U, D and V, and
+every quotient group the other modules compute goes through it.
+Pivoting picks the smallest nonzero entry in absolute value, which keeps
+entry growth manageable at the matrix sizes this package deals with (a
+few dozen rows at most).  The cocycle path uses ``rational_kernel`` and
+``exact_signature`` instead, which need no lattice.
 """
 
 from __future__ import annotations
@@ -187,40 +191,21 @@ class SNFResult:
         return [self.D.data[i][i] for i in range(min(self.D.rows, self.D.cols))]
 
 
-def _snf_core(m: IntMatrix):
-    """Row/column reduction returning (u, d, v, uinv) as nested lists.
-
-    uinv tracks the inverse of u alongside, so callers can read off an
-    integral basis of the column span without a second inversion pass.
-    """
+def snf(m: IntMatrix) -> SNFResult:
+    """Smith normal form with unimodular transforms, U @ M @ V == D."""
     nr, nc = m.rows, m.cols
     a = [list(r) for r in m.data]
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    uinv = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
 
     def row_sub(i, k, q):
-        # a[i] -= q*a[k]; left-multiplying by E means uinv gains E^{-1} on the right
+        # row i -= q * row k; left-multiplication, recorded in u
         ai, ak = a[i], a[k]
         for t in range(nc):
             ai[t] -= q * ak[t]
         ui, uk = u[i], u[k]
         for t in range(nr):
             ui[t] -= q * uk[t]
-        for t in range(nr):
-            uinv[t][k] += q * uinv[t][i]
-
-    def row_swap(i, k):
-        a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
-        for t in range(nr):
-            uinv[t][i], uinv[t][k] = uinv[t][k], uinv[t][i]
-
-    def row_neg(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        for t in range(nr):
-            uinv[t][i] = -uinv[t][i]
 
     def col_sub(j, k, q):
         # column j -= q * column k; right-multiplication, recorded in v
@@ -254,10 +239,12 @@ def _snf_core(m: IntMatrix):
                 break
         if piv is None:
             break
-        if piv[0] != k:
-            row_swap(k, piv[0])
-        if piv[1] != k:
-            col_swap(k, piv[1])
+        i, j = piv
+        if i != k:
+            a[k], a[i] = a[i], a[k]
+            u[k], u[i] = u[i], u[k]
+        if j != k:
+            col_swap(k, j)
         p = a[k][k]
         dirty = False
         for i in range(k + 1, nr):
@@ -293,40 +280,32 @@ def _snf_core(m: IntMatrix):
         k += 1
     for i in range(limit):
         if a[i][i] < 0:
-            row_neg(i)
-    return a, u, v, uinv
+            a[i] = [-x for x in a[i]]
+            u[i] = [-x for x in u[i]]
+    return SNFResult(U=IntMatrix(u, cols=nr), D=IntMatrix(a, cols=nc),
+                     V=IntMatrix(v, cols=nc))
 
 
-def snf(m: IntMatrix) -> SNFResult:
-    """Smith normal form with unimodular transforms, U @ M @ V == D."""
-    a, u, v, _ = _snf_core(m)
-    return SNFResult(U=IntMatrix(u, cols=m.rows), D=IntMatrix(a, cols=m.cols),
-                     V=IntMatrix(v, cols=m.cols))
+def kernel_basis(m: IntMatrix, modulus: int = 0) -> IntMatrix:
+    """Lattice basis of {x in Z^n : M x = 0 mod modulus}; modulus 0 means
+    M x = 0 over Z.
 
-
-def kernel_basis(m: IntMatrix, modulus: int | None = None) -> IntMatrix:
-    """Basis of ker(M) over Z, or a spanning set of ker(M mod m) over Z/m.
-
-    Over Z the returned columns are a lattice basis of {x : Mx = 0} and the
-    lattice is saturated (any integral vector in the rational kernel is an
-    integral combination of the columns).  Over Z/m the columns span the
-    solution set of Mx = 0 mod m, with entries reduced into [0, m).
+    Over Z the basis is the last n - rank columns of V in the Smith form,
+    and the lattice is saturated (any integral vector in the rational
+    kernel is an integral combination of the columns).  For modulus m > 0
+    the lattice is the preimage in Z^n of the solutions over Z/m, a
+    full-rank lattice containing m Z^n: the first n coordinates of
+    ker [M | m I] over Z, reduced to a basis by ``column_basis``.
     """
-    if modulus is None:
-        res = snf(m)
-        r = sum(1 for d in res.diagonal() if d)
-        cols = [res.V.column(j) for j in range(r, m.cols)]
-        return IntMatrix.from_columns(cols, rows=m.cols)
-    if modulus <= 0:
-        raise ValueError("modulus must be a positive integer")
-    aug = hstack(m, IntMatrix.identity(m.rows).scaled(modulus))
-    full = kernel_basis(aug)
-    cols = []
-    for j in range(full.cols):
-        col = tuple(full.data[i][j] % modulus for i in range(m.cols))
-        if any(col):
-            cols.append(col)
-    return IntMatrix.from_columns(cols, rows=m.cols)
+    if modulus < 0:
+        raise ValueError("modulus must be 0 (= Z) or positive")
+    if modulus:
+        aug = hstack(m, IntMatrix.identity(m.rows).scaled(modulus))
+        full = kernel_basis(aug)
+        return column_basis(IntMatrix(full.data[:m.cols], cols=full.cols))
+    res = snf(m)
+    r = sum(1 for d in res.diagonal() if d)
+    return IntMatrix._of(tuple(row[r:] for row in res.V.data), m.cols - r)
 
 
 def rational_kernel(m: IntMatrix) -> IntMatrix:
@@ -375,14 +354,14 @@ def rational_kernel(m: IntMatrix) -> IntMatrix:
 
 
 def column_basis(m: IntMatrix) -> IntMatrix:
-    """Basis of the column-span lattice of M (columns of the result)."""
-    a, _, _, uinv = _snf_core(m)
-    cols = []
-    for i in range(min(m.rows, m.cols)):
-        d = a[i][i]
-        if d:
-            cols.append(tuple(uinv[t][i] * d for t in range(m.rows)))
-    return IntMatrix.from_columns(cols, rows=m.rows)
+    """Basis of the column-span lattice of M (columns of the result).
+
+    From U M V = D, M V = U^-1 D: the first rank columns of M V are
+    independent and span the same lattice as M, and the rest are zero.
+    """
+    res = snf(m)
+    r = sum(1 for d in res.diagonal() if d)
+    return m @ IntMatrix._of(tuple(row[:r] for row in res.V.data), r)
 
 
 def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -446,6 +425,21 @@ def cokernel_presentation(m: IntMatrix):
     proj = IntMatrix([res.U.data[i] for i in free_rows + torsion_rows],
                      cols=m.rows)
     return group, proj
+
+
+def subquotient(top: IntMatrix, bottom: IntMatrix):
+    """The group span(top) / span(bottom), a ``FinAbGroup``.
+
+    The columns of ``bottom`` must lie in the lattice spanned by the
+    columns of ``top``.  The coordinates of ``bottom`` in a basis of that
+    lattice present the quotient.
+    """
+    from .abgroups import FinAbGroup
+
+    basis = column_basis(top)
+    if basis.cols == 0:
+        return FinAbGroup.trivial()
+    return cokernel_presentation(solve_exact(basis, bottom))[0]
 
 
 def exact_signature(s) -> int:

@@ -95,14 +95,45 @@ def _load_env_table() -> dict[int, FinAbGroup]:
     return load_coker_j_file(path)
 
 
+def _is_json_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_coker_j_file(path: str) -> dict[int, FinAbGroup]:
-    """Parse a coker-J extension file into a degree -> group table."""
+    """Parse a coker-J extension file into a degree -> group table.
+
+    The file holds a JSON list of objects, each with an integer ``degree``,
+    an optional integer ``rank`` and an optional list of integer
+    ``torsion`` orders.  Anything else, including bools, strings such as
+    ``"15"`` and floats such as ``15.0``, raises a one-line ValueError.
+    """
+    where = f"coker-J table {path}"
     with open(path, "r", encoding="utf-8") as fh:
-        entries = json.load(fh)
+        try:
+            entries = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{where}: not valid JSON: {exc}") from None
+    if not isinstance(entries, list):
+        raise ValueError(f"{where}: must hold a JSON list of entries")
     table = {}
     for entry in entries:
-        table[int(entry["degree"])] = FinAbGroup.of(
-            int(entry.get("rank", 0)), entry.get("torsion", []))
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where}: each entry must be a JSON object, "
+                             f"got {entry!r}")
+        if "degree" not in entry:
+            raise ValueError(f"{where}: entry {entry!r} has no 'degree'")
+        degree, rank = entry["degree"], entry.get("rank", 0)
+        torsion = entry.get("torsion", [])
+        if not (_is_json_int(degree) and _is_json_int(rank)
+                and isinstance(torsion, list)
+                and all(_is_json_int(d) for d in torsion)):
+            raise ValueError(f"{where}: entry {entry!r} needs an integer "
+                             f"degree and rank and a list of integer torsion "
+                             f"orders")
+        try:
+            table[degree] = FinAbGroup.of(rank, torsion)
+        except ValueError as exc:
+            raise ValueError(f"{where}: entry {entry!r}: {exc}") from None
     return table
 
 
@@ -285,8 +316,7 @@ def minimal_signature(n: int, **kwargs) -> int:
     if n in (3, 7):
         return 1
     data = theta_data(n, **kwargs)
-    _, proj = quotient_with_projection(data.theta, [data.sigma_q])
-    quotient_group = quotient_by(data.theta, [data.sigma_q])
+    quotient_group, proj = quotient_with_projection(data.theta, [data.sigma_q])
     image = quotient_group.element(proj.mult_vec(list(data.sigma_p.coords)))
     order = element_order(image)
     if order is None:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from hdmcg.cli import main
+from hdmcg.spheres import COKER_J_ENV
 
 
 def run(capsys, *argv):
@@ -162,6 +163,38 @@ def test_malformed_class_file_is_a_one_line_error(tmp_path, capsys, blob,
         assert code == 1 and not out
         assert len(err.strip().splitlines()) == 1
         assert message in err
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize("text, message", [
+    ("[{", "not valid JSON"),
+    ({"degree": 31}, "JSON list"),
+    ([1], "JSON object"),
+    ([{"rank": 0}], "'degree'"),
+    ([{"degree": "31"}], "integer degree"),
+    ([{"degree": 31.0}], "integer degree"),
+    ([{"degree": True}], "integer degree"),
+    ([{"degree": 31, "rank": False}], "integer degree and rank"),
+    ([{"degree": 31, "torsion": [2.0]}], "integer torsion"),
+    ([{"degree": 31, "torsion": [0]}], "positive"),
+], ids=["not-json", "top-level-object", "entry-not-object", "missing-degree",
+        "string-degree", "float-degree", "bool-degree", "bool-rank",
+        "float-torsion", "zero-torsion"])
+def test_malformed_coker_j_table_is_a_one_line_error(tmp_path, capsys,
+                                                     monkeypatch, via, text,
+                                                     message):
+    path = tmp_path / "ckj.json"
+    path.write_text(text if isinstance(text, str) else json.dumps(text))
+    argv = ["abelianization", "--g", "1", "--n", "15"]
+    if via == "flag":
+        monkeypatch.delenv(COKER_J_ENV, raising=False)
+        argv += ["--coker-j-table", str(path)]
+    else:
+        monkeypatch.setenv(COKER_J_ENV, str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert len(err.strip().splitlines()) == 1
+    assert message in err and f"coker-J table {path}" in err
 
 
 def test_negative_genus_is_refused(capsys):

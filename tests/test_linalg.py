@@ -108,6 +108,30 @@ def test_kernel_mod2_exhaustive():
         assert spanned == true_kernel
 
 
+@pytest.mark.parametrize("modulus", [2, 3])
+def test_kernel_mod_m_is_a_basis_of_the_preimage_lattice(modulus):
+    rng = random.Random(10 + modulus)
+    for _ in range(15):
+        m = random_matrix(rng, 3, 4, span=4)
+        basis = kernel_basis(m, modulus)
+        assert basis.rows == 4
+        for col in basis.columns():
+            assert all(x % modulus == 0 for x in m.mult_vec(col))
+        # m Z^4 lies in the lattice
+        scaled = IntMatrix.identity(4).scaled(modulus)
+        assert basis @ solve_exact(basis, scaled) == scaled
+        # independent columns, index [Z^4 : L] = m^4 / |ker(M mod m)|
+        diag = [d for d in snf(basis).diagonal() if d]
+        assert len(diag) == basis.cols == 4
+        kernel_size = sum(
+            1 for x in product(range(modulus), repeat=4)
+            if all(s % modulus == 0 for s in m.mult_vec(x)))
+        index = 1
+        for d in diag:
+            index *= d
+        assert index * kernel_size == modulus ** 4
+
+
 def test_cokernel_examples():
     g, _ = cokernel_presentation(IntMatrix.diagonal([2, 3]))
     assert (g.rank, g.torsion) == (0, (6,))
@@ -193,6 +217,8 @@ def test_solve_and_column_basis():
         cb = column_basis(a)
         # every original column is an integral combination of the basis
         assert cb.cols <= a.cols
+        # and the basis columns are independent
+        assert sum(1 for d in snf(cb).diagonal() if d) == cb.cols
         if cb.cols:
             coeff = solve_exact(cb, a)
             assert cb @ coeff == a
