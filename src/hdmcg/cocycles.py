@@ -27,38 +27,63 @@ re-checking them.  Terms that are zero by the formula are skipped: if
 B = I then 1 - B = 0; if A = I then every (x, y) in V has (B - 1) y = 0;
 if B = A^{-1} then x + y is fixed by A on V, and A-invariance of J gives
 (x + y)^T J A^{-1} y2 = (A (x + y))^T J y2 = (x + y)^T J y2, so beta = 0.
+
+Each remaining term costs one inverse, two products and one signature.
+A^{-1} is formed once and serves both the B = A^{-1} test and the kernel
+rows [A^{-1} - 1 | B - 1].  On each kernel column (x, y) the products are
+w = y - B y and then beta(u_i, u_j) = (x_i + y_i) . J w_j, where
+J w = (w_f, -w_e) is a signed half swap, not a product with J.  A class
+walks its relator word once, on construction, and keeps the letters and
+prefix products; ``surface_two_cycle`` builds its terms from them, and an
+affine class reuses the walk of its matrix part and only adds up
+translations.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
+from operator import add, matmul, mul
 from typing import Sequence
 
-from .linalg import IntMatrix, exact_signature, hstack, rational_kernel
+from .linalg import IntMatrix, exact_signature, rational_kernel
 from .symplectic import GroupFamily, is_member, j_matrix, sp_inverse
 
 
 @dataclass(frozen=True)
 class SurfaceClass:
-    """Genus-h tuple of symplectic matrix pairs with trivial total relator."""
+    """Genus-h tuple of symplectic matrix pairs with trivial total relator.
+
+    Validation walks the relator word a1 b1 a1^-1 b1^-1 ... once and keeps
+    its 4h letters and their prefix products; ``surface_two_cycle`` builds
+    the 2-cycle from them.
+    """
 
     g: int
     pairs: tuple[tuple[IntMatrix, IntMatrix], ...]
+    letters: tuple[IntMatrix, ...] = field(init=False, repr=False,
+                                           compare=False)
+    prefixes: tuple[IntMatrix, ...] = field(init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         if not self.pairs:
             raise ValueError("a surface class needs genus h >= 1")
         object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
-        n = 2 * self.g
-        prod = IntMatrix.identity(n)
+        letters: list[IntMatrix] = []
         for a, b in self.pairs:
             for m in (a, b):
                 if not is_member(GroupFamily.SP, m, self.g):
                     raise ValueError("holonomy matrix is not symplectic")
-            prod = prod @ a @ b @ sp_inverse(a, self.g) @ sp_inverse(b, self.g)
-        if prod != IntMatrix.identity(n):
+            letters += [a, b, sp_inverse(a, self.g), sp_inverse(b, self.g)]
+        prefixes = [letters[0]]
+        for x in letters[1:]:
+            prefixes.append(prefixes[-1] @ x)
+        if prefixes[-1] != IntMatrix.identity(2 * self.g):
             raise ValueError("commutator relator does not close up")
+        object.__setattr__(self, "letters", tuple(letters))
+        object.__setattr__(self, "prefixes", tuple(prefixes))
 
     @property
     def h(self) -> int:
@@ -78,22 +103,34 @@ class SurfaceClass:
                 "pairs": [[a.to_lists(), b.to_lists()] for a, b in self.pairs]}
 
 
+AffineElement = tuple[tuple[int, ...], IntMatrix]
+
+
 @dataclass(frozen=True)
 class AffineSurfaceClass:
     """A surface class with translation vectors attached to each holonomy.
 
     The pairs ((v_i, A_i), (w_i, B_i)) must satisfy the surface relator in
     the affine group Z^2g x| Sp_2g(Z); equivalently the associated crossed
-    homomorphism vanishes on the relator word.
+    homomorphism vanishes on the relator word.  The matrix part is
+    validated as a ``SurfaceClass``, which is kept; the affine walk reuses
+    its letters and prefixes and only adds up translations,
+    t_k = t_{k-1} + P_{k-1} u_k for the k-th letter (u_k, X_k).
     """
 
     g: int
     pairs: tuple[tuple[IntMatrix, IntMatrix], ...]
     translations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    letters: tuple[AffineElement, ...] = field(init=False, repr=False,
+                                               compare=False)
+    prefixes: tuple[AffineElement, ...] = field(init=False, repr=False,
+                                                compare=False)
+    _base: SurfaceClass = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         base = SurfaceClass(self.g, self.pairs)  # validates the matrix part
         object.__setattr__(self, "pairs", base.pairs)
+        object.__setattr__(self, "_base", base)
         n = 2 * self.g
         tr = tuple((tuple(int(x) for x in v), tuple(int(x) for x in w))
                    for v, w in self.translations)
@@ -103,20 +140,28 @@ class AffineSurfaceClass:
         for v, w in tr:
             if len(v) != n or len(w) != n:
                 raise ValueError("translation vectors must have length 2g")
-        total = _affine_identity(n)
-        for (a, b), (v, w) in zip(self.pairs, tr):
-            ea, eb = (v, a), (w, b)
-            total = _affine_mul(total, _affine_comm(ea, eb, self.g))
-        if any(total[0]) or total[1] != IntMatrix.identity(n):
+        moves: list[tuple[int, ...]] = []
+        for i, (v, w) in enumerate(tr):
+            ainv, binv = base.letters[4 * i + 2], base.letters[4 * i + 3]
+            moves += [v, w, tuple(-t for t in ainv.mult_vec(v)),
+                      tuple(-t for t in binv.mult_vec(w))]
+        t = moves[0]
+        shifts = [t]
+        for p, u in zip(base.prefixes, moves[1:]):
+            t = tuple(x + y for x, y in zip(t, p.mult_vec(u)))
+            shifts.append(t)
+        if any(t):
             raise ValueError("affine relator does not close up; the crossed "
                              "homomorphism is ill-defined")
+        object.__setattr__(self, "letters", tuple(zip(moves, base.letters)))
+        object.__setattr__(self, "prefixes", tuple(zip(shifts, base.prefixes)))
 
     @property
     def h(self) -> int:
         return len(self.pairs)
 
     def matrix_class(self) -> SurfaceClass:
-        return SurfaceClass(self.g, self.pairs)
+        return self._base
 
     def scaled_translations(self, t: int) -> "AffineSurfaceClass":
         tr = tuple((tuple(t * x for x in v), tuple(t * x for x in w))
@@ -129,29 +174,10 @@ class AffineSurfaceClass:
         return d
 
 
-AffineElement = tuple[tuple[int, ...], IntMatrix]
-
-
-def _affine_identity(n: int) -> AffineElement:
-    return ((0,) * n, IntMatrix.identity(n))
-
-
 def _affine_mul(x: AffineElement, y: AffineElement) -> AffineElement:
     v, a = x
     w, b = y
-    aw = a.mult_vec(list(w))
-    return (tuple(p + q for p, q in zip(v, aw)), a @ b)
-
-
-def _affine_inv(x: AffineElement, g: int) -> AffineElement:
-    v, a = x
-    ainv = sp_inverse(a, g)
-    return (tuple(-t for t in ainv.mult_vec(list(v))), ainv)
-
-
-def _affine_comm(x: AffineElement, y: AffineElement, g: int) -> AffineElement:
-    return _affine_mul(_affine_mul(x, y),
-                       _affine_mul(_affine_inv(x, g), _affine_inv(y, g)))
+    return (tuple(p + q for p, q in zip(v, a.mult_vec(w))), a @ b)
 
 
 @dataclass(frozen=True)
@@ -189,40 +215,22 @@ def surface_two_cycle(cls) -> BarTwoCycle:
     With relator word w = a1 b1 a1^-1 b1^-1 ... of length 4h and prefixes
     p_k, the chain is sum_{k=2..4h} [p_{k-1} | x_k] minus [x | x^-1] for
     each of the 2h holonomies x, minus (2h - 1) [e | e]; its size is 8h - 2.
+    The letters and prefixes are the ones the class kept from validating
+    its relator.
     """
     if isinstance(cls, AffineSurfaceClass):
-        g = cls.g
-        letters: list[AffineElement] = []
-        for (a, b), (v, w) in zip(cls.pairs, cls.translations):
-            ea, eb = (v, a), (w, b)
-            letters += [ea, eb, _affine_inv(ea, g), _affine_inv(eb, g)]
-        ident = _affine_identity(2 * g)
-        mul = _affine_mul
-        holonomies = [(v, a) for (a, b), (v, w) in zip(cls.pairs, cls.translations)] + \
-                     [(w, b) for (a, b), (v, w) in zip(cls.pairs, cls.translations)]
-        inv = lambda x: _affine_inv(x, g)
+        n = 2 * cls.g
+        ident, mul = ((0,) * n, IntMatrix.identity(n)), _affine_mul
     elif isinstance(cls, SurfaceClass):
-        g = cls.g
-        letters = []
-        for a, b in cls.pairs:
-            letters += [a, b, sp_inverse(a, g), sp_inverse(b, g)]
-        ident = IntMatrix.identity(2 * g)
-        mul = lambda x, y: x @ y
-        holonomies = [a for a, _ in cls.pairs] + [b for _, b in cls.pairs]
-        inv = lambda x: sp_inverse(x, g)
+        ident, mul = IntMatrix.identity(2 * cls.g), matmul
     else:
         raise TypeError("expected a SurfaceClass or AffineSurfaceClass")
-    h = len(cls.pairs)
-    prefixes = [letters[0]]
-    for x in letters[1:]:
-        prefixes.append(mul(prefixes[-1], x))
-    if prefixes[-1] != ident:
-        raise ValueError("relator does not close up")
-    terms: list[tuple[object, object, int]] = []
-    for k in range(1, len(letters)):
-        terms.append((prefixes[k - 1], letters[k], 1))
-    for x in holonomies:
-        terms.append((x, inv(x), -1))
+    letters, prefixes, h = cls.letters, cls.prefixes, cls.h
+    terms: list[tuple[object, object, int]] = [
+        (prefixes[k - 1], letters[k], 1) for k in range(1, 4 * h)]
+    for first in (0, 1):  # the a-holonomies, then the b-holonomies
+        terms += [(letters[4 * i + first], letters[4 * i + first + 2], -1)
+                  for i in range(h)]
     terms.append((ident, ident, -(2 * h - 1)))
     cycle = BarTwoCycle(terms=tuple(terms), mul=mul)
     if not cycle.boundary_is_zero():
@@ -238,29 +246,46 @@ def meyer_tau(a: IntMatrix, b: IntMatrix, g: int) -> int:
     return _tau(a, b, g)
 
 
-def _meyer_form(a: IntMatrix, b: IntMatrix, g: int) -> IntMatrix:
-    """Matrix of beta on a rational basis of V: Z^T . J(1 - B) . Y, where
-    the basis columns are (x, y) stacked as (X; Y) and Z = X + Y."""
+def _meyer_form(ainv: IntMatrix, b: IntMatrix, g: int) -> IntMatrix:
+    """Matrix of beta on a rational basis of V = ker [A^-1 - 1 | B - 1].
+
+    The basis columns are (x, y), and the form is read off them with two
+    products: w = y - B y for each column, then beta(u_i, u_j) =
+    (x_i + y_i) . J w_j, where J w = (w_f, -w_e) is a signed half swap.
+    """
     n = 2 * g
-    ident = IntMatrix.identity(n)
-    v = rational_kernel(hstack(sp_inverse(a, g) - ident, b - ident))
-    x = IntMatrix._of(v.data[:n], v.cols)
-    y = IntMatrix._of(v.data[n:], v.cols)
-    return (x + y).transpose() @ (j_matrix(g, -1) @ (ident - b)) @ y
+    rows = []
+    for i, (ra, rb) in enumerate(zip(ainv.data, b.data)):
+        row = list(ra + rb)
+        row[i] -= 1
+        row[n + i] -= 1
+        rows.append(tuple(row))
+    cols = tuple(zip(*rational_kernel(IntMatrix._of(tuple(rows), 2 * n)).data))
+    zs, jw = [], []
+    for c in cols:
+        y = c[n:]
+        zs.append(tuple(map(add, c[:n], y)))
+        w = [t - sum(map(mul, r, y)) for t, r in zip(y, b.data)]
+        jw.append(w[g:] + [-t for t in w[:g]])
+    return IntMatrix._of(tuple(tuple(sum(map(mul, z, u)) for u in jw)
+                               for z in zs), len(cols))
 
 
 def _tau(a: IntMatrix, b: IntMatrix, g: int) -> int:
     """Meyer cocycle of two matrices already known to be symplectic."""
     ident = IntMatrix.identity(2 * g)
-    if a == ident or b == ident or b == sp_inverse(a, g):
+    if a == ident or b == ident:
         return 0
-    form = _meyer_form(a, b, g)
+    ainv = sp_inverse(a, g)
+    if b == ainv:
+        return 0
+    form = _meyer_form(ainv, b, g)
     return exact_signature(form + form.transpose())
 
 
 def beta_is_symmetric_on_kernel(a: IntMatrix, b: IntMatrix, g: int) -> bool:
     """Convention self-check: the Meyer form restricted to V is symmetric."""
-    form = _meyer_form(a, b, g)
+    form = _meyer_form(sp_inverse(a, g), b, g)
     return form - form.transpose() == IntMatrix.zeros(form.rows, form.cols)
 
 
@@ -386,8 +411,18 @@ def class_from_json_dict(d: dict):
 
 
 def load_class_file(path: str):
+    """Read a class file; every ValueError, invalid JSON included, becomes
+    one line that starts with ``class file <path>:``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return class_from_json_dict(json.load(fh))
+        try:
+            d = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValueError(f"class file {path}: not valid JSON: {exc}") \
+                from None
+    try:
+        return class_from_json_dict(d)
+    except ValueError as exc:
+        raise ValueError(f"class file {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -396,13 +431,11 @@ def load_class_file(path: str):
 def random_symplectic(g: int, rng, generators: Sequence[IntMatrix],
                       max_length: int = 6) -> IntMatrix:
     """Random product of the given generators and their inverses."""
-    m = IntMatrix.identity(2 * g)
+    word = []
     for _ in range(rng.randint(1, max_length)):
         a = generators[rng.randrange(len(generators))]
-        if rng.random() < 0.5:
-            a = sp_inverse(a, g)
-        m = m @ a
-    return m
+        word.append(sp_inverse(a, g) if rng.random() < 0.5 else a)
+    return reduce(matmul, word)
 
 
 def random_surface_class(g: int, h: int, rng,

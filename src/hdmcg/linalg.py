@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -31,6 +32,9 @@ class IntMatrix:
     bar-complex chains of :mod:`hdmcg.cocycles`.  The public constructor
     coerces every entry with ``int()`` and checks the row widths; results
     of the package's own operations skip both through ``_of``.
+    Immutability is load-bearing: ``identity`` and ``symplectic.j_matrix``
+    hand out one shared instance per size, so no operation may ever write
+    to ``data``.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -59,7 +63,9 @@ class IntMatrix:
         return m
 
     @classmethod
+    @cache
     def identity(cls, n: int) -> "IntMatrix":
+        """The n x n identity, one shared instance per n."""
         return cls._of(tuple(tuple(1 if i == j else 0 for j in range(n))
                              for i in range(n)), n)
 
@@ -311,18 +317,20 @@ def kernel_basis(m: IntMatrix, modulus: int = 0) -> IntMatrix:
 def rational_kernel(m: IntMatrix) -> IntMatrix:
     """Basis of ker(M) over Q, as primitive integral columns.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968):
-    after each pivot step every entry is a minor of M, so the division by
-    the previous pivot is exact.  At the end each pivot row r reads
-    d * e_{p_r} + (entries in free columns), d the last pivot, and each
-    free column f gives the kernel vector d * e_f - sum_r a[r][f] e_{p_r},
-    divided by its content.  Unlike ``kernel_basis`` the columns need not
-    span the integral kernel; they span it over Q.
+    Fraction-free Gauss-Jordan elimination: a pivot d = a[r][c] clears
+    column c from every other row i with f = a[i][c] != 0 by
+    a[i] <- d a[i] - f a[r], and the new row is divided by its content, so
+    entries stay small.  Rows already 0 in the pivot column are left
+    alone.  At the end each pivot row r reads d_r e_{p_r} + (entries in
+    free columns); with L the lcm of the pivots, each free column f gives
+    the kernel vector L e_f - sum_r (L / d_r) a[r][f] e_{p_r}, divided by
+    its content, so its free coordinate is positive.  Unlike
+    ``kernel_basis`` the columns need not span the integral kernel; they
+    span it over Q.
     """
     a = [list(r) for r in m.data]
     nr, nc = m.rows, m.cols
     pivots: list[int] = []
-    prev = 1
     for c in range(nc):
         r = len(pivots)
         if r == nr:
@@ -334,20 +342,23 @@ def rational_kernel(m: IntMatrix) -> IntMatrix:
         prow = a[r]
         d = prow[c]
         for i in range(nr):
-            if i != r:
-                f = a[i][c]
-                a[i] = [(d * x - f * y) // prev for x, y in zip(a[i], prow)]
-        prev = d
+            f = a[i][c]
+            if f and i != r:
+                row = [d * x - f * y for x, y in zip(a[i], prow)]
+                content = gcd(*row)
+                a[i] = [x // content for x in row] if content > 1 else row
         pivots.append(c)
+    den = lcm(*(a[r][pc] for r, pc in enumerate(pivots)))
+    scale = [den // a[r][pc] for r, pc in enumerate(pivots)]
     pivot_set = set(pivots)
     cols = []
     for f in range(nc):
         if f in pivot_set:
             continue
         v = [0] * nc
-        v[f] = prev
+        v[f] = den
         for r, pc in enumerate(pivots):
-            v[pc] = -a[r][f]
+            v[pc] = -a[r][f] * scale[r]
         content = gcd(*v)
         cols.append([x // content for x in v])
     return IntMatrix._of(tuple(zip(*cols)) if cols else ((),) * nc, len(cols))
@@ -432,13 +443,14 @@ def subquotient(top: IntMatrix, bottom: IntMatrix):
 
     The columns of ``bottom`` must lie in the lattice spanned by the
     columns of ``top``.  The coordinates of ``bottom`` in a basis of that
-    lattice present the quotient.
+    lattice present the quotient.  When ``bottom`` spans 0 the quotient is
+    free on that basis, and no solve or cokernel is needed.
     """
     from .abgroups import FinAbGroup
 
     basis = column_basis(top)
-    if basis.cols == 0:
-        return FinAbGroup.trivial()
+    if basis.cols == 0 or not any(any(row) for row in bottom.data):
+        return FinAbGroup.free(basis.cols)
     return cokernel_presentation(solve_exact(basis, bottom))[0]
 
 
@@ -455,11 +467,12 @@ def exact_signature(s) -> int:
     entry is zero but some a_ij is not, the congruence move "row i += row j,
     column i += column j" makes the diagonal entry a_ii = 2 a_ij nonzero.
     """
-    rows = s.data if isinstance(s, IntMatrix) else [list(r) for r in s]
+    is_int = isinstance(s, IntMatrix)  # entries are ints by construction
+    rows = s.data if is_int else [list(r) for r in s]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("signature needs a square matrix")
-    if not all(isinstance(x, int) for r in rows for x in r):
+    if not is_int and not all(isinstance(x, int) for r in rows for x in r):
         rows = [[Fraction(x) for x in r] for r in rows]
         den = lcm(*(x.denominator for r in rows for x in r))
         rows = [[int(x * den) for x in r] for r in rows]

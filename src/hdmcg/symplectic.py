@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
+from operator import mul
 
 from .linalg import IntMatrix
 
@@ -20,8 +22,10 @@ class GroupFamily(enum.Enum):
     OGG = "Ogg"
 
 
+@cache
 def j_matrix(g: int, epsilon: int) -> IntMatrix:
-    """Block matrix [[0, I_g], [epsilon * I_g, 0]]."""
+    """Block matrix [[0, I_g], [epsilon * I_g, 0]], one shared instance per
+    (g, epsilon); invalid arguments raise on every call."""
     if g < 1:
         raise ValueError("genus must be >= 1")
     if epsilon not in (1, -1):
@@ -87,8 +91,13 @@ def _q2(g: int, x) -> int:
 def is_member(family: GroupFamily, a: IntMatrix, g: int) -> bool:
     """Defining congruence of the family, with q checked on basis vectors.
 
-    For Sp and SpQ the pairing test is ``sp_inverse(A) @ A == I``, that is
-    -J A^T J A = I, which is A^T J A = J because J is invertible.
+    For Sp and SpQ the pairing test is A^T J A = J with J = j_matrix(g, -1),
+    read off the columns a_i of A: the (i, j) entry of A^T J A is
+    omega(a_i, a_j) = a_i . J a_j, where J x = (x_f, -x_e) is a signed half
+    swap of the coordinates.  A^T J A is antisymmetric for every A, because
+    J is, so its diagonal vanishes and the pairs i < j decide equality:
+    omega(a_i, a_j) must be 1 when j = i + g and 0 otherwise.  No inverse
+    and no matrix product is formed.
     Checking q on the 2g standard basis vectors suffices for SpQ: when a
     matrix preserves the pairing, q(Ax) - q(x) is linear mod 2 in x.
     """
@@ -98,15 +107,18 @@ def is_member(family: GroupFamily, a: IntMatrix, g: int) -> bool:
     if family is GroupFamily.OGG:
         j = j_matrix(g, 1)
         return a.transpose() @ j @ a == j
-    if sp_inverse(a, g) @ a != IntMatrix.identity(n):
-        return False
+    cols = tuple(zip(*a.data))
+    jcols = [c[g:] + tuple(-x for x in c[:g]) for c in cols]
+    for i in range(n - 1):
+        ci = cols[i]
+        partner = i + g
+        for j in range(i + 1, n):
+            if sum(map(mul, ci, jcols[j])) != (j == partner):
+                return False
     if family is GroupFamily.SP:
         return True
     # q vanishes on every standard basis vector, so compare against 0
-    for jcol in range(n):
-        if _q2(g, a.column(jcol)) != 0:
-            return False
-    return True
+    return all(_q2(g, c) == 0 for c in cols)
 
 
 def sp_inverse(a: IntMatrix, g: int) -> IntMatrix:

@@ -162,7 +162,19 @@ def test_malformed_class_file_is_a_one_line_error(tmp_path, capsys, blob,
         code, out, err = run(capsys, verb, "--file", str(path))
         assert code == 1 and not out
         assert len(err.strip().splitlines()) == 1
-        assert message in err
+        assert message in err and f"class file {path}:" in err
+
+
+@pytest.mark.parametrize("text", ['{"g": 1,', ""],
+                         ids=["truncated-json", "empty-file"])
+def test_unreadable_class_file_is_a_one_line_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    for verb in ("signature", "chi2"):
+        code, out, err = run(capsys, verb, "--file", str(path))
+        assert code == 1 and not out
+        assert len(err.strip().splitlines()) == 1
+        assert f"class file {path}: not valid JSON" in err
 
 
 @pytest.mark.parametrize("via", ["flag", "env"])

@@ -26,9 +26,11 @@ def test_class_validation():
     # commutator of non-commuting matrices does not close a genus-1 relator
     a, b = SP2[1], SP2[2]
     assert a @ b != b @ a
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="commutator relator does not close up"):
         SurfaceClass(2, ((a, b),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="commutator relator does not close up"):
+        SurfaceClass(2, ((a, b), (a, b)))
+    with pytest.raises(ValueError, match="not symplectic"):
         SurfaceClass(2, ((ident, IntMatrix.identity(4).scaled(2)),))
 
 
@@ -122,7 +124,7 @@ def test_affine_validation():
     AffineSurfaceClass(2, ((ident, ident),), (((1, 0, 0, 0), (0, 0, 1, 0)),))
     a = SP2[-1]
     b = SP2[0]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="affine relator does not close up"):
         # non-principal translations on a noncommutative pair break the relator
         AffineSurfaceClass(
             2, ((a, b), (b, a)),

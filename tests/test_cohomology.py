@@ -7,7 +7,9 @@ from hdmcg.abgroups import FinAbGroup
 from hdmcg.cohomology import (GModule, Presentation, abelianization,
                               coinvariants, fox_derivative, h1,
                               h1_free_product_of_cyclics, invariants)
-from hdmcg.linalg import IntMatrix
+import hdmcg.linalg
+from hdmcg.linalg import (IntMatrix, cokernel_presentation, column_basis,
+                          kernel_basis, solve_exact, vstack)
 from hdmcg.symplectic import GroupFamily, standard_generators
 from hdmcg.verify import (PSP2_PRESENTATION, PSP2Q_PRESENTATION,
                           SP2_PRESENTATION, SP2Q_PRESENTATION, sp2_module,
@@ -221,3 +223,36 @@ def test_presentation_and_module_json():
     assert Presentation.from_json_dict(blob) == SP2Q_PRESENTATION
     mod = sp2q_module(2)
     assert GModule.from_json_dict(mod.to_json_dict()) == mod
+
+
+def test_invariants_over_z_skip_the_solve(monkeypatch):
+    """A subquotient by 0 is free on the basis: over Z ``invariants`` runs
+    two SNFs (kernel and column basis), and every answer equals the one the
+    solve-and-cokernel route gives."""
+    calls = []
+    snf = hdmcg.linalg.snf
+
+    def counted(m):
+        calls.append(m)
+        return snf(m)
+
+    free_ranks = []
+    for family in GroupFamily:
+        for g in (1, 2, 3):
+            gens = standard_generators(family, g)[:2]  # leaves fixed vectors
+            ident = IntMatrix.identity(2 * g)
+            for modulus in (0, 2, 3):
+                k = kernel_basis(vstack(*[x - ident for x in gens]), modulus)
+                bottom = ident.scaled(modulus) if modulus \
+                    else IntMatrix.zeros(2 * g, 0)
+                want = cokernel_presentation(
+                    solve_exact(column_basis(k), bottom))[0]
+                monkeypatch.setattr(hdmcg.linalg, "snf", counted)
+                calls.clear()
+                got = invariants(gens, modulus)
+                monkeypatch.setattr(hdmcg.linalg, "snf", snf)
+                assert got == want, (family, g, modulus)
+                if modulus == 0:
+                    assert len(calls) == 2
+                    free_ranks.append(got.rank)
+    assert max(free_ranks) > 0  # the kernel over Z is not always 0

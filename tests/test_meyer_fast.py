@@ -7,11 +7,13 @@ entry, and a signature from a Fraction LDL^T decomposition.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdmcg.cocycles import (meyer_tau, random_surface_class,
+from hdmcg.cocycles import (AffineSurfaceClass, meyer_tau,
+                            random_affine_class, random_surface_class,
                             random_symplectic, signature_of_class,
                             surface_two_cycle)
 from hdmcg.linalg import (IntMatrix, exact_signature, hstack, kernel_basis,
@@ -159,6 +161,7 @@ def test_rational_kernel(m):
     rank = sum(1 for d in snf(m).diagonal() if d)
     assert k.cols == m.cols - rank
     assert sum(1 for d in snf(k).diagonal() if d) == k.cols  # independent
+    assert all(gcd(*v) == 1 for v in k.columns())  # primitive
 
 
 def test_sp_inverse_is_the_old_formula():
@@ -177,3 +180,104 @@ def test_is_member_still_rejects():
         assert not is_member(fam, IntMatrix.identity(4).scaled(2), 2)
         with pytest.raises(ValueError):
             is_member(fam, IntMatrix.identity(3), 2)
+
+
+def test_is_member_matches_the_product_definition():
+    """The column-pair test against A^T J A == J formed with products, and
+    the q test against q(A e_i) computed column by column."""
+    rng = random.Random(11)
+    seen = {True: 0, False: 0}
+    for i in range(2400):
+        g = 1 + i % 4
+        n = 2 * g
+        gens = standard_generators((GroupFamily.SP, GroupFamily.SPQ)[i % 3 == 0],
+                                   g)
+        a = random_symplectic(g, rng, gens, max_length=6)
+        if i % 2:  # change one entry
+            rows = a.to_lists()
+            rows[rng.randrange(n)][rng.randrange(n)] += rng.choice((-2, -1, 1))
+            a = IntMatrix(rows)
+        j = j_matrix(g, -1)
+        in_sp = a.transpose() @ j @ a == j
+        in_spq = in_sp and all(
+            sum(c[k] * c[g + k] for k in range(g)) % 2 == 0
+            for c in a.columns())
+        assert is_member(GroupFamily.SP, a, g) == in_sp, a
+        assert is_member(GroupFamily.SPQ, a, g) == in_spq, a
+        seen[in_sp] += 1
+        seen[in_spq] += 1
+    assert min(seen.values()) > 500  # both outcomes are well represented
+
+
+def _terms_from_pairs(g, pairs, translations=None):
+    """The canonical 2-cycle rebuilt from the pairs alone."""
+    n = 2 * g
+    if translations is None:
+        elements = [(a, b) for a, b in pairs]
+        ident = IntMatrix.identity(n)
+
+        def mul(x, y):
+            return x @ y
+
+        def inv(x):
+            return sp_inverse(x, g)
+    else:
+        elements = [((v, a), (w, b))
+                    for (a, b), (v, w) in zip(pairs, translations)]
+        ident = ((0,) * n, IntMatrix.identity(n))
+
+        def mul(x, y):
+            return (tuple(p + q for p, q in zip(x[0], x[1].mult_vec(y[0]))),
+                    x[1] @ y[1])
+
+        def inv(x):
+            ainv = sp_inverse(x[1], g)
+            return (tuple(-t for t in ainv.mult_vec(x[0])), ainv)
+    letters = []
+    for x, y in elements:
+        letters += [x, y, inv(x), inv(y)]
+    prefix, terms = letters[0], []
+    for x in letters[1:]:
+        terms.append((prefix, x, 1))
+        prefix = mul(prefix, x)
+    assert prefix == ident
+    terms += [(x, inv(x), -1) for x, _ in elements]
+    terms += [(y, inv(y), -1) for _, y in elements]
+    terms.append((ident, ident, 1 - 2 * len(elements)))
+    return tuple(terms)
+
+
+def test_two_cycle_terms_come_from_the_pairs():
+    rng = random.Random(12)
+    for g in (1, 2, 3):
+        gens = standard_generators(GroupFamily.SP, g)
+        for h in (1, 2, 3, 5):
+            cls = random_surface_class(g, h, rng, gens)
+            assert surface_two_cycle(cls).terms == _terms_from_pairs(g,
+                                                                     cls.pairs)
+            aff = random_affine_class(g, h, rng, gens)
+            assert surface_two_cycle(aff).terms == _terms_from_pairs(
+                g, aff.pairs, aff.translations)
+            assert surface_two_cycle(aff.matrix_class()).terms == \
+                _terms_from_pairs(g, aff.pairs)
+
+
+def test_affine_class_keeps_its_validated_matrix_class():
+    rng = random.Random(13)
+    gens = standard_generators(GroupFamily.SP, 2)
+    aff = random_affine_class(2, 3, rng, gens)
+    assert aff.matrix_class() is aff.matrix_class()
+    assert aff.matrix_class() == type(aff.matrix_class())(2, aff.pairs)
+    again = AffineSurfaceClass(2, aff.pairs, aff.translations)
+    assert again == aff and hash(again) == hash(aff)
+
+
+def test_memoised_constants_are_shared_and_checks_still_raise():
+    assert IntMatrix.identity(4) is IntMatrix.identity(4)
+    assert j_matrix(2, -1) is j_matrix(2, -1)
+    assert j_matrix(2, 1) != j_matrix(2, -1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="genus"):
+            j_matrix(0, -1)
+        with pytest.raises(ValueError, match="epsilon"):
+            j_matrix(2, 0)
