@@ -14,8 +14,7 @@ import json
 import sys
 
 from .abgroups import FinAbGroup
-from .cocycles import AffineSurfaceClass, chi2_of_class, load_class_file, \
-    signature_of_class
+from .cocycles import chi2_of_class, load_class_file, signature_of_class
 from .mcg import (MCGParams, h1_Gg, h1_half_mcg, h1_mcg, h1_torelli,
                   reproduce_table3, splitting_decisions)
 from .spheres import AlmostClosedInvariants, boundary_of_plumbing, theta_data
@@ -63,13 +62,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--chi2", type=int, default=None)
     add_format(sp)
 
-    sp = sub.add_parser("signature", help="signature pairing of a class file")
-    sp.add_argument("--file", type=str, required=True)
-    add_format(sp)
-
-    sp = sub.add_parser("chi2", help="chi^2 pairing of an affine class file")
-    sp.add_argument("--file", type=str, required=True)
-    add_format(sp)
+    for verb, what in (("signature", "signature"),
+                       ("chi2", "chi^2 (needs translations)")):
+        sp = sub.add_parser(verb, help=f"{what} pairing of a class file")
+        sp.add_argument("--file", type=str, required=True)
+        add_format(sp)
 
     sp = sub.add_parser("theta", help="homotopy-sphere data for odd n")
     sp.add_argument("--n", type=int, required=True)
@@ -122,19 +119,12 @@ def _cmd_boundary(args) -> int:
     return 0
 
 
-def _cmd_signature(args) -> int:
-    cls = load_class_file(args.file)
-    value = signature_of_class(cls)
-    _emit({"signature": value}, args.format == "json", str(value))
-    return 0
+_PAIRINGS = {"signature": signature_of_class, "chi2": chi2_of_class}
 
 
-def _cmd_chi2(args) -> int:
-    cls = load_class_file(args.file)
-    if not isinstance(cls, AffineSurfaceClass):
-        raise ValueError("chi2 needs a class file with translation data")
-    value = chi2_of_class(cls)
-    _emit({"chi2": value}, args.format == "json", str(value))
+def _cmd_pairing(args) -> int:
+    value = _PAIRINGS[args.verb](load_class_file(args.file))
+    _emit({args.verb: value}, args.format == "json", str(value))
     return 0
 
 
@@ -183,8 +173,8 @@ _COMMANDS = {
     "abelianization": _cmd_abelianization,
     "splits": _cmd_splits,
     "boundary": _cmd_boundary,
-    "signature": _cmd_signature,
-    "chi2": _cmd_chi2,
+    "signature": _cmd_pairing,
+    "chi2": _cmd_pairing,
     "theta": _cmd_theta,
     "table3": _cmd_table3,
     "verify": _cmd_verify,

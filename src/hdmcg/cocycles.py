@@ -3,10 +3,12 @@
 A class is a tuple of matrix pairs (A_i, B_i) whose commutator product is
 the identity; it stands for a map from a genus-h surface into the
 classifying space of the symplectic group, recorded by its holonomies.
-The signature pairing is evaluated through an integral 2-cocycle (Meyer's
-signature cocycle) against a canonical bar-complex 2-cycle filling the
-surface relator; the chi^2 pairing is the cup square of the translation
-1-cocycle of an affine class, paired with the symplectic form.
+One type, ``SurfaceClass``, holds it, with optional translation vectors
+that lift it to the affine group Z^2g x| Sp_2g(Z).  The signature pairing
+is evaluated through an integral 2-cocycle (Meyer's signature cocycle)
+against a canonical bar-complex 2-cycle filling the surface relator; the
+chi^2 pairing, which needs the translations, is the cup square of the
+translation 1-cocycle, paired with the symplectic form.
 
 Meyer cocycle model used here: for A, B symplectic, put
 
@@ -21,7 +23,7 @@ law the signature depends only on V (x) Q, so V is taken from a rational
 kernel basis.
 
 Inputs are validated once, at the boundary: ``meyer_tau`` checks that
-both matrices are symplectic, and the class types check every holonomy
+both matrices are symplectic, and ``SurfaceClass`` checks every holonomy
 on construction, so ``signature_of_class`` evaluates its terms without
 re-checking them.  Terms that are zero by the formula are skipped: if
 B = I then 1 - B = 0; if A = I then every (x, y) in V has (B - 1) y = 0;
@@ -34,56 +36,101 @@ rows [A^{-1} - 1 | B - 1].  On each kernel column (x, y) the products are
 w = y - B y and then beta(u_i, u_j) = (x_i + y_i) . J w_j, where
 J w = (w_f, -w_e) is a signed half swap, not a product with J.  A class
 walks its relator word once, on construction, and keeps the letters and
-prefix products; ``surface_two_cycle`` builds its terms from them, and an
-affine class reuses the walk of its matrix part and only adds up
-translations.
+prefix products (and, with translations, the letter moves and prefix
+shifts).  The canonical 2-cycle is a list of (i, j, coeff) over indices
+into that walk; it depends only on h, so it is built, and its boundary
+checked on free-group words, once per h, and ``surface_two_cycle`` forms
+no products.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, lru_cache, partial, reduce
+from itertools import accumulate
 from operator import add, matmul, mul
 from typing import Sequence
 
 from .linalg import IntMatrix, exact_signature, rational_kernel
 from .symplectic import GroupFamily, is_member, j_matrix, sp_inverse
 
+Vector = tuple[int, ...]
+_FIELDS = ("g", "pairs", "translations", "letters", "prefixes", "moves",
+           "shifts")
+_walked = partial(field, init=False, repr=False, compare=False)
+
+
+def _relator_walk(pairs, inverse, product) -> tuple[list, list]:
+    """Letters of the relator word a1 b1 a1^-1 b1^-1 ... and their prefix
+    products."""
+    letters = [x for a, b in pairs for x in (a, b, inverse(a), inverse(b))]
+    return letters, list(accumulate(letters, product))
+
+
+def _walk(g: int, pairs, translations) -> tuple:
+    """Relator letters X_k, prefixes P_k, moves u_k (translations of X_k) and
+    shifts t_k = t_{k-1} + P_{k-1} u_k; u, t are None without translations."""
+    letters, prefixes = _relator_walk(pairs, lambda a: sp_inverse(a, g),
+                                      matmul)
+    if translations is None:
+        return tuple(letters), tuple(prefixes), None, None
+    moves: list[Vector] = []
+    for (v, w), ainv, binv in zip(translations, letters[2::4], letters[3::4]):
+        moves += [v, w, tuple(-t for t in ainv.mult_vec(v)),
+                  tuple(-t for t in binv.mult_vec(w))]
+    shifts = [moves[0]]
+    for p, u in zip(prefixes, moves[1:]):
+        shifts.append(tuple(map(add, shifts[-1], p.mult_vec(u))))
+    return tuple(letters), tuple(prefixes), tuple(moves), tuple(shifts)
+
 
 @dataclass(frozen=True)
 class SurfaceClass:
-    """Genus-h tuple of symplectic matrix pairs with trivial total relator.
+    """Genus-h tuple of symplectic matrix pairs with trivial total relator,
+    optionally with translations (v_i, w_i) such that the pairs
+    ((v_i, A_i), (w_i, B_i)) satisfy the relator in Z^2g x| Sp_2g(Z).
 
-    Validation walks the relator word a1 b1 a1^-1 b1^-1 ... once and keeps
-    its 4h letters and their prefix products; ``surface_two_cycle`` builds
-    the 2-cycle from them.
+    Validation walks the relator once and keeps the result (see ``_walk``).
     """
 
     g: int
     pairs: tuple[tuple[IntMatrix, IntMatrix], ...]
-    letters: tuple[IntMatrix, ...] = field(init=False, repr=False,
-                                           compare=False)
-    prefixes: tuple[IntMatrix, ...] = field(init=False, repr=False,
-                                            compare=False)
+    translations: tuple[tuple[Vector, Vector], ...] | None = None
+    letters: tuple[IntMatrix, ...] = _walked()
+    prefixes: tuple[IntMatrix, ...] = _walked()
+    moves: tuple[Vector, ...] | None = _walked()
+    shifts: tuple[Vector, ...] | None = _walked()
 
     def __post_init__(self):
         if not self.pairs:
             raise ValueError("a surface class needs genus h >= 1")
-        object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
-        letters: list[IntMatrix] = []
-        for a, b in self.pairs:
-            for m in (a, b):
-                if not is_member(GroupFamily.SP, m, self.g):
-                    raise ValueError("holonomy matrix is not symplectic")
-            letters += [a, b, sp_inverse(a, self.g), sp_inverse(b, self.g)]
-        prefixes = [letters[0]]
-        for x in letters[1:]:
-            prefixes.append(prefixes[-1] @ x)
-        if prefixes[-1] != IntMatrix.identity(2 * self.g):
+        pairs = tuple(tuple(p) for p in self.pairs)
+        if not all(is_member(GroupFamily.SP, m, self.g)
+                   for p in pairs for m in p):
+            raise ValueError("holonomy matrix is not symplectic")
+        tr = self.translations
+        if tr is not None:
+            n = 2 * self.g
+            tr = tuple((_json_vector(v, n, "translation vectors"),
+                        _json_vector(w, n, "translation vectors"))
+                       for v, w in tr)
+            if len(tr) != len(pairs):
+                raise ValueError("one translation pair per matrix pair")
+        walk = _walk(self.g, pairs, tr)
+        self.__dict__.update(zip(_FIELDS[1:], (pairs, tr, *walk)))  # frozen
+        if self.prefixes[-1] != IntMatrix.identity(2 * self.g):
             raise ValueError("commutator relator does not close up")
-        object.__setattr__(self, "letters", tuple(letters))
-        object.__setattr__(self, "prefixes", tuple(prefixes))
+        if tr is not None and any(self.shifts[-1]):
+            raise ValueError("affine relator does not close up; the crossed "
+                             "homomorphism is ill-defined")
+
+    @classmethod
+    def _unchecked(cls, *values) -> "SurfaceClass":
+        """A class from data that is valid by construction."""
+        new = object.__new__(cls)
+        new.__dict__.update(zip(_FIELDS, values))
+        return new
 
     @property
     def h(self) -> int:
@@ -94,148 +141,127 @@ class SurfaceClass:
                    for p in self.pairs for m in p)
 
     def conjugated(self, p: IntMatrix) -> "SurfaceClass":
+        """Conjugate by a symplectic p: (v, A) -> (p v, p A p^-1).  That
+        keeps the relator closed, so only p is checked."""
+        if not is_member(GroupFamily.SP, p, self.g):
+            raise ValueError("conjugating matrix is not symplectic")
         pinv = sp_inverse(p, self.g)
-        return SurfaceClass(self.g, tuple((p @ a @ pinv, p @ b @ pinv)
-                                          for a, b in self.pairs))
+        pairs = tuple((p @ a @ pinv, p @ b @ pinv) for a, b in self.pairs)
+        tr = None if self.translations is None else tuple(
+            (tuple(p.mult_vec(v)), tuple(p.mult_vec(w)))
+            for v, w in self.translations)
+        return self._unchecked(self.g, pairs, tr, *_walk(self.g, pairs, tr))
+
+    def scaled_translations(self, t: int) -> "SurfaceClass":
+        """Multiply the translations, and so the moves and shifts, by the
+        integer t; the letters and prefixes are kept."""
+        t = _json_int(t, "the scale factor")
+        if self.translations is None:
+            raise ValueError("scaling needs a class with translation data")
+
+        def scale(vectors):
+            return tuple(tuple(t * x for x in v) for v in vectors)
+
+        return self._unchecked(self.g, self.pairs,
+                               tuple(map(scale, self.translations)),
+                               self.letters, self.prefixes,
+                               scale(self.moves), scale(self.shifts))
+
+    def matrix_class(self) -> "SurfaceClass":
+        """The class without its translations (itself if it has none)."""
+        return self if self.translations is None else self._matrix_class
+
+    @cached_property
+    def _matrix_class(self) -> "SurfaceClass":
+        return self._unchecked(self.g, self.pairs, None, self.letters,
+                               self.prefixes, None, None)
 
     def to_json_dict(self) -> dict:
-        return {"g": self.g, "h": self.h,
-                "pairs": [[a.to_lists(), b.to_lists()] for a, b in self.pairs]}
-
-
-AffineElement = tuple[tuple[int, ...], IntMatrix]
-
-
-@dataclass(frozen=True)
-class AffineSurfaceClass:
-    """A surface class with translation vectors attached to each holonomy.
-
-    The pairs ((v_i, A_i), (w_i, B_i)) must satisfy the surface relator in
-    the affine group Z^2g x| Sp_2g(Z); equivalently the associated crossed
-    homomorphism vanishes on the relator word.  The matrix part is
-    validated as a ``SurfaceClass``, which is kept; the affine walk reuses
-    its letters and prefixes and only adds up translations,
-    t_k = t_{k-1} + P_{k-1} u_k for the k-th letter (u_k, X_k).
-    """
-
-    g: int
-    pairs: tuple[tuple[IntMatrix, IntMatrix], ...]
-    translations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    letters: tuple[AffineElement, ...] = field(init=False, repr=False,
-                                               compare=False)
-    prefixes: tuple[AffineElement, ...] = field(init=False, repr=False,
-                                                compare=False)
-    _base: SurfaceClass = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        base = SurfaceClass(self.g, self.pairs)  # validates the matrix part
-        object.__setattr__(self, "pairs", base.pairs)
-        object.__setattr__(self, "_base", base)
-        n = 2 * self.g
-        tr = tuple((tuple(int(x) for x in v), tuple(int(x) for x in w))
-                   for v, w in self.translations)
-        object.__setattr__(self, "translations", tr)
-        if len(tr) != len(self.pairs):
-            raise ValueError("one translation pair per matrix pair")
-        for v, w in tr:
-            if len(v) != n or len(w) != n:
-                raise ValueError("translation vectors must have length 2g")
-        moves: list[tuple[int, ...]] = []
-        for i, (v, w) in enumerate(tr):
-            ainv, binv = base.letters[4 * i + 2], base.letters[4 * i + 3]
-            moves += [v, w, tuple(-t for t in ainv.mult_vec(v)),
-                      tuple(-t for t in binv.mult_vec(w))]
-        t = moves[0]
-        shifts = [t]
-        for p, u in zip(base.prefixes, moves[1:]):
-            t = tuple(x + y for x, y in zip(t, p.mult_vec(u)))
-            shifts.append(t)
-        if any(t):
-            raise ValueError("affine relator does not close up; the crossed "
-                             "homomorphism is ill-defined")
-        object.__setattr__(self, "letters", tuple(zip(moves, base.letters)))
-        object.__setattr__(self, "prefixes", tuple(zip(shifts, base.prefixes)))
-
-    @property
-    def h(self) -> int:
-        return len(self.pairs)
-
-    def matrix_class(self) -> SurfaceClass:
-        return self._base
-
-    def scaled_translations(self, t: int) -> "AffineSurfaceClass":
-        tr = tuple((tuple(t * x for x in v), tuple(t * x for x in w))
-                   for v, w in self.translations)
-        return AffineSurfaceClass(self.g, self.pairs, tr)
-
-    def to_json_dict(self) -> dict:
-        d = self.matrix_class().to_json_dict()
-        d["translations"] = [[list(v), list(w)] for v, w in self.translations]
+        d = {"g": self.g, "h": self.h,
+             "pairs": [[a.to_lists(), b.to_lists()] for a, b in self.pairs]}
+        if self.translations is not None:
+            d["translations"] = [[list(v), list(w)]
+                                 for v, w in self.translations]
         return d
 
 
-def _affine_mul(x: AffineElement, y: AffineElement) -> AffineElement:
-    v, a = x
-    w, b = y
-    return (tuple(p + q for p, q in zip(v, a.mult_vec(w))), a @ b)
+AffineSurfaceClass = SurfaceClass  # the old name of a class with translations
+
+
+def _free_product(u: Vector, v: Vector) -> Vector:
+    """Product of reduced free-group words in signed generator indices."""
+    k = 0
+    while k < min(len(u), len(v)) and u[-1 - k] == -v[k]:
+        k += 1
+    return u[:len(u) - k] + v[k:]
+
+
+def _fills_relator(h: int, index_terms) -> bool:
+    """Whether the bar boundary of the terms, on the free-group words of
+    the genus-h table (letters, prefixes, e), is exactly [e] - [relator]."""
+    letters, prefixes = _relator_walk(
+        [((i,), (i + 1,)) for i in range(1, 2 * h, 2)], lambda w: (-w[0],),
+        _free_product)
+    words = (*letters, *prefixes, ())
+    chain: dict[Vector, int] = {}
+    for i, j, c in index_terms:
+        for w, s in ((words[j], c), (_free_product(words[i], words[j]), -c),
+                     (words[i], c)):
+            chain[w] = chain.get(w, 0) + s
+    return {w: c for w, c in chain.items() if c} == {(): 1, words[-2]: -1}
+
+
+@lru_cache(maxsize=None)
+def _filling(h: int) -> tuple[tuple[int, int, int], ...]:
+    """Canonical filling of the genus-h relator: sum_{k=1..4h-1}
+    [P_{k-1} | X_k] minus [x | x^-1] for each of the 2h holonomies x,
+    minus (2h - 1) [e | e], over the table indices of X_k (k), P_k
+    (4h + k) and e (8h).  Its size is 8h - 2."""
+    n = 4 * h
+    terms = [(n + k - 1, k, 1) for k in range(1, n)]
+    for first in (0, 1):  # the a-holonomies, then the b-holonomies
+        terms += [(4 * i + first, 4 * i + first + 2, -1) for i in range(h)]
+    terms.append((2 * n, 2 * n, 1 - 2 * h))
+    if not _fills_relator(h, terms):
+        raise RuntimeError("canonical filling has nonzero boundary")
+    return tuple(terms)
 
 
 @dataclass(frozen=True)
 class BarTwoCycle:
-    """Formal integer combination of bar-complex 2-chains [a|b].
+    """Formal integer combination of bar-complex 2-chains [x_i | x_j].
 
-    Group elements are hashable (matrices, or translation/matrix pairs for
-    the affine case).  The bar boundary sum(coeff * ([b] - [ab] + [a]))
-    must vanish; ``boundary_is_zero`` checks it.
+    ``index_terms`` are (i, j, coeff) into ``elements``, a class's values on
+    the genus-h table: matrices, or (translation, matrix) pairs.
     """
 
-    terms: tuple[tuple[object, object, int], ...]
-    mul: object  # binary operation on the group elements
+    index_terms: tuple[tuple[int, int, int], ...]
+    elements: tuple
+
+    @property
+    def terms(self) -> tuple[tuple[object, object, int], ...]:
+        el = self.elements
+        return tuple((el[i], el[j], c) for i, j, c in self.index_terms)
 
     @property
     def size(self) -> int:
-        return sum(abs(c) for _, _, c in self.terms)
+        return sum(abs(c) for _, _, c in self.index_terms)
 
     def boundary_is_zero(self) -> bool:
-        chain: dict[object, int] = {}
-
-        def bump(el, c):
-            chain[el] = chain.get(el, 0) + c
-
-        for a, b, c in self.terms:
-            bump(b, c)
-            bump(self.mul(a, b), -c)
-            bump(a, c)
-        return all(v == 0 for v in chain.values())
+        """The bar boundary is the image of its value on the table's words,
+        [e] - [relator] for a filling, which is 0 if the relator closes."""
+        el = self.elements
+        return (_fills_relator(len(el) // 8, self.index_terms)
+                and el[-2] == el[-1])
 
 
-def surface_two_cycle(cls) -> BarTwoCycle:
-    """Canonical bar 2-cycle filling the surface relator of a class.
-
-    With relator word w = a1 b1 a1^-1 b1^-1 ... of length 4h and prefixes
-    p_k, the chain is sum_{k=2..4h} [p_{k-1} | x_k] minus [x | x^-1] for
-    each of the 2h holonomies x, minus (2h - 1) [e | e]; its size is 8h - 2.
-    The letters and prefixes are the ones the class kept from validating
-    its relator.
-    """
-    if isinstance(cls, AffineSurfaceClass):
-        n = 2 * cls.g
-        ident, mul = ((0,) * n, IntMatrix.identity(n)), _affine_mul
-    elif isinstance(cls, SurfaceClass):
-        ident, mul = IntMatrix.identity(2 * cls.g), matmul
-    else:
-        raise TypeError("expected a SurfaceClass or AffineSurfaceClass")
-    letters, prefixes, h = cls.letters, cls.prefixes, cls.h
-    terms: list[tuple[object, object, int]] = [
-        (prefixes[k - 1], letters[k], 1) for k in range(1, 4 * h)]
-    for first in (0, 1):  # the a-holonomies, then the b-holonomies
-        terms += [(letters[4 * i + first], letters[4 * i + first + 2], -1)
-                  for i in range(h)]
-    terms.append((ident, ident, -(2 * h - 1)))
-    cycle = BarTwoCycle(terms=tuple(terms), mul=mul)
-    if not cycle.boundary_is_zero():
-        raise RuntimeError("canonical filling has nonzero boundary")
-    return cycle
+def surface_two_cycle(cls: SurfaceClass) -> BarTwoCycle:
+    """Canonical bar 2-cycle filling the surface relator of a class, on
+    the elements the class kept from walking its relator: no products."""
+    el = cls.letters + cls.prefixes + (IntMatrix.identity(2 * cls.g),)
+    if cls.translations is not None:
+        el = tuple(zip(cls.moves + cls.shifts + ((0,) * 2 * cls.g,), el))
+    return BarTwoCycle(_filling(cls.h), el)
 
 
 def meyer_tau(a: IntMatrix, b: IntMatrix, g: int) -> int:
@@ -289,33 +315,28 @@ def beta_is_symmetric_on_kernel(a: IntMatrix, b: IntMatrix, g: int) -> bool:
     return form - form.transpose() == IntMatrix.zeros(form.rows, form.cols)
 
 
-def signature_of_class(cls) -> int:
+def signature_of_class(cls: SurfaceClass) -> int:
     """Pairing of the signature cocycle with the canonical 2-cycle.
 
     The class validated every holonomy on construction, and every term of
     the 2-cycle is a product of holonomies and their inverses, so the terms
-    go to the unchecked evaluator.
+    go to the unchecked evaluator.  Translations play no part.
     """
-    if isinstance(cls, AffineSurfaceClass):
-        cls = cls.matrix_class()
-    cycle = surface_two_cycle(cls)
+    cycle = surface_two_cycle(cls.matrix_class())
     return sum(c * _tau(a, b, cls.g) for a, b, c in cycle.terms)
 
 
-def chi2_of_class(cls: AffineSurfaceClass) -> int:
+def chi2_of_class(cls: SurfaceClass) -> int:
     """Cup square of the translation cocycle against the symplectic form.
 
     Evaluates sum(coeff * lambda(u(a), rho(a) u(b))) over the canonical
-    2-cycle, with u the crossed homomorphism of the affine class.
+    2-cycle, with u the crossed homomorphism of the class's translations.
     """
-    if not isinstance(cls, AffineSurfaceClass):
-        raise TypeError("chi^2 needs translation data (an AffineSurfaceClass)")
-    cycle = surface_two_cycle(cls)
+    if cls.translations is None:
+        raise ValueError("chi^2 needs a class with translation data")
     j = j_matrix(cls.g, -1)
     total = 0
-    for ea, eb, c in cycle.terms:
-        va, ma = ea
-        vb, _ = eb
+    for (va, ma), (vb, _), c in surface_two_cycle(cls).terms:
         rho_ub = ma.mult_vec(list(vb))
         total += c * sum(x * y for x, y in zip(va, j.mult_vec(rho_ub)))
     return total
@@ -332,10 +353,9 @@ def divided_eval(which: str, cls) -> int:
     raises ValueError.
     """
     if which == "sgn/8":
-        base = cls.matrix_class() if isinstance(cls, AffineSurfaceClass) else cls
-        if not base.all_in_theta_group():
+        if not cls.all_in_theta_group():
             raise ValueError("sgn/8 needs all holonomies in the theta group")
-        s = signature_of_class(base)
+        s = signature_of_class(cls)
         if s % 8:
             raise ValueError(f"signature {s} is not divisible by 8")
         return s // 8
@@ -368,7 +388,7 @@ def _json_pairs(x, what: str, item: str) -> list:
 
 
 def _json_vector(x, n: int, what: str) -> tuple[int, ...]:
-    if not isinstance(x, list) or len(x) != n or any(
+    if not isinstance(x, (list, tuple)) or len(x) != n or any(
             isinstance(t, bool) or not isinstance(t, int) for t in x):
         raise ValueError(f"{what} must be lists of {n} integers")
     return tuple(x)
@@ -380,8 +400,8 @@ def _json_matrix(x, n: int) -> IntMatrix:
     return IntMatrix([_json_vector(r, n, "matrix rows") for r in x])
 
 
-def class_from_json_dict(d: dict):
-    """Parse the class-file schema into a (possibly affine) surface class.
+def class_from_json_dict(d: dict) -> SurfaceClass:
+    """Parse the class-file schema into a surface class.
 
     Malformed input raises ValueError with a one-line message: a top-level
     value that is not an object, a missing ``g`` or ``pairs``, non-integer
@@ -401,16 +421,13 @@ def class_from_json_dict(d: dict):
                   for a, b in _json_pairs(d["pairs"], "pairs", "A, B"))
     if "h" in d and _json_int(d["h"], "h") != len(pairs):
         raise ValueError("h does not match the number of pairs")
-    if d.get("translations") is not None:
-        tr = tuple((_json_vector(v, n, "translation vectors"),
-                    _json_vector(w, n, "translation vectors"))
-                   for v, w in _json_pairs(d["translations"], "translations",
-                                           "v, w"))
-        return AffineSurfaceClass(g, pairs, tr)
-    return SurfaceClass(g, pairs)
+    tr = d.get("translations")
+    if tr is not None:
+        tr = _json_pairs(tr, "translations", "v, w")
+    return SurfaceClass(g, pairs, tr)
 
 
-def load_class_file(path: str):
+def load_class_file(path: str) -> SurfaceClass:
     """Read a class file; every ValueError, invalid JSON included, becomes
     one line that starts with ``class file <path>:``."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -438,6 +455,12 @@ def random_symplectic(g: int, rng, generators: Sequence[IntMatrix],
     return reduce(matmul, word)
 
 
+def sp_power(a: IntMatrix, k: int, g: int) -> IntMatrix:
+    """A^k for a symplectic A, as |k| products with A or with A^-1."""
+    step = a if k >= 0 else sp_inverse(a, g)
+    return reduce(matmul, [step] * abs(k), IntMatrix.identity(2 * g))
+
+
 def random_surface_class(g: int, h: int, rng,
                          generators: Sequence[IntMatrix],
                          max_length: int = 5) -> SurfaceClass:
@@ -457,12 +480,7 @@ def random_surface_class(g: int, h: int, rng,
             pairs += [(a, b), (b, a)]
             remaining -= 2
         else:
-            k = rng.choice([-2, -1, 0, 1, 2])
-            b = IntMatrix.identity(2 * g)
-            step = a if k >= 0 else sp_inverse(a, g)
-            for _ in range(abs(k)):
-                b = b @ step
-            pairs.append((a, b))
+            pairs.append((a, sp_power(a, rng.choice([-2, -1, 0, 1, 2]), g)))
             remaining -= 1
     cls = SurfaceClass(g, tuple(pairs))
     if rng.random() < 0.5:
@@ -473,8 +491,8 @@ def random_surface_class(g: int, h: int, rng,
 def random_affine_class(g: int, h: int, rng,
                         generators: Sequence[IntMatrix],
                         span: int = 3, even_translations: bool = False
-                        ) -> AffineSurfaceClass:
-    """Random valid affine class.
+                        ) -> SurfaceClass:
+    """Random valid class with translations.
 
     Torus blocks (identity holonomies) admit arbitrary translations; other
     blocks get principal translations u(x) = (rho(x) - 1) m for a random m,
@@ -505,7 +523,7 @@ def random_affine_class(g: int, h: int, rng,
             pairs += [(a, b), (b, a)]
             translations += [(va, vb), (vb, va)]
             remaining -= 2
-    cls = AffineSurfaceClass(g, tuple(pairs), tuple(translations))
+    cls = SurfaceClass(g, tuple(pairs), tuple(translations))
     if even_translations:
         cls = cls.scaled_translations(2)
     return cls

@@ -210,8 +210,8 @@ def theta_data(n: int, sigma_q_order: int | None = None,
             "n = 11 is an exceptional case: Sigma_Q does not bound a "
             "parallelisable manifold there, and its placement is not part of "
             "the built-in data. Supply sigma_q_ambient explicitly to proceed.")
+    ck = coker_j(2 * n + 1, coker_j_table)  # refuses before the recurrence
     bp = bp_order(2 * n + 2)
-    ck = coker_j(2 * n + 1, coker_j_table)
     m = 1 + ck.num_coords
     rel_entries = [bp] + [0] * ck.rank + list(ck.torsion)
     relations = IntMatrix.from_columns(

@@ -216,3 +216,13 @@ def test_negative_genus_is_refused(capsys):
         assert code == 1 and not out
         assert "genus must be >=" in err
         assert "copies" not in err
+
+
+def test_readme_example_class_file(capsys):
+    """The class file the README's CLI block runs."""
+    from pathlib import Path
+    path = str(Path(__file__).resolve().parents[1] / "examples" / "class.json")
+    code, out, _ = run(capsys, "signature", "--file", path)
+    assert (code, out.strip()) == (0, "0")
+    code, out, _ = run(capsys, "chi2", "--file", path)
+    assert code == 0 and abs(int(out)) == 2

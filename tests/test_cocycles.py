@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hdmcg.cocycles import (AffineSurfaceClass, SurfaceClass,
+from hdmcg.cocycles import (AffineSurfaceClass, BarTwoCycle, SurfaceClass,
                             beta_is_symmetric_on_kernel, chi2_of_class,
                             class_from_json_dict, divided_eval, load_class_file,
                             meyer_tau, random_affine_class,
@@ -190,3 +190,122 @@ def test_class_json_round_trip(tmp_path):
     assert load_class_file(str(path)) == cls
     plain = class_from_json_dict(cls.matrix_class().to_json_dict())
     assert isinstance(plain, SurfaceClass)
+
+
+WALK = ("letters", "prefixes", "moves", "shifts")
+
+
+def same_class(x, y):
+    """Equal as classes, and equal in everything the relator walk kept."""
+    return x == y and all(getattr(x, f) == getattr(y, f) for f in WALK)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.5, 2.0, True])
+def test_non_integer_translation_data_is_refused(bad):
+    ident = IntMatrix.identity(2)
+    torus = SurfaceClass(1, ((ident, ident),), (((1, 0), (0, 1)),))
+    with pytest.raises(ValueError, match="scale factor must be an integer"):
+        torus.scaled_translations(bad)
+    with pytest.raises(ValueError, match="translation vectors"):
+        SurfaceClass(1, ((ident, ident),), (((bad, 0), (0, 1)),))
+
+
+def test_translation_functionals_refuse_a_class_without_translations():
+    plain = torus_class(1, IntMatrix.identity(2), IntMatrix.identity(2))
+    with pytest.raises(ValueError, match="translation"):
+        chi2_of_class(plain)
+    with pytest.raises(ValueError, match="translation"):
+        plain.scaled_translations(2)
+
+
+def test_conjugation_checks_only_the_conjugator():
+    cls = random_surface_class(2, 2, random.Random(20), SP2)
+    with pytest.raises(ValueError, match="not symplectic"):
+        cls.conjugated(IntMatrix.identity(4).scaled(2))
+
+
+def test_unchecked_constructors_match_the_validated_one(monkeypatch):
+    """Conjugation checks only p (one is_member call) and scaling checks
+    nothing, yet both give the class the validated constructor gives."""
+    import hdmcg.cocycles
+    is_member, calls = hdmcg.cocycles.is_member, []
+
+    def counted(*args):
+        calls.append(args)
+        return is_member(*args)
+
+    def count(make):
+        calls.clear()
+        monkeypatch.setattr(hdmcg.cocycles, "is_member", counted)
+        made = make()
+        monkeypatch.setattr(hdmcg.cocycles, "is_member", is_member)
+        return made, len(calls)
+
+    rng = random.Random(21)
+    for g in (1, 2, 3):
+        gens = standard_generators(GroupFamily.SP, g)
+        for h in (1, 2, 3):
+            p = random_symplectic(g, rng, gens)
+            pinv = sp_inverse(p, g)
+            aff = random_affine_class(g, h, rng, gens)
+            for cls in (random_surface_class(g, h, rng, gens), aff):
+                conj, n = count(lambda: cls.conjugated(p))
+                assert n == 1
+                tr = None if cls.translations is None else tuple(
+                    (tuple(p.mult_vec(v)), tuple(p.mult_vec(w)))
+                    for v, w in cls.translations)
+                assert same_class(conj, SurfaceClass(
+                    g, tuple((p @ a @ pinv, p @ b @ pinv)
+                             for a, b in cls.pairs), tr))
+            t = rng.choice([-3, -1, 0, 2, 5])
+            scaled, n = count(lambda: aff.scaled_translations(t))
+            assert n == 0
+            assert same_class(scaled, SurfaceClass(g, aff.pairs, tuple(
+                (tuple(t * x for x in v), tuple(t * x for x in w))
+                for v, w in aff.translations)))
+            assert same_class(scaled.matrix_class(),
+                              SurfaceClass(g, aff.pairs))
+
+
+def bar_boundary(terms, mul):
+    """sum(coeff * ([b] - [ab] + [a])) with the group's own product."""
+    chain = {}
+    for a, b, c in terms:
+        for x, s in ((b, c), (mul(a, b), -c), (a, c)):
+            chain[x] = chain.get(x, 0) + s
+    return {x: c for x, c in chain.items() if c}
+
+
+def affine_product(x, y):
+    (v, a), (w, b) = x, y
+    return tuple(p + q for p, q in zip(v, a.mult_vec(w))), a @ b
+
+
+def test_two_cycle_boundary_vanishes_under_the_group_product():
+    rng = random.Random(22)
+    for g in (1, 2, 3):
+        gens = standard_generators(GroupFamily.SP, g)
+        for h in range(1, 7):
+            for cls, mul in ((random_surface_class(g, h, rng, gens),
+                              lambda x, y: x @ y),
+                             (random_affine_class(g, h, rng, gens),
+                              affine_product)):
+                cycle = surface_two_cycle(cls)
+                assert cycle.size == 8 * h - 2
+                assert bar_boundary(cycle.terms, mul) == {}
+                assert cycle.boundary_is_zero()
+
+
+def test_word_level_check_rejects_a_broken_filling():
+    rng = random.Random(23)
+    for h in (1, 2, 3):
+        cls = random_affine_class(2, h, rng, SP2)
+        cycle = surface_two_cycle(cls)
+        for k in range(len(cycle.index_terms)):
+            broken = BarTwoCycle(cycle.index_terms[:k]
+                                 + cycle.index_terms[k + 1:], cycle.elements)
+            assert not broken.boundary_is_zero()
+        i, j, c = cycle.index_terms[-1]
+        off_by_one = BarTwoCycle(cycle.index_terms[:-1] + ((i, j, c + 1),),
+                                 cycle.elements)
+        assert not off_by_one.boundary_is_zero()

@@ -184,3 +184,17 @@ def test_theta_order_consistency():
         d = theta_data(n)
         sub = subgroup_iso(d.theta, list(d.ba_generators))
         assert d.theta.order() == sub.order() * d.omega.order()
+
+
+def test_missing_coker_j_is_refused_before_the_bp_recurrence(monkeypatch):
+    """n = 601 needs coker J in degree 1203, which no table holds; the
+    refusal comes before bP_{1204} is computed."""
+    import hdmcg.spheres
+
+    def no_recurrence(dim):
+        raise AssertionError(f"bp_order({dim}) ran before the lookup")
+
+    monkeypatch.delenv(COKER_J_ENV, raising=False)
+    monkeypatch.setattr(hdmcg.spheres, "bp_order", no_recurrence)
+    with pytest.raises(UnsupportedDimension, match="1203"):
+        theta_data(601)
