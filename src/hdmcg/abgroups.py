@@ -18,25 +18,35 @@ from .linalg import IntMatrix, cokernel_presentation, hstack, subquotient
 def _normalize_chain(factors: Iterable[int]) -> tuple[int, ...]:
     """Rewrite a multiset of cyclic orders as a divisibility chain.
 
-    Repeatedly replaces a non-dividing pair (a, b) by (gcd, lcm), which is
-    an isomorphism by CRT; at the fixpoint the sorted list is a chain.
+    Works on the distinct orders with their multiplicities: while two of
+    them, a < b, have a not dividing b, min(mult a, mult b) copies of the
+    pair become (gcd, lcm), an isomorphism by CRT.  Each step spreads the
+    logarithms further apart at a fixed sum, so the loop ends; then the
+    sorted distinct orders form a chain.  The cost grows with the number
+    of distinct orders, not with the number of factors.
     """
-    ds = [int(d) for d in factors if int(d) != 1]
-    if any(d <= 0 for d in ds):
-        raise ValueError("torsion factors must be positive")
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(ds)):
-            for j in range(i + 1, len(ds)):
-                a, b = ds[i], ds[j]
-                if b % a:
-                    g = gcd(a, b)
-                    ds[i], ds[j] = g, a * b // g
-                    changed = True
-        ds = [d for d in ds if d != 1]
-    ds.sort()
-    return tuple(ds)
+    mult: dict[int, int] = {}
+    for d in factors:
+        d = int(d)
+        if d <= 0:
+            raise ValueError("torsion factors must be positive")
+        if d != 1:
+            mult[d] = mult.get(d, 0) + 1
+    while True:
+        chain = sorted(mult)
+        pair = next(((a, b) for i, a in enumerate(chain) for b in chain[i + 1:]
+                     if b % a), None)
+        if pair is None:
+            return tuple(d for d in chain for _ in range(mult[d]))
+        a, b = pair
+        k = min(mult[a], mult[b])
+        g = gcd(a, b)
+        for d, step in ((a, -k), (b, -k), (g, k), (a // g * b, k)):
+            count = mult.get(d, 0) + step
+            if count and d != 1:
+                mult[d] = count
+            else:
+                mult.pop(d, None)
 
 
 @dataclass(frozen=True)
@@ -199,13 +209,10 @@ def from_relations(ambient_rank: int, relations: IntMatrix):
 
 def _presentation_lattice(g: FinAbGroup) -> IntMatrix:
     """Relation matrix of the canonical presentation Z^num_coords -> g."""
-    n = g.num_coords
-    cols = []
-    for i, d in enumerate(g.torsion):
-        col = [0] * n
-        col[g.rank + i] = d
-        cols.append(col)
-    return IntMatrix.from_columns(cols, rows=n)
+    t = len(g.torsion)
+    rows = [(0,) * t] * g.rank + [tuple(d if j == i else 0 for j in range(t))
+                                  for i, d in enumerate(g.torsion)]
+    return IntMatrix._of(tuple(rows), t)
 
 
 def quotient_with_projection(g: FinAbGroup, gens: Sequence[GroupElement]):

@@ -87,12 +87,17 @@ class IntMatrix:
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]],
                      rows: int | None = None) -> "IntMatrix":
+        """The matrix with these columns, entries coerced with ``int()``;
+        columns of unequal length are refused."""
         if not columns:
             if rows is None:
                 raise ValueError("row count needed for an empty column list")
             return cls.zeros(rows, 0)
         r = len(columns[0])
-        return cls([[col[i] for col in columns] for i in range(r)], cols=len(columns))
+        if any(len(col) != r for col in columns):
+            raise ValueError("columns of unequal length")
+        return cls._of(tuple(tuple(map(int, row)) for row in zip(*columns)),
+                       len(columns))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, IntMatrix) and self.cols == other.cols
@@ -288,8 +293,10 @@ def snf(m: IntMatrix) -> SNFResult:
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
             u[i] = [-x for x in u[i]]
-    return SNFResult(U=IntMatrix(u, cols=nr), D=IntMatrix(a, cols=nc),
-                     V=IntMatrix(v, cols=nc))
+    trusted = IntMatrix._of
+    return SNFResult(U=trusted(tuple(map(tuple, u)), nr),
+                     D=trusted(tuple(map(tuple, a)), nc),
+                     V=trusted(tuple(map(tuple, v)), nc))
 
 
 def kernel_basis(m: IntMatrix, modulus: int = 0) -> IntMatrix:
@@ -433,8 +440,8 @@ def cokernel_presentation(m: IntMatrix):
     torsion_rows = [i for i in range(r) if diag[i] > 1]
     factors = tuple(diag[i] for i in torsion_rows)
     group = FinAbGroup(rank=len(free_rows), torsion=factors)
-    proj = IntMatrix([res.U.data[i] for i in free_rows + torsion_rows],
-                     cols=m.rows)
+    kept = free_rows + torsion_rows
+    proj = IntMatrix._of(tuple(res.U.data[i] for i in kept), m.rows)
     return group, proj
 
 

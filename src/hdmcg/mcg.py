@@ -155,6 +155,7 @@ def coinvariants_closed(g: int, n: int) -> FinAbGroup:
 
 
 def _theta(params: MCGParams) -> SphereData:
+    """The sphere data of one answer; callers build it once and pass it on."""
     return theta_data(params.n, **params.sphere_kwargs())
 
 
@@ -166,8 +167,10 @@ def h1_torelli(g: int, n: int, params: MCGParams | None = None) -> FinAbGroup:
     """
     if g < 0:
         raise ValueError("genus must be >= 0")
-    params = params or MCGParams(g, n)
-    data = _theta(params)
+    return _h1_torelli(g, n, _theta(params or MCGParams(g, n)))
+
+
+def _h1_torelli(g: int, n: int, data: SphereData) -> FinAbGroup:
     if g == 0:
         return data.theta
     free_part = tensor_with_free(s_pi_n_so(n), 2 * g)
@@ -184,8 +187,10 @@ def h1_mcg(g: int, n: int, params: MCGParams | None = None) -> FinAbGroup:
     """
     if g < 0:
         raise ValueError("genus must be >= 0")
-    params = params or MCGParams(g, n)
-    data = _theta(params)
+    return _h1_mcg(g, n, _theta(params or MCGParams(g, n)))
+
+
+def _h1_mcg(g: int, n: int, data: SphereData) -> FinAbGroup:
     if g == 0:
         return data.theta
     kg = [data.sigma_q] if g == 1 else [data.sigma_p, data.sigma_q]
@@ -227,22 +232,29 @@ def extension_descriptor(g: int, n: int,
     group, by dimension residue, with the d2 image as a subgroup value."""
     if g < 1 or n < 3 or n % 2 == 0:
         raise ValueError("need g >= 1 and odd n >= 3")
-    params = params or MCGParams(g, n)
+    try:
+        data = _theta(params or MCGParams(g, n))
+    except ValueError:
+        data = None
+    return _extension_descriptor(g, n, data)
+
+
+def _extension_descriptor(g: int, n: int,
+                          data: SphereData | None) -> ExtensionDescriptor:
+    """The descriptor over given sphere data; no data leaves d2_image None."""
     if n % 4 == 1:
         case, classes = "ThmB-case1", ("sgn/8 . Sigma_P",)
     elif n in (3, 7):
         case, classes = "ThmB-case3", ("(chi2-sgn)/8 . Sigma_Q",)
     else:
         case, classes = "ThmB-case2", ("sgn/8 . Sigma_P", "chi2/2 . Sigma_Q")
-    d2_name = "<Sigma_Q>" if g == 1 else "bA"
-    try:
-        data = _theta(params)
+    d2_image = None
+    if data is not None:
         gens = [data.sigma_q] if g == 1 else list(data.ba_generators)
         d2_image = subgroup_iso(data.theta, gens)
-    except ValueError:
-        d2_image = None
     return ExtensionDescriptor(n=n, g=g, case=case, classes=classes,
-                               d2_image_name=d2_name, d2_image=d2_image)
+                               d2_image_name="<Sigma_Q>" if g == 1 else "bA",
+                               d2_image=d2_image)
 
 
 def splitting_decisions(g: int, n: int) -> dict[str, Decision]:
@@ -362,21 +374,24 @@ def reproduce_table3() -> tuple[str, bool, list[str]]:
     """Recompute the example abelianisation table and diff it cell by cell.
 
     Covers n in {3, 5, 7, 9} and g in {0, 1, 2, 3}, plus a g = 4 sample
-    confirming that the g >= 3 rows are constant.  Returns the rendered
-    table, an overall flag, and the list of offending cells.
+    confirming that the g >= 3 rows are constant.  The sphere data is
+    built once per n and shared by every cell of its column.  Returns the
+    rendered table, an overall flag, and the list of offending cells.
     """
     ns = (3, 5, 7, 9)
+    spheres = {n: theta_data(n) for n in ns}
     mismatches: list[str] = []
     lines = []
     header = "group".ljust(14) + "".join(f"n={n}".ljust(26) for n in ns)
     lines.append(header)
+    cells: dict[tuple[str, int, int], FinAbGroup] = {}
     for kind, compute, expect in (
-            ("T", h1_torelli, _expected_torelli),
-            ("Gamma", h1_mcg, _expected_mcg)):
+            ("T", _h1_torelli, _expected_torelli),
+            ("Gamma", _h1_mcg, _expected_mcg)):
         for g in (0, 1, 2, 3, 4):
             row = [f"H1({kind}), g={g}".ljust(14)]
             for n in ns:
-                got = compute(g, n)
+                got = cells[kind, g, n] = compute(g, n, spheres[n])
                 want = expect(g, n)
                 mark = ""
                 if got != want:
@@ -388,7 +403,7 @@ def reproduce_table3() -> tuple[str, bool, list[str]]:
             lines.append("".join(row))
     # stability of the high-genus rows
     for n in ns:
-        if h1_mcg(3, n) != h1_mcg(4, n):
+        if cells["Gamma", 3, n] != cells["Gamma", 4, n]:
             mismatches.append(f"H1(Gamma) not stable in g >= 3 at n={n}")
     return "\n".join(lines), not mismatches, mismatches
 
@@ -423,6 +438,7 @@ class MCGReport:
 
 
 def full_report(params: MCGParams) -> MCGReport:
+    """Every invariant of (g, n), all over one build of the sphere data."""
     g, n = params.g, params.n
     if g < 1 or n < 3 or n % 2 == 0:
         raise UnsupportedCase("full reports need g >= 1 and odd n >= 3")
@@ -432,11 +448,11 @@ def full_report(params: MCGParams) -> MCGReport:
         flags.append("sigma_q_order_defaulted_to_2")
     return MCGReport(
         params=params,
-        h1_mcg=h1_mcg(g, n, params),
-        h1_torelli=h1_torelli(g, n, params),
+        h1_mcg=_h1_mcg(g, n, data),
+        h1_torelli=_h1_torelli(g, n, data),
         h1_half_mcg=h1_half_mcg(g, n),
         kg_description="<Sigma_Q>" if g == 1 else "<Sigma_P, Sigma_Q>",
-        extension=extension_descriptor(g, n, params),
+        extension=_extension_descriptor(g, n, data),
         splittings=splitting_decisions(g, n),
         haut=haut_report(g, n),
         provenance_flags=tuple(flags),

@@ -201,10 +201,14 @@ def theta_data(n: int, sigma_q_order: int | None = None,
     the bP summand; that default can be overridden by ``sigma_q_order``
     (its order inside bP) or pinned exactly with ``sigma_q_ambient``
     (coordinates: bP first, then the coker-J coordinates).  n = 11 is
-    refused unless explicit Sigma_Q data is supplied.
+    refused unless explicit Sigma_Q data is supplied.  Both Sigma_Q
+    arguments take integers only; bools, floats and strings are refused.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
+    if sigma_q_order is not None and not _is_json_int(sigma_q_order):
+        raise ValueError(f"sigma_q_order must be an integer, "
+                         f"got {sigma_q_order!r}")
     if n == 11 and sigma_q_ambient is None:
         raise UnsupportedDimension(
             "n = 11 is an exceptional case: Sigma_Q does not bound a "
@@ -227,7 +231,10 @@ def theta_data(n: int, sigma_q_order: int | None = None,
     sigma_p = from_ambient(e0)
     assumed = False
     if sigma_q_ambient is not None:
-        amb = tuple(int(x) for x in sigma_q_ambient)
+        amb = tuple(sigma_q_ambient)
+        if not all(map(_is_json_int, amb)):
+            raise ValueError(f"sigma_q_ambient must hold integers, "
+                             f"got {amb!r}")
         if len(amb) != m:
             raise ValueError(f"sigma_q_ambient needs {m} coordinates")
     elif n % 4 == 1:
@@ -235,7 +242,7 @@ def theta_data(n: int, sigma_q_order: int | None = None,
     elif n in (3, 7):
         amb = tuple(-x for x in e0)
     else:
-        order = 2 if sigma_q_order is None else int(sigma_q_order)
+        order = 2 if sigma_q_order is None else sigma_q_order
         assumed = sigma_q_order is None
         if order < 1 or bp % order:
             raise ValueError(f"sigma_q_order must divide |bP| = {bp}")

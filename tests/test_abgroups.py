@@ -1,9 +1,11 @@
 import json
 import random
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hdmcg.abgroups import (FinAbGroup, direct_sum,
+from hdmcg.abgroups import (FinAbGroup, _normalize_chain, direct_sum,
                             element_order, from_relations, mod_two_quotient,
                             quotient_by, quotient_with_projection,
                             subgroup_iso, tensor_with_free)
@@ -124,3 +126,34 @@ def test_json_round_trip():
     blob = json.dumps(g.to_json_dict(), sort_keys=True)
     assert blob == '{"rank": 2, "torsion": [2, 4]}'
     assert FinAbGroup.from_json_dict(json.loads(blob)) == g
+
+
+def pairwise_chain(factors):
+    # the former quadratic normalisation, kept as the oracle
+    ds = [int(d) for d in factors if int(d) != 1]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(ds)):
+            for j in range(i + 1, len(ds)):
+                a, b = ds[i], ds[j]
+                if b % a:
+                    g = gcd(a, b)
+                    ds[i], ds[j] = g, a * b // g
+                    changed = True
+        ds = [d for d in ds if d != 1]
+    ds.sort()
+    return tuple(ds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(1, 40), st.sampled_from(
+    (2, 4, 8, 12, 28, 992, 8128, 261632))), max_size=12))
+def test_chain_normalisation_matches_the_pairwise_oracle(factors):
+    assert _normalize_chain(factors) == pairwise_chain(factors)
+
+
+def test_chain_normalisation_refuses_nonpositive_orders():
+    for bad in ([0], [2, -4]):
+        with pytest.raises(ValueError, match="positive"):
+            _normalize_chain(bad)

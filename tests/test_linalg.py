@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hdmcg.linalg import (IntMatrix, cokernel_presentation, column_basis,
                           exact_signature, inverse_mod, kernel_basis, snf,
@@ -237,3 +238,40 @@ def test_inverse_mod():
     assert (m2 @ inv).mod(5) == IntMatrix.identity(2)
     with pytest.raises(ValueError):
         inverse_mod(m2)  # not unimodular over Z
+
+
+def _is_int_rows(m: IntMatrix, rows: int, cols: int) -> bool:
+    return (m.rows == rows and m.cols == cols and type(m.data) is tuple
+            and len(m.data) == rows
+            and all(type(r) is tuple and len(r) == cols
+                    and all(type(x) is int for x in r) for r in m.data))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda r: st.integers(0, 6).flatmap(
+    lambda c: st.lists(st.lists(st.integers(-9, 9), min_size=c, max_size=c),
+                       min_size=r, max_size=r).map(lambda d: (r, c, d)))))
+def test_snf_property_and_trusted_matrices(shape):
+    rows, cols, data = shape
+    m = IntMatrix(data, cols=cols)
+    res = snf(m)
+    assert res.U @ m @ res.V == res.D
+    assert abs(bareiss_det(res.U)) == 1 and abs(bareiss_det(res.V)) == 1
+    diag = res.diagonal()
+    assert all(d >= 0 for d in diag)
+    assert all(b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:]))
+    assert all(res.D.data[i][j] == 0 for i in range(rows)
+               for j in range(cols) if i != j)
+    assert _is_int_rows(res.U, rows, rows)
+    assert _is_int_rows(res.D, rows, cols)
+    assert _is_int_rows(res.V, cols, cols)
+
+
+def test_from_columns_coerces_and_refuses_ragged_columns():
+    m = IntMatrix.from_columns([[1, 2], [3, 4], [5, 6]])
+    assert m == IntMatrix([[1, 3, 5], [2, 4, 6]])
+    assert _is_int_rows(IntMatrix.from_columns([[True, 2.0]]), 2, 1)
+    assert IntMatrix.from_columns([[], []]) == IntMatrix.zeros(0, 2)
+    for ragged in ([[1, 2], [3]], [[1], [2, 3]]):
+        with pytest.raises(ValueError, match="unequal length"):
+            IntMatrix.from_columns(ragged)

@@ -1,5 +1,9 @@
+import json
+import time
+
 import pytest
 
+from hdmcg import mcg
 from hdmcg.abgroups import FinAbGroup
 from hdmcg.mcg import (Decision, MCGParams, UnsupportedCase,
                        coinvariants_closed, extension_descriptor, full_report,
@@ -171,3 +175,69 @@ def test_negative_genus_is_refused():
             h1(-3, 5)
     with pytest.raises(ValueError, match="genus must be >= 1"):
         h1_half_mcg(-3, 5)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(mcg, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(mcg, name, wrapper)
+    return calls
+
+
+def _coker_j_file(tmp_path):
+    path = tmp_path / "ckj.json"
+    path.write_text(json.dumps([{"degree": 31, "rank": 0, "torsion": [2]}]))
+    return str(path)
+
+
+def test_one_sphere_build_per_answer(monkeypatch, tmp_path):
+    builds = _counting(monkeypatch, "theta_data")
+    reads = _counting(monkeypatch, "load_coker_j_file")
+    full_report(MCGParams(2, 15, coker_j_path=_coker_j_file(tmp_path)))
+    assert (len(builds), len(reads)) == (1, 1)
+    builds.clear()
+    full_report(MCGParams(3, 9, sigma_q_order=4))
+    assert len(builds) == 1
+    builds.clear()
+    assert reproduce_table3()[1]
+    assert sorted(args[0] for args in builds) == [3, 5, 7, 9]
+
+
+def _report_parts(params):
+    rep = full_report(params)
+    return rep.h1_mcg, rep.h1_torelli, rep.extension
+
+
+def _public_parts(params):
+    g, n = params.g, params.n
+    return (h1_mcg(g, n, params), h1_torelli(g, n, params),
+            extension_descriptor(g, n, params))
+
+
+def test_full_report_agrees_with_the_public_answers(tmp_path):
+    for g in range(1, 9):
+        for n in (3, 5, 7, 9):
+            for order in (None, 2, 4, 8):
+                params = MCGParams(g, n, sigma_q_order=order)
+                assert _report_parts(params) == _public_parts(params)
+    path = _coker_j_file(tmp_path)
+    seen = set()
+    for g in (1, 2, 3):
+        for order in (None, 2, 4, 8):
+            params = MCGParams(g, 15, sigma_q_order=order, coker_j_path=path)
+            parts = _report_parts(params)
+            assert parts == _public_parts(params)
+            seen.add(parts)
+    assert len(seen) == 3 * 3  # orders None and 2 agree; 4 and 8 differ
+
+
+def test_torelli_at_huge_genus_is_linear_in_the_factors():
+    start = time.perf_counter()
+    got = h1_torelli(10**5, 9)
+    elapsed = time.perf_counter() - start
+    assert got == FinAbGroup(0, (2,) * (2 * 10**5 + 1) + (261632,))
+    assert elapsed < 1.0

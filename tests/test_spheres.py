@@ -119,6 +119,20 @@ def test_sigma_q_ambient_override_and_n11():
     assert d11.omega.is_trivial
 
 
+@pytest.mark.parametrize("ambient", [(-1.7, 0.2), (True, 0), (1, 0.0),
+                                     ("1", 0)])
+def test_non_integer_sigma_q_ambient_is_refused(ambient):
+    with pytest.raises(ValueError, match="sigma_q_ambient must hold integers"):
+        theta_data(7, sigma_q_ambient=ambient)
+
+
+@pytest.mark.parametrize("order", [4.5, 4.0, True, "4"])
+def test_non_integer_sigma_q_order_is_refused(order):
+    stub = {31: FinAbGroup.cyclic(2)}
+    with pytest.raises(ValueError, match="sigma_q_order must be an integer"):
+        theta_data(15, sigma_q_order=order, coker_j_table=stub)
+
+
 def test_boundary_examples():
     d7 = theta_data(7)
     assert boundary_of_plumbing(AlmostClosedInvariants(8, 0), 7, d7) == d7.sigma_p
