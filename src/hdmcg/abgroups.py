@@ -15,6 +15,12 @@ from typing import Iterable, Sequence
 from .linalg import IntMatrix, cokernel_presentation, hstack, subquotient
 
 
+def _json_int(x, what: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def _normalize_chain(factors: Iterable[int]) -> tuple[int, ...]:
     """Rewrite a multiset of cyclic orders as a divisibility chain.
 
@@ -27,8 +33,7 @@ def _normalize_chain(factors: Iterable[int]) -> tuple[int, ...]:
     """
     mult: dict[int, int] = {}
     for d in factors:
-        d = int(d)
-        if d <= 0:
+        if _json_int(d, "a torsion factor") <= 0:
             raise ValueError("torsion factors must be positive")
         if d != 1:
             mult[d] = mult.get(d, 0) + 1
@@ -57,12 +62,12 @@ class FinAbGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.rank < 0:
+        if _json_int(self.rank, "the rank") < 0:
             raise ValueError("rank must be nonnegative")
-        tor = tuple(int(d) for d in self.torsion)
+        tor = tuple(self.torsion)
         object.__setattr__(self, "torsion", tor)
         for d in tor:
-            if d < 2:
+            if _json_int(d, "a torsion factor") < 2:
                 raise ValueError("torsion factors must be >= 2")
         for a, b in zip(tor, tor[1:]):
             if b % a:
@@ -139,7 +144,7 @@ class FinAbGroup:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FinAbGroup":
-        return cls(int(d["rank"]), tuple(int(x) for x in d["torsion"]))
+        return cls(d["rank"], tuple(d["torsion"]))
 
 
 @dataclass(frozen=True)

@@ -89,9 +89,9 @@ def _cmd_abelianization(args) -> int:
                        coker_j_path=args.coker_j_table)
     group: FinAbGroup
     if args.group == "mcg":
-        group = h1_mcg(args.g, args.n, params)
+        group = h1_mcg(args.g, args.n, params.sphere_data())
     elif args.group == "torelli":
-        group = h1_torelli(args.g, args.n, params)
+        group = h1_torelli(args.g, args.n, params.sphere_data())
     elif args.group == "halfmcg":
         group = h1_half_mcg(args.g, args.n)
     else:

@@ -52,6 +52,7 @@ from itertools import accumulate
 from operator import add, matmul, mul
 from typing import Sequence
 
+from .abgroups import _json_int
 from .linalg import IntMatrix, exact_signature, rational_kernel
 from .symplectic import GroupFamily, is_member, j_matrix, sp_inverse
 
@@ -372,12 +373,6 @@ def divided_eval(which: str, cls) -> int:
         return (c - s) // 8
     raise ValueError(f"unknown functional {which!r}; "
                      f"expected one of {DIVIDED_FUNCTIONALS}")
-
-
-def _json_int(x, what: str) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"{what} must be an integer, got {x!r}")
-    return x
 
 
 def _json_pairs(x, what: str, item: str) -> list:

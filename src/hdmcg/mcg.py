@@ -18,7 +18,9 @@ from functools import lru_cache
 from .abgroups import (FinAbGroup, direct_sum, quotient_by, subgroup_iso,
                        tensor_with_free, mod_two_quotient)
 from .cohomology import coinvariants
-from .spheres import SphereData, load_coker_j_file, theta_data
+from . import reference
+from .spheres import (SphereData, UnsupportedDimension, load_coker_j_file,
+                      sphere_data_for, theta_data)
 from .symplectic import GroupFamily, standard_generators
 
 
@@ -35,13 +37,12 @@ class MCGParams:
     sigma_q_order: int | None = None
     coker_j_path: str | None = None
 
-    def sphere_kwargs(self) -> dict:
-        kw: dict = {}
-        if self.sigma_q_order is not None:
-            kw["sigma_q_order"] = self.sigma_q_order
-        if self.coker_j_path is not None:
-            kw["coker_j_table"] = load_coker_j_file(self.coker_j_path)
-        return kw
+    def sphere_data(self) -> SphereData:
+        """One ``theta_data`` call; reads the coker-J file at most once."""
+        table = (None if self.coker_j_path is None
+                 else load_coker_j_file(self.coker_j_path))
+        return theta_data(self.n, sigma_q_order=self.sigma_q_order,
+                          coker_j_table=table)
 
 
 @dataclass(frozen=True)
@@ -154,31 +155,23 @@ def coinvariants_closed(g: int, n: int) -> FinAbGroup:
     return closed
 
 
-def _theta(params: MCGParams) -> SphereData:
-    """The sphere data of one answer; callers build it once and pass it on."""
-    return theta_data(params.n, **params.sphere_kwargs())
-
-
-def h1_torelli(g: int, n: int, params: MCGParams | None = None) -> FinAbGroup:
-    """Abelianisation of the Torelli group.
+def h1_torelli(g: int, n: int, data: SphereData | None = None) -> FinAbGroup:
+    """Abelianisation of the Torelli group over the sphere data of n.
 
     Genus 0 gives the full homotopy-sphere group; otherwise the quotient
     by Sigma_Q plus 2g copies of SpiSO(n).
     """
     if g < 0:
         raise ValueError("genus must be >= 0")
-    return _h1_torelli(g, n, _theta(params or MCGParams(g, n)))
-
-
-def _h1_torelli(g: int, n: int, data: SphereData) -> FinAbGroup:
+    data = sphere_data_for(n, data)
     if g == 0:
         return data.theta
     free_part = tensor_with_free(s_pi_n_so(n), 2 * g)
     return direct_sum([quotient_by(data.theta, [data.sigma_q]), free_part])
 
 
-def h1_mcg(g: int, n: int, params: MCGParams | None = None) -> FinAbGroup:
-    """Abelianisation of the mapping class group.
+def h1_mcg(g: int, n: int, data: SphereData | None = None) -> FinAbGroup:
+    """Abelianisation of the mapping class group over the sphere data of n.
 
     Genus 0 gives the full homotopy-sphere group; otherwise the quotient
     of the sphere group by K_g (generated by Sigma_Q for g = 1, by Sigma_P
@@ -187,10 +180,7 @@ def h1_mcg(g: int, n: int, params: MCGParams | None = None) -> FinAbGroup:
     """
     if g < 0:
         raise ValueError("genus must be >= 0")
-    return _h1_mcg(g, n, _theta(params or MCGParams(g, n)))
-
-
-def _h1_mcg(g: int, n: int, data: SphereData) -> FinAbGroup:
+    data = sphere_data_for(n, data)
     if g == 0:
         return data.theta
     kg = [data.sigma_q] if g == 1 else [data.sigma_p, data.sigma_q]
@@ -227,21 +217,16 @@ class ExtensionDescriptor:
 
 
 def extension_descriptor(g: int, n: int,
-                         params: MCGParams | None = None) -> ExtensionDescriptor:
+                         data: SphereData | None = None) -> ExtensionDescriptor:
     """Classify the central extension of the framing quotient by the sphere
-    group, by dimension residue, with the d2 image as a subgroup value."""
+    group, by dimension residue, with the d2 image as a subgroup value
+    (None where n has no built-in sphere data and none is given)."""
     if g < 1 or n < 3 or n % 2 == 0:
         raise ValueError("need g >= 1 and odd n >= 3")
     try:
-        data = _theta(params or MCGParams(g, n))
-    except ValueError:
+        data = sphere_data_for(n, data)
+    except UnsupportedDimension:
         data = None
-    return _extension_descriptor(g, n, data)
-
-
-def _extension_descriptor(g: int, n: int,
-                          data: SphereData | None) -> ExtensionDescriptor:
-    """The descriptor over given sphere data; no data leaves d2_image None."""
     if n % 4 == 1:
         case, classes = "ThmB-case1", ("sgn/8 . Sigma_P",)
     elif n in (3, 7):
@@ -334,42 +319,6 @@ def haut_report(g: int, n: int,
     return HautReport(g, n, splits, base, f"Spi{2 * n}S{n}/2", None, d_n)
 
 
-# ---------------------------------------------------------------------------
-# the example table for n in {3, 5, 7, 9}
-
-def _z(): return FinAbGroup.trivial()
-
-
-def _expected_torelli(g: int, n: int) -> FinAbGroup:
-    table0 = {3: FinAbGroup.cyclic(28), 5: FinAbGroup.cyclic(992),
-              7: FinAbGroup(0, (2, 8128)), 9: FinAbGroup(0, (2, 261632))}
-    if g == 0:
-        return table0[n]
-    if n == 3:
-        return FinAbGroup.free(2 * g)
-    if n == 5:
-        return FinAbGroup.cyclic(992)
-    if n == 7:
-        return FinAbGroup(2 * g, (2,))
-    return FinAbGroup(0, tuple([2] * (2 * g + 1) + [261632]))
-
-
-def _expected_mcg(g: int, n: int) -> FinAbGroup:
-    if g == 0:
-        return _expected_torelli(0, n)
-    row = min(g, 3)
-    table = {
-        3: {1: FinAbGroup.cyclic(12), 2: FinAbGroup.cyclic(2), 3: _z()},
-        5: {1: FinAbGroup(1, (4, 992)), 2: FinAbGroup(0, (2, 4)),
-            3: FinAbGroup.cyclic(4)},
-        7: {1: FinAbGroup(0, (2, 12)), 2: FinAbGroup(0, (2, 2)),
-            3: FinAbGroup.cyclic(2)},
-        9: {1: FinAbGroup(1, (2, 2, 4, 261632)), 2: FinAbGroup(0, (2, 2, 4)),
-            3: FinAbGroup(0, (2, 4))},
-    }
-    return table[n][row]
-
-
 def reproduce_table3() -> tuple[str, bool, list[str]]:
     """Recompute the example abelianisation table and diff it cell by cell.
 
@@ -386,8 +335,8 @@ def reproduce_table3() -> tuple[str, bool, list[str]]:
     lines.append(header)
     cells: dict[tuple[str, int, int], FinAbGroup] = {}
     for kind, compute, expect in (
-            ("T", _h1_torelli, _expected_torelli),
-            ("Gamma", _h1_mcg, _expected_mcg)):
+            ("T", h1_torelli, reference.table3_torelli),
+            ("Gamma", h1_mcg, reference.table3_mcg)):
         for g in (0, 1, 2, 3, 4):
             row = [f"H1({kind}), g={g}".ljust(14)]
             for n in ns:
@@ -442,17 +391,17 @@ def full_report(params: MCGParams) -> MCGReport:
     g, n = params.g, params.n
     if g < 1 or n < 3 or n % 2 == 0:
         raise UnsupportedCase("full reports need g >= 1 and odd n >= 3")
-    data = _theta(params)
+    data = params.sphere_data()
     flags = []
     if data.sigma_q_order_assumed:
         flags.append("sigma_q_order_defaulted_to_2")
     return MCGReport(
         params=params,
-        h1_mcg=_h1_mcg(g, n, data),
-        h1_torelli=_h1_torelli(g, n, data),
+        h1_mcg=h1_mcg(g, n, data),
+        h1_torelli=h1_torelli(g, n, data),
         h1_half_mcg=h1_half_mcg(g, n),
         kg_description="<Sigma_Q>" if g == 1 else "<Sigma_P, Sigma_Q>",
-        extension=_extension_descriptor(g, n, data),
+        extension=extension_descriptor(g, n, data),
         splittings=splitting_decisions(g, n),
         haut=haut_report(g, n),
         provenance_flags=tuple(flags),

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from . import reference
 from .abgroups import (FinAbGroup, GroupElement, element_order, from_relations,
                        quotient_by, quotient_with_projection)
 from .linalg import IntMatrix
@@ -31,8 +32,6 @@ _BUILTIN_COKER_J: dict[int, FinAbGroup] = {
     15: FinAbGroup.cyclic(2),
     19: FinAbGroup.cyclic(2),
 }
-
-_BP_REFERENCE = {8: 28, 12: 992, 16: 8128, 20: 261632}
 
 
 class UnsupportedDimension(ValueError):
@@ -67,8 +66,9 @@ def bp_order(dim: int) -> int:
 
         2^(2k-2) * (2^(2k-1) - 1) * numerator(4 B_k / k).
 
-    The formula is validated once against the four reference values
-    28, 992, 8128, 261632; a mismatch aborts every caller.
+    The formula is validated once against the paper's values
+    28, 992, 8128, 261632 (``reference.BP_ORDER``); a mismatch aborts every
+    caller.
     """
     global _bp_validated
     if dim % 4 or dim < 8:
@@ -78,7 +78,7 @@ def bp_order(dim: int) -> int:
         * (Fraction(4) * bernoulli(k) / k).numerator
     if not _bp_validated:
         _bp_validated = True  # set first so the reference loop can recurse
-        for d, expected in _BP_REFERENCE.items():
+        for d, expected in reference.BP_ORDER.items():
             got = bp_order(d)
             if got != expected:
                 _bp_validated = False
@@ -148,8 +148,10 @@ def coker_j(degree: int, extra_table: dict[int, FinAbGroup] | None = None) -> Fi
         return env[degree]
     raise UnsupportedDimension(
         f"coker-J table exhausted at degree {degree}; built-ins cover "
-        f"{sorted(_BUILTIN_COKER_J)}. Extend it by passing extra_table= or by "
-        f"pointing the environment variable {COKER_J_ENV} at a JSON file "
+        f"{sorted(_BUILTIN_COKER_J)}. Extend it by passing coker_j_table= to "
+        f"theta_data, omega_tau or minimal_signature, with the "
+        f"abelianization verb's --coker-j-table, or by pointing the "
+        f"environment variable {COKER_J_ENV} at a JSON file "
         f'[{{"degree": {degree}, "rank": 0, "torsion": [...]}}, ...].')
 
 
@@ -161,12 +163,10 @@ class SphereData:
     theta: FinAbGroup
     sigma_p: GroupElement
     sigma_q: GroupElement
-    bp_generators: tuple[GroupElement, ...]
     ba_generators: tuple[GroupElement, ...]
     coker_j_group: FinAbGroup
     omega: FinAbGroup
     sigma_q_order_assumed: bool
-    sigma_q_ambient: tuple[int, ...] = field(repr=False, default=())
 
     def to_json_dict(self) -> dict:
         return {
@@ -270,9 +270,19 @@ def theta_data(n: int, sigma_q_order: int | None = None,
         raise RuntimeError("theta/bA disagrees with coker J/<Sigma_Q>")
 
     return SphereData(n=n, theta=theta, sigma_p=sigma_p, sigma_q=sigma_q,
-                      bp_generators=(sigma_p,), ba_generators=ba,
-                      coker_j_group=ck, omega=omega,
-                      sigma_q_order_assumed=assumed, sigma_q_ambient=amb)
+                      ba_generators=ba, coker_j_group=ck, omega=omega,
+                      sigma_q_order_assumed=assumed)
+
+
+def sphere_data_for(n: int, data: SphereData | None = None) -> SphereData:
+    """``data`` once it is checked to be the sphere data of n; the built-in
+    sphere data of n when ``data`` is None."""
+    if data is None:
+        return theta_data(n)
+    if data.n != n:
+        raise ValueError(f"the sphere data is for n = {data.n}, but the "
+                         f"answer asks for n = {n}")
+    return data
 
 
 def boundary_of_plumbing(inv: AlmostClosedInvariants, n: int,
@@ -284,8 +294,7 @@ def boundary_of_plumbing(inv: AlmostClosedInvariants, n: int,
         n = 3 mod 4, not 3, 7:  sgn/8 * Sigma_P + chi2/2 * Sigma_Q
         n = 3, 7:               (chi2 - sgn)/8 * Sigma_Q
     """
-    if data is None:
-        data = theta_data(n)
+    data = sphere_data_for(n, data)
     if n % 4 == 1:
         if inv.chi2 is not None:
             raise ValueError(

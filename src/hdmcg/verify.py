@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from . import reference as ref
 from .abgroups import FinAbGroup, element_order
 from .cohomology import Presentation, GModule, abelianization, h1, \
     h1_free_product_of_cyclics
@@ -53,54 +54,28 @@ def sp2q_module(modulus: int = 0) -> GModule:
 
 def suite_tables() -> list[Check]:
     checks: list[Check] = []
-    expected_t1 = {3: FinAbGroup.free(1), 4: FinAbGroup.cyclic(2),
-                   5: FinAbGroup.trivial(), 6: FinAbGroup.trivial(),
-                   7: FinAbGroup.free(1), 8: FinAbGroup(0, (2, 2)),
-                   9: FinAbGroup.cyclic(2), 10: FinAbGroup.cyclic(2),
-                   11: FinAbGroup.free(1), 12: FinAbGroup.cyclic(2),
-                   13: FinAbGroup.trivial(), 14: FinAbGroup.cyclic(2),
-                   15: FinAbGroup.free(1)}
-    ok = all(s_pi_n_so(n) == v for n, v in expected_t1.items())
+    ok = all(s_pi_n_so(n) == v for n, v in ref.TABLE1.items())
     checks.append(_check("table1-lookup", ok, "residues 3..15 incl. n=6"))
 
-    expected_t2 = {(1, 3): FinAbGroup.cyclic(12), (2, 3): FinAbGroup.cyclic(2),
-                   (3, 3): FinAbGroup.trivial(), (4, 7): FinAbGroup.trivial(),
-                   (1, 5): FinAbGroup(1, (4,)), (2, 5): FinAbGroup(0, (2, 4)),
-                   (3, 5): FinAbGroup.cyclic(4), (1, 7): FinAbGroup.cyclic(12),
-                   (2, 9): FinAbGroup(0, (2, 4)), (5, 9): FinAbGroup.cyclic(4)}
-    ok = all(h1_Gg(g, n) == v for (g, n), v in expected_t2.items())
+    ok = all(h1_Gg(g, n) == v for (g, n), v in ref.TABLE2.items())
     checks.append(_check("table2-lookup", ok, ""))
 
     a1 = abelianization(SP2_PRESENTATION)
     a2 = abelianization(SP2Q_PRESENTATION)
     checks.append(_check(
         "table2-presentations",
-        a1 == FinAbGroup.cyclic(12) and a2 == FinAbGroup(1, (4,)),
+        a1 == ref.TABLE2[1, 3] and a2 == ref.TABLE2[1, 5],
         f"got {a1.describe()} and {a2.describe()}"))
 
     _, ok, mismatches = reproduce_table3()
     checks.append(_check("table3-reproduction", ok, "; ".join(mismatches)))
 
-    spot = {
-        (1, 5): ("yes", "yes", "yes", "yes"),
-        (2, 5): ("yes", "no", "no", "yes"),
-        (3, 9): ("yes", "no", "no", "yes"),
-        (1, 9): ("yes", "yes", "yes", "yes"),
-        (1, 3): ("yes", "no", "no", "no"),
-        (2, 3): ("no", "no", "no", "no"),
-        (1, 7): ("yes", "no", "unknown", "no"),
-        (2, 7): ("no", "no", "no", "no"),
-        (3, 7): ("no", "no", "no", "no"),
-        (1, 11): ("yes", "no", "yes", "no"),
-        (2, 11): ("yes", "no", "no", "no"),
-        (4, 13): ("yes", "no", "no", "yes"),
-    }
     bad = []
-    for (g, n), (e4, e3, k1, k2) in spot.items():
+    for (g, n), want in ref.SPLITTING.items():
         d = splitting_decisions(g, n)
         got = (d["ext4"].value, d["ext3"].value, d["kreck1"].value,
                d["kreck2"].value)
-        if got != (e4, e3, k1, k2):
+        if got != want:
             bad.append(f"(g={g}, n={n}): {got}")
     checks.append(_check("splitting-decision-matrix", not bad, "; ".join(bad)))
     return checks
@@ -164,14 +139,11 @@ def suite_spheres() -> list[Check]:
         ok = ok and bernoulli(k).denominator == den
     checks.append(_check("bernoulli-von-staudt-clausen", ok, "k <= 12"))
 
-    ok = all(bp_order(d) == v for d, v in
-             {8: 28, 12: 992, 16: 8128, 20: 261632}.items())
+    ok = all(bp_order(d) == v for d, v in ref.BP_ORDER.items())
     checks.append(_check("bp-orders", ok, ""))
 
-    expected_theta = {3: FinAbGroup.cyclic(28), 5: FinAbGroup.cyclic(992),
-                      7: FinAbGroup(0, (2, 8128)), 9: FinAbGroup(0, (2, 261632))}
     bad = []
-    for n, want in expected_theta.items():
+    for n, want in ref.THETA.items():
         data = theta_data(n)
         if data.theta != want:
             bad.append(f"theta({n}) = {data.theta.describe()}")
@@ -183,14 +155,10 @@ def suite_spheres() -> list[Check]:
             bad.append(f"Sigma_Q should vanish at n={n}")
     checks.append(_check("theta-assembly", not bad, "; ".join(bad)))
 
-    expected_omega = {3: FinAbGroup.trivial(), 5: FinAbGroup.trivial(),
-                      7: FinAbGroup.cyclic(2), 9: FinAbGroup.cyclic(2)}
-    ok = all(omega_tau(n) == v for n, v in expected_omega.items())
+    ok = all(omega_tau(n) == v for n, v in ref.OMEGA.items())
     checks.append(_check("omega-tau", ok, ""))
 
-    ok = (minimal_signature(3) == 1 and minimal_signature(7) == 1
-          and minimal_signature(5) == 7936
-          and minimal_signature(9) == 8 * 261632)
+    ok = all(minimal_signature(n) == v for n, v in ref.MIN_SIGNATURE.items())
     checks.append(_check("minimal-signature", ok, ""))
 
     bad = []

@@ -157,3 +157,21 @@ def test_chain_normalisation_refuses_nonpositive_orders():
     for bad in ([0], [2, -4]):
         with pytest.raises(ValueError, match="positive"):
             _normalize_chain(bad)
+
+
+@pytest.mark.parametrize("build, args", [
+    (FinAbGroup, (0, (2.5,))),
+    (FinAbGroup, (0, (2, 4.0))),
+    (FinAbGroup, (0, (True,))),
+    (FinAbGroup, (1.5, ())),
+    (FinAbGroup, (True, ())),
+    (FinAbGroup, ("1", ())),
+    (FinAbGroup.of, (0, [2.9, 4])),
+    (FinAbGroup.of, (0, ["4"])),
+    (FinAbGroup.from_json_dict, ({"rank": 0, "torsion": [2.7]},)),
+    (FinAbGroup.from_json_dict, ({"rank": 1.0, "torsion": []},)),
+    (FinAbGroup.from_json_dict, ({"rank": 0, "torsion": ["2"]},)),
+], ids=lambda x: repr(x) if isinstance(x, tuple) else x.__name__)
+def test_non_integer_rank_or_torsion_is_refused(build, args):
+    with pytest.raises(ValueError, match="must be an integer"):
+        build(*args)

@@ -213,9 +213,9 @@ def _report_parts(params):
 
 
 def _public_parts(params):
-    g, n = params.g, params.n
-    return (h1_mcg(g, n, params), h1_torelli(g, n, params),
-            extension_descriptor(g, n, params))
+    g, n, data = params.g, params.n, params.sphere_data()
+    return (h1_mcg(g, n, data), h1_torelli(g, n, data),
+            extension_descriptor(g, n, data))
 
 
 def test_full_report_agrees_with_the_public_answers(tmp_path):
@@ -241,3 +241,11 @@ def test_torelli_at_huge_genus_is_linear_in_the_factors():
     elapsed = time.perf_counter() - start
     assert got == FinAbGroup(0, (2,) * (2 * 10**5 + 1) + (261632,))
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("answer", [h1_mcg, h1_torelli, extension_descriptor])
+def test_sphere_data_for_another_n_is_refused(answer):
+    data = MCGParams(1, 7).sphere_data()
+    with pytest.raises(ValueError, match="n = 7.*n = 5"):
+        answer(3, 5, data)
+    assert answer(3, 7, data) == answer(3, 7)

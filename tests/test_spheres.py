@@ -212,3 +212,24 @@ def test_missing_coker_j_is_refused_before_the_bp_recurrence(monkeypatch):
     monkeypatch.setattr(hdmcg.spheres, "bp_order", no_recurrence)
     with pytest.raises(UnsupportedDimension, match="1203"):
         theta_data(601)
+
+
+def test_boundary_refuses_sphere_data_for_another_n():
+    with pytest.raises(ValueError, match="n = 9.*n = 5"):
+        boundary_of_plumbing(AlmostClosedInvariants(8), 5, theta_data(9))
+    data = theta_data(5)
+    assert boundary_of_plumbing(AlmostClosedInvariants(8), 5, data) \
+        == data.sigma_p
+
+
+def test_coker_j_refusal_names_the_keyword_that_works():
+    with pytest.raises(UnsupportedDimension) as err:
+        theta_data(13)
+    message = str(err.value)
+    for name in ("coker_j_table=", "--coker-j-table", COKER_J_ENV):
+        assert name in message
+    assert "\n" not in message
+    stub = {27: FinAbGroup.cyclic(2)}
+    assert theta_data(13, coker_j_table=stub).coker_j_group == stub[27]
+    assert omega_tau(13, coker_j_table=stub) == stub[27]  # Sigma_Q = 0
+    assert minimal_signature(13, coker_j_table=stub) == 8 * bp_order(28)
