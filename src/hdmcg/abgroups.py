@@ -12,13 +12,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
+from .inputs import json_int
 from .linalg import IntMatrix, cokernel_presentation, hstack, subquotient
-
-
-def _json_int(x, what: str) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"{what} must be an integer, got {x!r}")
-    return x
 
 
 def _normalize_chain(factors: Iterable[int]) -> tuple[int, ...]:
@@ -33,7 +28,7 @@ def _normalize_chain(factors: Iterable[int]) -> tuple[int, ...]:
     """
     mult: dict[int, int] = {}
     for d in factors:
-        if _json_int(d, "a torsion factor") <= 0:
+        if json_int(d, "a torsion factor") <= 0:
             raise ValueError("torsion factors must be positive")
         if d != 1:
             mult[d] = mult.get(d, 0) + 1
@@ -62,12 +57,12 @@ class FinAbGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if _json_int(self.rank, "the rank") < 0:
+        if json_int(self.rank, "the rank") < 0:
             raise ValueError("rank must be nonnegative")
         tor = tuple(self.torsion)
         object.__setattr__(self, "torsion", tor)
         for d in tor:
-            if _json_int(d, "a torsion factor") < 2:
+            if json_int(d, "a torsion factor") < 2:
                 raise ValueError("torsion factors must be >= 2")
         for a, b in zip(tor, tor[1:]):
             if b % a:
@@ -144,6 +139,10 @@ class FinAbGroup:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FinAbGroup":
+        if not (isinstance(d, dict) and "rank" in d
+                and isinstance(d.get("torsion"), list)):
+            raise ValueError(f"a group must be a JSON object with a 'rank' "
+                             f"and a 'torsion' list, got {d!r}")
         return cls(d["rank"], tuple(d["torsion"]))
 
 

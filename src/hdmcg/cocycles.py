@@ -45,14 +45,13 @@ no products.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial, reduce
 from itertools import accumulate
 from operator import add, matmul, mul
 from typing import Sequence
 
-from .abgroups import _json_int
+from .inputs import json_int, json_pairs, json_vector, read_json
 from .linalg import IntMatrix, exact_signature, rational_kernel
 from .symplectic import GroupFamily, is_member, j_matrix, sp_inverse
 
@@ -113,8 +112,8 @@ class SurfaceClass:
         tr = self.translations
         if tr is not None:
             n = 2 * self.g
-            tr = tuple((_json_vector(v, n, "translation vectors"),
-                        _json_vector(w, n, "translation vectors"))
+            tr = tuple((json_vector(v, n, "translation vectors"),
+                        json_vector(w, n, "translation vectors"))
                        for v, w in tr)
             if len(tr) != len(pairs):
                 raise ValueError("one translation pair per matrix pair")
@@ -156,7 +155,7 @@ class SurfaceClass:
     def scaled_translations(self, t: int) -> "SurfaceClass":
         """Multiply the translations, and so the moves and shifts, by the
         integer t; the letters and prefixes are kept."""
-        t = _json_int(t, "the scale factor")
+        t = json_int(t, "the scale factor")
         if self.translations is None:
             raise ValueError("scaling needs a class with translation data")
 
@@ -375,24 +374,10 @@ def divided_eval(which: str, cls) -> int:
                      f"expected one of {DIVIDED_FUNCTIONALS}")
 
 
-def _json_pairs(x, what: str, item: str) -> list:
-    if not isinstance(x, list) or not all(isinstance(p, list) and len(p) == 2
-                                          for p in x):
-        raise ValueError(f"{what} must be a list of [{item}] pairs")
-    return x
-
-
-def _json_vector(x, n: int, what: str) -> tuple[int, ...]:
-    if not isinstance(x, (list, tuple)) or len(x) != n or any(
-            isinstance(t, bool) or not isinstance(t, int) for t in x):
-        raise ValueError(f"{what} must be lists of {n} integers")
-    return tuple(x)
-
-
 def _json_matrix(x, n: int) -> IntMatrix:
     if not isinstance(x, list) or len(x) != n:
         raise ValueError(f"holonomy matrices must be {n}x{n}")
-    return IntMatrix([_json_vector(r, n, "matrix rows") for r in x])
+    return IntMatrix([json_vector(r, n, "matrix rows") for r in x])
 
 
 def class_from_json_dict(d: dict) -> SurfaceClass:
@@ -408,33 +393,24 @@ def class_from_json_dict(d: dict) -> SurfaceClass:
     for key in ("g", "pairs"):
         if key not in d:
             raise ValueError(f"class file has no {key!r} entry")
-    g = _json_int(d["g"], "g")
+    g = json_int(d["g"], "g")
     if g < 1:
         raise ValueError("genus g must be >= 1")
     n = 2 * g
     pairs = tuple((_json_matrix(a, n), _json_matrix(b, n))
-                  for a, b in _json_pairs(d["pairs"], "pairs", "A, B"))
-    if "h" in d and _json_int(d["h"], "h") != len(pairs):
+                  for a, b in json_pairs(d["pairs"], "pairs", "A, B"))
+    if "h" in d and json_int(d["h"], "h") != len(pairs):
         raise ValueError("h does not match the number of pairs")
     tr = d.get("translations")
     if tr is not None:
-        tr = _json_pairs(tr, "translations", "v, w")
+        tr = json_pairs(tr, "translations", "v, w")
     return SurfaceClass(g, pairs, tr)
 
 
 def load_class_file(path: str) -> SurfaceClass:
     """Read a class file; every ValueError, invalid JSON included, becomes
     one line that starts with ``class file <path>:``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            d = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise ValueError(f"class file {path}: not valid JSON: {exc}") \
-                from None
-    try:
-        return class_from_json_dict(d)
-    except ValueError as exc:
-        raise ValueError(f"class file {path}: {exc}") from None
+    return read_json(path, "class file", class_from_json_dict)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ lattices, or one cokernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .abgroups import FinAbGroup
 from .linalg import (IntMatrix, cokernel_presentation, hstack, inverse_mod,
@@ -36,22 +36,17 @@ class Presentation:
                 if letter == 0 or abs(letter) > self.num_generators:
                     raise ValueError(f"letter {letter} out of range")
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Presentation":
-        return cls(int(d["gens"]), tuple(tuple(w) for w in d["relators"]))
-
-    def to_json_dict(self) -> dict:
-        return {"gens": self.num_generators,
-                "relators": [list(w) for w in self.relators]}
-
 
 @dataclass(frozen=True)
 class GModule:
-    """A module over Z or Z/m with one invertible action matrix per generator."""
+    """A module over Z or Z/m with one invertible action matrix per generator;
+    the inverses, which check invertibility, are kept for negative letters."""
 
     dimension: int
     modulus: int
     actions: tuple[IntMatrix, ...]
+    inverses: tuple[IntMatrix, ...] = field(init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "actions", tuple(self.actions))
@@ -60,27 +55,16 @@ class GModule:
         for a in self.actions:
             if a.rows != self.dimension or a.cols != self.dimension:
                 raise ValueError("action matrix has the wrong size")
-        # invertibility over the coefficient ring, checked eagerly
-        for a in self.actions:
-            inverse_mod(a, self.modulus)
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "GModule":
-        return cls(int(d["dimension"]), int(d.get("modulus", 0)),
-                   tuple(IntMatrix(a) for a in d["actions"]))
-
-    def to_json_dict(self) -> dict:
-        return {"dimension": self.dimension, "modulus": self.modulus,
-                "actions": [a.to_lists() for a in self.actions]}
+        object.__setattr__(self, "inverses", tuple(
+            inverse_mod(a, self.modulus) for a in self.actions))
 
     def reduce(self, m: IntMatrix) -> IntMatrix:
         return m.mod(self.modulus) if self.modulus else m
 
     def action(self, letter: int) -> IntMatrix:
         """Matrix of a signed generator letter."""
-        a = self.actions[abs(letter) - 1]
-        if letter < 0:
-            a = inverse_mod(a, self.modulus)
+        a = self.actions[letter - 1] if letter > 0 \
+            else self.inverses[-letter - 1]
         return self.reduce(a)
 
     def word_action(self, word) -> IntMatrix:

@@ -13,7 +13,6 @@ a JSON file named by the environment variable ``HDMCG_COKER_J_TABLE``
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +21,7 @@ from math import comb
 from . import reference
 from .abgroups import (FinAbGroup, GroupElement, element_order, from_relations,
                        quotient_by, quotient_with_projection)
+from .inputs import json_int, json_vector, read_json
 from .linalg import IntMatrix
 
 COKER_J_ENV = "HDMCG_COKER_J_TABLE"
@@ -95,8 +95,29 @@ def _load_env_table() -> dict[int, FinAbGroup]:
     return load_coker_j_file(path)
 
 
-def _is_json_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+def _coker_j_entries(entries) -> dict[int, FinAbGroup]:
+    if not isinstance(entries, list):
+        raise ValueError("must hold a JSON list of entries")
+    table = {}
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise ValueError("each entry must be a JSON object, "
+                             f"got {entry!r}")
+        if "degree" not in entry:
+            raise ValueError(f"entry {entry!r} has no 'degree'")
+        try:
+            degree = json_int(entry["degree"], "degree")
+            rank = json_int(entry.get("rank", 0), "rank")
+            torsion = json_vector(entry.get("torsion", []), None, "torsion")
+        except ValueError:
+            raise ValueError(f"entry {entry!r} needs an integer degree and "
+                             f"rank and a list of integer torsion "
+                             f"orders") from None
+        try:
+            table[degree] = FinAbGroup.of(rank, torsion)
+        except ValueError as exc:
+            raise ValueError(f"entry {entry!r}: {exc}") from None
+    return table
 
 
 def load_coker_j_file(path: str) -> dict[int, FinAbGroup]:
@@ -105,42 +126,17 @@ def load_coker_j_file(path: str) -> dict[int, FinAbGroup]:
     The file holds a JSON list of objects, each with an integer ``degree``,
     an optional integer ``rank`` and an optional list of integer
     ``torsion`` orders.  Anything else, including bools, strings such as
-    ``"15"`` and floats such as ``15.0``, raises a one-line ValueError.
+    ``"15"``, floats such as ``15.0`` and bytes that are not UTF-8, raises
+    a one-line ValueError that starts with ``coker-J table <path>:``.
     """
-    where = f"coker-J table {path}"
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            entries = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{where}: not valid JSON: {exc}") from None
-    if not isinstance(entries, list):
-        raise ValueError(f"{where}: must hold a JSON list of entries")
-    table = {}
-    for entry in entries:
-        if not isinstance(entry, dict):
-            raise ValueError(f"{where}: each entry must be a JSON object, "
-                             f"got {entry!r}")
-        if "degree" not in entry:
-            raise ValueError(f"{where}: entry {entry!r} has no 'degree'")
-        degree, rank = entry["degree"], entry.get("rank", 0)
-        torsion = entry.get("torsion", [])
-        if not (_is_json_int(degree) and _is_json_int(rank)
-                and isinstance(torsion, list)
-                and all(_is_json_int(d) for d in torsion)):
-            raise ValueError(f"{where}: entry {entry!r} needs an integer "
-                             f"degree and rank and a list of integer torsion "
-                             f"orders")
-        try:
-            table[degree] = FinAbGroup.of(rank, torsion)
-        except ValueError as exc:
-            raise ValueError(f"{where}: entry {entry!r}: {exc}") from None
-    return table
+    return read_json(path, "coker-J table", _coker_j_entries)
 
 
-def coker_j(degree: int, extra_table: dict[int, FinAbGroup] | None = None) -> FinAbGroup:
+def coker_j(degree: int,
+            coker_j_table: dict[int, FinAbGroup] | None = None) -> FinAbGroup:
     """Cokernel of the stable J-homomorphism in the given degree (table-backed)."""
-    if extra_table and degree in extra_table:
-        return extra_table[degree]
+    if coker_j_table and degree in coker_j_table:
+        return coker_j_table[degree]
     if degree in _BUILTIN_COKER_J:
         return _BUILTIN_COKER_J[degree]
     env = _load_env_table()
@@ -202,13 +198,12 @@ def theta_data(n: int, sigma_q_order: int | None = None,
     (its order inside bP) or pinned exactly with ``sigma_q_ambient``
     (coordinates: bP first, then the coker-J coordinates).  n = 11 is
     refused unless explicit Sigma_Q data is supplied.  Both Sigma_Q
-    arguments take integers only; bools, floats and strings are refused.
+    arguments take integers only (``sigma_q_ambient`` a list or tuple).
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
-    if sigma_q_order is not None and not _is_json_int(sigma_q_order):
-        raise ValueError(f"sigma_q_order must be an integer, "
-                         f"got {sigma_q_order!r}")
+    if sigma_q_order is not None:
+        json_int(sigma_q_order, "sigma_q_order")
     if n == 11 and sigma_q_ambient is None:
         raise UnsupportedDimension(
             "n = 11 is an exceptional case: Sigma_Q does not bound a "
@@ -231,10 +226,7 @@ def theta_data(n: int, sigma_q_order: int | None = None,
     sigma_p = from_ambient(e0)
     assumed = False
     if sigma_q_ambient is not None:
-        amb = tuple(sigma_q_ambient)
-        if not all(map(_is_json_int, amb)):
-            raise ValueError(f"sigma_q_ambient must hold integers, "
-                             f"got {amb!r}")
+        amb = json_vector(sigma_q_ambient, None, "sigma_q_ambient")
         if len(amb) != m:
             raise ValueError(f"sigma_q_ambient needs {m} coordinates")
     elif n % 4 == 1:
@@ -338,10 +330,3 @@ def minimal_signature(n: int, **kwargs) -> int:
     if order is None:
         raise RuntimeError("Sigma_P image has infinite order; data corrupt")
     return 8 * order
-
-
-def ba_quotient_by_sigma_q(n: int, **kwargs) -> FinAbGroup:
-    """bA / <Sigma_Q>, the cyclic group generated by the image of Sigma_P."""
-    if n in (3, 7):
-        return FinAbGroup.trivial()
-    return FinAbGroup.cyclic(minimal_signature(n, **kwargs) // 8)

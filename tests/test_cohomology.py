@@ -217,12 +217,26 @@ def test_mismatched_generator_sizes_rejected():
         coinvariants([IntMatrix.identity(2), IntMatrix.identity(4)])
 
 
-def test_presentation_and_module_json():
-    blob = SP2Q_PRESENTATION.to_json_dict()
-    assert blob == {"gens": 2, "relators": [[1, 1, 1, 1], [1, 1, 2, -1, -1, -2]]}
-    assert Presentation.from_json_dict(blob) == SP2Q_PRESENTATION
-    mod = sp2q_module(2)
-    assert GModule.from_json_dict(mod.to_json_dict()) == mod
+def test_h1_reuses_the_module_inverses(monkeypatch):
+    """The module keeps the inverses its constructor computes, so the word
+    walks of ``h1`` run no SNF for negative letters: over Z, ``h1`` of each
+    Sp_2(Z) presentation takes 4 SNFs, none of them for an inverse."""
+    snf = hdmcg.linalg.snf
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return snf(m)
+
+    for pres, module, want in ((SP2_PRESENTATION, sp2_module(), 1),
+                               (SP2Q_PRESENTATION, sp2q_module(), 2)):
+        monkeypatch.setattr(hdmcg.linalg, "snf", counted)
+        calls.clear()
+        got = h1(pres, module)
+        monkeypatch.setattr(hdmcg.linalg, "snf", snf)
+        assert got == FinAbGroup.cyclic(want) and len(calls) == 4
+        for k, a in enumerate(module.actions, start=1):
+            assert module.action(-k) @ a == IntMatrix.identity(2)
 
 
 def test_invariants_over_z_skip_the_solve(monkeypatch):

@@ -5,8 +5,7 @@ import pytest
 
 from hdmcg.abgroups import FinAbGroup, element_order, quotient_by, subgroup_iso
 from hdmcg.spheres import (COKER_J_ENV, AlmostClosedInvariants, UnsupportedDimension,
-                           ba_quotient_by_sigma_q, bernoulli,
-                           boundary_of_plumbing, bp_order, coker_j,
+                           bernoulli, boundary_of_plumbing, bp_order, coker_j,
                            minimal_signature, omega_tau, theta_data)
 
 
@@ -186,8 +185,6 @@ def test_minimal_signature():
     assert minimal_signature(7) == 1
     assert minimal_signature(5) == 8 * 992
     assert minimal_signature(9) == 8 * 261632
-    assert ba_quotient_by_sigma_q(3).is_trivial
-    assert ba_quotient_by_sigma_q(5) == FinAbGroup.cyclic(992)
     # order-2 default placement halves the cyclic quotient
     stub = {31: FinAbGroup.cyclic(2)}
     assert minimal_signature(15, coker_j_table=stub) == 8 * bp_order(32) // 2
@@ -230,6 +227,7 @@ def test_coker_j_refusal_names_the_keyword_that_works():
         assert name in message
     assert "\n" not in message
     stub = {27: FinAbGroup.cyclic(2)}
+    assert coker_j(27, coker_j_table=stub) == stub[27]
     assert theta_data(13, coker_j_table=stub).coker_j_group == stub[27]
     assert omega_tau(13, coker_j_table=stub) == stub[27]  # Sigma_Q = 0
     assert minimal_signature(13, coker_j_table=stub) == 8 * bp_order(28)
