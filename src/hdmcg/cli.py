@@ -141,12 +141,9 @@ def _cmd_theta(args) -> int:
 
 def _cmd_table3(args) -> int:
     rendered, ok, mismatches = reproduce_table3()
-    if args.format == "json":
-        print(json.dumps({"ok": ok, "mismatches": mismatches},
-                         sort_keys=True))
-    else:
-        print(rendered)
-        print("OK" if ok else "MISMATCHES:\n" + "\n".join(mismatches))
+    verdict = "OK" if ok else "MISMATCHES:\n" + "\n".join(mismatches)
+    _emit({"ok": ok, "mismatches": mismatches}, args.format == "json",
+          f"{rendered}\n{verdict}")
     return 0 if ok else 1
 
 
@@ -154,18 +151,14 @@ def _cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results = run_suites(names, seed=args.seed)
     ok = all(r[1] for r in results)
-    if args.format == "json":
-        print(json.dumps({"ok": ok, "seed": args.seed,
-                          "checks": [{"name": n, "ok": o, "detail": d}
-                                     for n, o, d in results]},
-                         sort_keys=True))
-    else:
-        for name, good, detail in results:
-            line = f"[{'PASS' if good else 'FAIL'}] {name}"
-            if detail:
-                line += f"  ({detail})"
-            print(line)
-        print(f"verify: {'all checks passed' if ok else 'FAILURES present'}")
+    lines = [f"[{'PASS' if good else 'FAIL'}] {name}"
+             + (f"  ({detail})" if detail else "")
+             for name, good, detail in results]
+    lines.append(f"verify: {'all checks passed' if ok else 'FAILURES present'}")
+    _emit({"ok": ok, "seed": args.seed,
+           "checks": [{"name": n, "ok": o, "detail": d}
+                      for n, o, d in results]},
+          args.format == "json", "\n".join(lines))
     return 0 if ok else 1
 
 

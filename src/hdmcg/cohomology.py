@@ -15,21 +15,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .abgroups import FinAbGroup
+from .inputs import json_int, json_vector
 from .linalg import (IntMatrix, cokernel_presentation, hstack, inverse_mod,
                      kernel_basis, subquotient, vstack)
 
 
 @dataclass(frozen=True)
 class Presentation:
-    """Relators are words over signed 1-based generator indices."""
+    """Relators are words over signed 1-based generator indices, each a
+    list or tuple of integers; anything else is refused, never truncated."""
 
     num_generators: int
     relators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.num_generators < 0:
+        if json_int(self.num_generators, "the generator count") < 0:
             raise ValueError("generator count must be nonnegative")
-        rel = tuple(tuple(int(i) for i in w) for w in self.relators)
+        rel = tuple(json_vector(w, None, "a relator") for w in self.relators)
         object.__setattr__(self, "relators", rel)
         for word in rel:
             for letter in word:

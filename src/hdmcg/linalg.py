@@ -24,14 +24,17 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
+from .inputs import json_int
+
 
 class IntMatrix:
     """Immutable integer matrix, stored row-major as nested tuples.
 
     Instances are hashable so they can serve as group elements in the
-    bar-complex chains of :mod:`hdmcg.cocycles`.  The public constructor
-    coerces every entry with ``int()`` and checks the row widths; results
-    of the package's own operations skip both through ``_of``.
+    bar-complex chains of :mod:`hdmcg.cocycles`.  The public constructor,
+    ``from_columns`` and ``diagonal`` coerce every entry with ``int()``;
+    every other operation builds its result through ``_of``, and ``scaled``
+    and ``mod`` check their one scalar with ``json_int``.
     Immutability is load-bearing: ``identity`` and ``symplectic.j_matrix``
     hand out one shared instance per size, so no operation may ever write
     to ``data``.
@@ -71,7 +74,7 @@ class IntMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        return cls._of(((0,) * cols,) * rows, cols)
 
     @classmethod
     def diagonal(cls, entries: Sequence[int], rows: int | None = None,
@@ -140,13 +143,17 @@ class IntMatrix:
             raise ValueError("shape mismatch")
 
     def scaled(self, c: int) -> "IntMatrix":
-        return IntMatrix([[c * a for a in r] for r in self.data], cols=self.cols)
+        json_int(c, "a matrix scalar")
+        return IntMatrix._of(tuple(tuple(c * a for a in r) for r in self.data),
+                             self.cols)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix._of(tuple(zip(*self.data)), self.rows)
 
     def mod(self, m: int) -> "IntMatrix":
-        return IntMatrix([[a % m for a in r] for r in self.data], cols=self.cols)
+        json_int(m, "a modulus")
+        return IntMatrix._of(tuple(tuple(a % m for a in r) for r in self.data),
+                             self.cols)
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.data)
@@ -185,8 +192,7 @@ def vstack(*mats: IntMatrix) -> IntMatrix:
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise ValueError("column count mismatch in vstack")
-    data = [list(r) for m in mats for r in m.data]
-    return IntMatrix(data, cols=cols)
+    return IntMatrix._of(tuple(r for m in mats for r in m.data), cols)
 
 
 @dataclass(frozen=True)
@@ -315,7 +321,7 @@ def kernel_basis(m: IntMatrix, modulus: int = 0) -> IntMatrix:
     if modulus:
         aug = hstack(m, IntMatrix.identity(m.rows).scaled(modulus))
         full = kernel_basis(aug)
-        return column_basis(IntMatrix(full.data[:m.cols], cols=full.cols))
+        return column_basis(IntMatrix._of(full.data[:m.cols], full.cols))
     res = snf(m)
     r = sum(1 for d in res.diagonal() if d)
     return IntMatrix._of(tuple(row[r:] for row in res.V.data), m.cols - r)
@@ -399,7 +405,7 @@ def solve_exact(a: IntMatrix, b: IntMatrix) -> IntMatrix:
                 y[i][j] = val // d
             elif val:
                 raise ValueError("inconsistent system")
-    return res.V @ IntMatrix(y, cols=b.cols)
+    return res.V @ IntMatrix._of(tuple(map(tuple, y)), b.cols)
 
 
 def inverse_mod(a: IntMatrix, modulus: int = 0) -> IntMatrix:

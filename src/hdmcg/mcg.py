@@ -60,26 +60,29 @@ class Decision:
         return {"value": self.value, "citation": self.citation}
 
 
+_S_PI_N_SO = {
+    0: FinAbGroup(0, (2, 2)),
+    1: FinAbGroup.cyclic(2),
+    2: FinAbGroup.cyclic(2),
+    3: FinAbGroup.free(1),
+    4: FinAbGroup.cyclic(2),
+    5: FinAbGroup.trivial(),
+    6: FinAbGroup.cyclic(2),
+    7: FinAbGroup.free(1),
+}
+
+
 def s_pi_n_so(n: int) -> FinAbGroup:
     """Image of the unstable-to-stable orthogonal stabilisation in degree n.
 
-    Table lookup by n mod 8, with the single exceptional vanishing at n = 6.
+    Table lookup by n mod 8 (Table 1), with the single exceptional
+    vanishing at n = 6.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
     if n == 6:
         return FinAbGroup.trivial()
-    table = {
-        0: FinAbGroup(0, (2, 2)),
-        1: FinAbGroup.cyclic(2),
-        2: FinAbGroup.cyclic(2),
-        3: FinAbGroup.free(1),
-        4: FinAbGroup.cyclic(2),
-        5: FinAbGroup.trivial(),
-        6: FinAbGroup.cyclic(2),
-        7: FinAbGroup.free(1),
-    }
-    return table[n % 8]
+    return _S_PI_N_SO[n % 8]
 
 
 def automorphism_family(n: int) -> GroupFamily:
@@ -175,17 +178,26 @@ def h1_mcg(g: int, n: int, data: SphereData | None = None) -> FinAbGroup:
 
     Genus 0 gives the full homotopy-sphere group; otherwise the quotient
     of the sphere group by K_g (generated by Sigma_Q for g = 1, by Sigma_P
-    and Sigma_Q for g >= 2) plus the automorphism-group abelianisation and
-    the coinvariants summand.
+    and Sigma_Q for g >= 2) plus the framing-quotient abelianisation.
+
+    For g >= 2 the quotient is ``data.omega``: <Sigma_P, Sigma_Q> = bA
+    whenever the check in ``theta_data``, Theta/bA = coker J/<Sigma_Q>,
+    passes.  In case 2 (n = 3 mod 4, not 3, 7) this holds by definition.
+    In cases 1 (bA = <Sigma_P>) and 3 (bA = <Sigma_Q>), Theta/<Sigma_P>
+    is coker J, so the check makes the surjection Theta/bA ->
+    Theta/<Sigma_P, Sigma_Q> = coker J/<Sigma_Q> one between isomorphic
+    groups.  Finitely generated abelian groups are Hopfian, so it is
+    injective: Sigma_Q lies in <Sigma_P> in case 1, and Sigma_P in
+    <Sigma_Q> in case 3.
     """
     if g < 0:
         raise ValueError("genus must be >= 0")
     data = sphere_data_for(n, data)
     if g == 0:
         return data.theta
-    kg = [data.sigma_q] if g == 1 else [data.sigma_p, data.sigma_q]
-    return direct_sum([quotient_by(data.theta, kg), h1_Gg(g, n),
-                       coinvariants_closed(g, n)])
+    kg_quotient = (quotient_by(data.theta, [data.sigma_q]) if g == 1
+                   else data.omega)
+    return direct_sum([kg_quotient, h1_half_mcg(g, n)])
 
 
 def h1_half_mcg(g: int, n: int) -> FinAbGroup:

@@ -19,10 +19,10 @@ from fractions import Fraction
 from math import comb
 
 from . import reference
-from .abgroups import (FinAbGroup, GroupElement, element_order, from_relations,
-                       quotient_by, quotient_with_projection)
+from .abgroups import (FinAbGroup, GroupElement, element_order, quotient_by,
+                       quotient_with_projection)
 from .inputs import json_int, json_vector, read_json
-from .linalg import IntMatrix
+from .linalg import IntMatrix, cokernel_presentation
 
 COKER_J_ENV = "HDMCG_COKER_J_TABLE"
 
@@ -199,6 +199,9 @@ def theta_data(n: int, sigma_q_order: int | None = None,
     (coordinates: bP first, then the coker-J coordinates).  n = 11 is
     refused unless explicit Sigma_Q data is supplied.  Both Sigma_Q
     arguments take integers only (``sigma_q_ambient`` a list or tuple).
+    Theta is presented straight from its diagonal relations (a zero adds
+    none), and the check that Theta/bA is omega = coker J/<Sigma_Q> is
+    what lets ``h1_mcg`` read Theta/<Sigma_P, Sigma_Q> off as omega.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
@@ -212,17 +215,13 @@ def theta_data(n: int, sigma_q_order: int | None = None,
     ck = coker_j(2 * n + 1, coker_j_table)  # refuses before the recurrence
     bp = bp_order(2 * n + 2)
     m = 1 + ck.num_coords
-    rel_entries = [bp] + [0] * ck.rank + list(ck.torsion)
-    relations = IntMatrix.from_columns(
-        [[rel_entries[i] if i == j else 0 for i in range(m)]
-         for j in range(m) if rel_entries[j] != 0], rows=m)
-    theta, proj = from_relations(m, relations)
+    theta, proj = cokernel_presentation(
+        IntMatrix.diagonal([bp] + [0] * ck.rank + list(ck.torsion)))
 
     def from_ambient(vec) -> GroupElement:
         return theta.element(proj.mult_vec(list(vec)))
 
-    e0 = [0] * m
-    e0[0] = 1
+    e0 = (1,) + (0,) * (m - 1)
     sigma_p = from_ambient(e0)
     assumed = False
     if sigma_q_ambient is not None:

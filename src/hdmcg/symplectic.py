@@ -161,15 +161,6 @@ def _perm_pair(g: int, i: int) -> IntMatrix:
     return IntMatrix(data)
 
 
-def _j_swap(g: int) -> IntMatrix:
-    n = 2 * g
-    data = [[0] * n for _ in range(n)]
-    for i in range(g):
-        data[i][g + i] = -1
-        data[g + i][i] = 1
-    return IntMatrix(data)
-
-
 def _elementary(g: int) -> IntMatrix:
     """block_diag(B, B^{-T}) with B the unipotent adding e_1 to e_2."""
     n = 2 * g
@@ -192,14 +183,9 @@ def standard_generators(family: GroupFamily, g: int) -> list[IntMatrix]:
         if g == 1:
             return [IntMatrix([[-1, 0], [0, -1]]), IntMatrix([[0, 1], [1, 0]])]
         gens = [_perm_pair(g, i) for i in range(g - 1)]
-        n = 2 * g
-        swap = [[0] * n for _ in range(n)]
-        for i in range(g):
-            swap[i][g + i] = 1
-            swap[g + i][i] = 1
-        gens.append(IntMatrix(swap))
+        gens.append(j_matrix(g, 1))
         gens.append(_elementary(g))
-        gens.append(IntMatrix.identity(n).scaled(-1))
+        gens.append(-IntMatrix.identity(2 * g))
         return gens
     r = [[1, 2], [0, 1]]
     s = [[0, 1], [-1, 0]]
@@ -207,7 +193,7 @@ def standard_generators(family: GroupFamily, g: int) -> list[IntMatrix]:
         if g == 1:
             return [_embed_2x2(r, 1), _embed_2x2(s, 1)]
         gens = [_perm_pair(g, i) for i in range(g - 1)]
-        gens.append(_j_swap(g))
+        gens.append(-j_matrix(g, -1))
         gens.append(_elementary(g))
         return gens
     # Sp: the theta-group elements plus the unipotent T = [[1,1],[0,1]]

@@ -239,6 +239,27 @@ def test_h1_reuses_the_module_inverses(monkeypatch):
             assert module.action(-k) @ a == IntMatrix.identity(2)
 
 
+def test_h1_and_coinvariants_build_no_public_matrices(monkeypatch):
+    """With the module and the generators built beforehand, ``h1`` and
+    ``coinvariants`` build every matrix through the trusted ``_of``: none
+    of them reaches the coercing public constructor."""
+    psp2, sp2 = sp2_module(2), sp2_module()
+    ogg = [standard_generators(GroupFamily.OGG, g) for g in (1, 2, 3)]
+    calls = []
+    init = IntMatrix.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(IntMatrix, "__init__", counted)
+    assert h1(PSP2_PRESENTATION, psp2) == FinAbGroup.cyclic(2)
+    assert h1(SP2_PRESENTATION, sp2).is_trivial
+    assert [coinvariants(gens, modulus=4) for gens in ogg] == [
+        FinAbGroup.cyclic(2), FinAbGroup.trivial(), FinAbGroup.trivial()]
+    assert calls == []
+
+
 def test_invariants_over_z_skip_the_solve(monkeypatch):
     """A subquotient by 0 is free on the basis: over Z ``invariants`` runs
     two SNFs (kernel and column basis), and every answer equals the one the

@@ -20,6 +20,7 @@ import hdmcg.inputs
 from hdmcg.abgroups import FinAbGroup
 from hdmcg.cli import main
 from hdmcg.cocycles import class_from_json_dict, load_class_file
+from hdmcg.cohomology import Presentation
 from hdmcg.spheres import (COKER_J_ENV, _coker_j_entries, load_coker_j_file,
                            theta_data)
 
@@ -115,6 +116,17 @@ for name, bad in (("true", True), ("float", 2.0), ("string", "2")):
 CALL_CASES["sigma-q-ambient-non-list"] = (
     lambda x: theta_data(7, sigma_q_ambient=x), 2,
     "sigma_q_ambient must hold integers")
+for name, bad in (("float", 1.9), ("true", True), ("string", "1")):
+    CALL_CASES[f"presentation-letter-{name}"] = (
+        lambda x: Presentation(2, ((1, x),)), bad,
+        "a relator must hold integers")
+CALL_CASES["presentation-word-non-list"] = (
+    lambda x: Presentation(2, (x,)), 1, "a relator must hold integers")
+CALL_CASES["presentation-count-float"] = (
+    lambda x: Presentation(x, ((1,),)), 2.5,
+    "the generator count must be an integer")
+CALL_CASES["presentation-letter-out-of-range"] = (
+    lambda x: Presentation(2, ((1, x),)), 3, "letter 3 out of range")
 
 
 @pytest.mark.parametrize("call, bad, message", CALL_CASES.values(),

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from hdmcg import mcg
+from hdmcg import linalg, mcg
 from hdmcg.abgroups import FinAbGroup
 from hdmcg.mcg import (Decision, MCGParams, UnsupportedCase,
                        coinvariants_closed, extension_descriptor, full_report,
@@ -205,6 +205,35 @@ def test_one_sphere_build_per_answer(monkeypatch, tmp_path):
     builds.clear()
     assert reproduce_table3()[1]
     assert sorted(args[0] for args in builds) == [3, 5, 7, 9]
+
+
+def test_full_report_builds_fewer_groups_and_smith_forms(monkeypatch):
+    """Table 1 is a constant, Theta/K_g for g >= 2 is the sphere data's
+    omega, and Theta is presented straight from its relations.  Over the
+    64-report mix (g = 1..8, n = 3, 5, 7, 9, sigma_q_order None and 4),
+    with warm caches, a report builds fewer than 14 groups and runs fewer
+    than 7 SNFs; re-deriving those values cost 21 and 7.5."""
+    mix = [MCGParams(g, n, sigma_q_order=order) for g in range(1, 9)
+           for n in (3, 5, 7, 9) for order in (None, 4)]
+    for params in mix:
+        full_report(params)  # warms the coinvariants cache
+    groups, smith_forms = [], []
+    post_init, snf = FinAbGroup.__post_init__, linalg.snf
+
+    def counted_post_init(group):
+        groups.append(group)
+        post_init(group)
+
+    def counted_snf(m):
+        smith_forms.append(m)
+        return snf(m)
+
+    monkeypatch.setattr(FinAbGroup, "__post_init__", counted_post_init)
+    monkeypatch.setattr(linalg, "snf", counted_snf)
+    for params in mix:
+        full_report(params)
+    assert len(groups) < 14 * len(mix)
+    assert len(smith_forms) < 7 * len(mix)
 
 
 def _report_parts(params):

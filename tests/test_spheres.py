@@ -94,6 +94,31 @@ def test_theta_extended_table():
         assert quotient_by(data.theta, list(data.ba_generators)) == data.omega
 
 
+def _placements():
+    """Every placement of Sigma_Q that ``theta_data`` accepts: the
+    built-in degrees, and stub coker-J data (not the true stable stems)
+    for n = 13, 15 and the explicit n = 7 placement."""
+    for n in (3, 5, 7, 9):
+        yield n, {}
+    stub = {31: FinAbGroup.cyclic(2), 27: FinAbGroup.cyclic(2)}
+    for order in (None, 2, 4, 8):
+        yield 15, {"sigma_q_order": order, "coker_j_table": stub}
+    for ambient in ((0, 1), (3, 1), (0, 0), (2, 0)):
+        yield 15, {"sigma_q_ambient": ambient, "coker_j_table": stub}
+    yield 13, {"sigma_q_ambient": (0, 0), "coker_j_table": stub}
+    yield 7, {"sigma_q_ambient": (1, 0)}
+
+
+@pytest.mark.parametrize("n, kwargs", list(_placements()))
+def test_ba_is_generated_by_sigma_p_and_sigma_q(n, kwargs):
+    """Witness for ``h1_mcg``: <Sigma_P, Sigma_Q> = bA wherever the
+    assembly's Theta/bA check passes, so Theta/K_g for g >= 2 is omega."""
+    data = theta_data(n, **kwargs)
+    both = quotient_by(data.theta, [data.sigma_p, data.sigma_q])
+    assert both == quotient_by(data.theta, list(data.ba_generators))
+    assert both == data.omega
+
+
 def test_sigma_q_default_and_override():
     stub = {31: FinAbGroup.cyclic(2)}
     d = theta_data(15, coker_j_table=stub)

@@ -59,6 +59,103 @@ def test_standard_generator_lists():
     assert len(kinds) == 3  # permutation pair, J-swap, elementary
 
 
+# Every generator list at g = 1..4, written out row by row, one character
+# per entry and "-" for -1.
+GENERATORS = {
+    (GroupFamily.OGG, 1): ["-0 0-", "01 10"],
+    (GroupFamily.OGG, 2): [
+        "0100 1000 0001 0010",
+        "0010 0001 1000 0100",
+        "1000 1100 001- 0001",
+        "-000 0-00 00-0 000-",
+    ],
+    (GroupFamily.OGG, 3): [
+        "010000 100000 001000 000010 000100 000001",
+        "100000 001000 010000 000100 000001 000010",
+        "000100 000010 000001 100000 010000 001000",
+        "100000 110000 001000 0001-0 000010 000001",
+        "-00000 0-0000 00-000 000-00 0000-0 00000-",
+    ],
+    (GroupFamily.OGG, 4): [
+        ("01000000 10000000 00100000 00010000 "
+         "00000100 00001000 00000010 00000001"),
+        ("10000000 00100000 01000000 00010000 "
+         "00001000 00000010 00000100 00000001"),
+        ("10000000 01000000 00010000 00100000 "
+         "00001000 00000100 00000001 00000010"),
+        ("00001000 00000100 00000010 00000001 "
+         "10000000 01000000 00100000 00010000"),
+        ("10000000 11000000 00100000 00010000 "
+         "00001-00 00000100 00000010 00000001"),
+        ("-0000000 0-000000 00-00000 000-0000 "
+         "0000-000 00000-00 000000-0 0000000-"),
+    ],
+    (GroupFamily.SPQ, 1): ["12 01", "01 -0"],
+    (GroupFamily.SPQ, 2): [
+        "0100 1000 0001 0010",
+        "00-0 000- 1000 0100",
+        "1000 1100 001- 0001",
+    ],
+    (GroupFamily.SPQ, 3): [
+        "010000 100000 001000 000010 000100 000001",
+        "100000 001000 010000 000100 000001 000010",
+        "000-00 0000-0 00000- 100000 010000 001000",
+        "100000 110000 001000 0001-0 000010 000001",
+    ],
+    (GroupFamily.SPQ, 4): [
+        ("01000000 10000000 00100000 00010000 "
+         "00000100 00001000 00000010 00000001"),
+        ("10000000 00100000 01000000 00010000 "
+         "00001000 00000010 00000100 00000001"),
+        ("10000000 01000000 00010000 00100000 "
+         "00001000 00000100 00000001 00000010"),
+        ("0000-000 00000-00 000000-0 0000000- "
+         "10000000 01000000 00100000 00010000"),
+        ("10000000 11000000 00100000 00010000 "
+         "00001-00 00000100 00000010 00000001"),
+    ],
+    (GroupFamily.SP, 1): ["12 01", "01 -0", "11 01"],
+    (GroupFamily.SP, 2): [
+        "0100 1000 0001 0010",
+        "00-0 000- 1000 0100",
+        "1000 1100 001- 0001",
+        "1010 0100 0010 0001",
+    ],
+    (GroupFamily.SP, 3): [
+        "010000 100000 001000 000010 000100 000001",
+        "100000 001000 010000 000100 000001 000010",
+        "000-00 0000-0 00000- 100000 010000 001000",
+        "100000 110000 001000 0001-0 000010 000001",
+        "100100 010000 001000 000100 000010 000001",
+    ],
+    (GroupFamily.SP, 4): [
+        ("01000000 10000000 00100000 00010000 "
+         "00000100 00001000 00000010 00000001"),
+        ("10000000 00100000 01000000 00010000 "
+         "00001000 00000010 00000100 00000001"),
+        ("10000000 01000000 00010000 00100000 "
+         "00001000 00000100 00000001 00000010"),
+        ("0000-000 00000-00 000000-0 0000000- "
+         "10000000 01000000 00100000 00010000"),
+        ("10000000 11000000 00100000 00010000 "
+         "00001-00 00000100 00000010 00000001"),
+        ("10001000 01000000 00100000 00010000 "
+         "00001000 00000100 00000010 00000001"),
+    ],
+}
+
+
+def _written(text: str) -> IntMatrix:
+    return IntMatrix([[-1 if c == "-" else int(c) for c in row]
+                      for row in text.split()])
+
+
+def test_standard_generators_written_out():
+    for (family, g), mats in GENERATORS.items():
+        want = [_written(m) for m in mats]
+        assert standard_generators(family, g) == want, (family, g)
+
+
 def test_generators_pass_membership():
     for g in range(1, 5):
         for fam in GroupFamily:
