@@ -5,6 +5,11 @@ verify.  Every verb honors ``--format json|text``; JSON output is a single
 line rendered with sorted keys, so parsing and re-rendering round-trips
 byte-identically.  Exit codes: 0 success, 1 verification/computation
 failure, 2 usage error.
+
+Each handler imports the modules its verb uses when it runs, so a process
+pays only for those: ``theta`` and ``boundary`` load ``spheres`` and its
+dependencies, ``signature`` and ``chi2`` load ``cocycles`` and its
+dependencies, and only the verbs that need ``mcg`` or ``verify`` load them.
 """
 
 from __future__ import annotations
@@ -13,12 +18,9 @@ import argparse
 import json
 import sys
 
-from .abgroups import FinAbGroup
-from .cocycles import chi2_of_class, load_class_file, signature_of_class
-from .mcg import (MCGParams, h1_Gg, h1_half_mcg, h1_mcg, h1_torelli,
-                  reproduce_table3, splitting_decisions)
-from .spheres import AlmostClosedInvariants, boundary_of_plumbing, theta_data
-from .verify import SUITES, describe_theta_element, run_suites
+# the names of ``verify.SUITES``, kept here so that parsing the arguments
+# does not import the suites
+SUITE_NAMES = ("tables", "appendix", "spheres", "cocycles")
 
 
 def _emit(obj, as_json: bool, text: str) -> None:
@@ -71,13 +73,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("theta", help="homotopy-sphere data for odd n")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--sigma-q-order", type=int, default=None)
+    sp.add_argument("--coker-j-table", type=str, default=None,
+                    help="path to a JSON coker-J extension table")
     add_format(sp)
 
     sp = sub.add_parser("table3", help="recompute the example table and diff")
     add_format(sp)
 
     sp = sub.add_parser("verify", help="run an embedded verification suite")
-    sp.add_argument("--suite", choices=tuple(SUITES) + ("all",),
+    sp.add_argument("--suite", choices=SUITE_NAMES + ("all",),
                     default="all")
     sp.add_argument("--seed", type=int, default=0)
     add_format(sp)
@@ -85,9 +89,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_abelianization(args) -> int:
+    from .mcg import MCGParams, h1_Gg, h1_half_mcg, h1_mcg, h1_torelli
+
     params = MCGParams(args.g, args.n, sigma_q_order=args.sigma_q_order,
                        coker_j_path=args.coker_j_table)
-    group: FinAbGroup
     if args.group == "mcg":
         group = h1_mcg(args.g, args.n, params.sphere_data())
     elif args.group == "torelli":
@@ -101,6 +106,8 @@ def _cmd_abelianization(args) -> int:
 
 
 def _cmd_splits(args) -> int:
+    from .mcg import splitting_decisions
+
     decisions = splitting_decisions(args.g, args.n)
     obj = {k: d.to_json_dict() for k, d in decisions.items()}
     text = "\n".join(f"{k}: {d.value}  [{d.citation}]"
@@ -110,6 +117,9 @@ def _cmd_splits(args) -> int:
 
 
 def _cmd_boundary(args) -> int:
+    from .spheres import (AlmostClosedInvariants, boundary_of_plumbing,
+                          describe_theta_element, theta_data)
+
     data = theta_data(args.n)
     inv = AlmostClosedInvariants(args.sgn, args.chi2)
     el = boundary_of_plumbing(inv, args.n, data)
@@ -119,17 +129,22 @@ def _cmd_boundary(args) -> int:
     return 0
 
 
-_PAIRINGS = {"signature": signature_of_class, "chi2": chi2_of_class}
-
-
 def _cmd_pairing(args) -> int:
-    value = _PAIRINGS[args.verb](load_class_file(args.file))
+    from .cocycles import chi2_of_class, load_class_file, signature_of_class
+
+    pairing = {"signature": signature_of_class, "chi2": chi2_of_class}
+    value = pairing[args.verb](load_class_file(args.file))
     _emit({args.verb: value}, args.format == "json", str(value))
     return 0
 
 
 def _cmd_theta(args) -> int:
-    data = theta_data(args.n, sigma_q_order=args.sigma_q_order)
+    from .spheres import load_coker_j_file, theta_data
+
+    table = (None if args.coker_j_table is None
+             else load_coker_j_file(args.coker_j_table))
+    data = theta_data(args.n, sigma_q_order=args.sigma_q_order,
+                      coker_j_table=table)
     text = (f"theta = {data.theta.describe()}\n"
             f"Sigma_P coords {list(data.sigma_p.coords)}, "
             f"Sigma_Q coords {list(data.sigma_q.coords)}\n"
@@ -140,6 +155,8 @@ def _cmd_theta(args) -> int:
 
 
 def _cmd_table3(args) -> int:
+    from .mcg import reproduce_table3
+
     rendered, ok, mismatches = reproduce_table3()
     verdict = "OK" if ok else "MISMATCHES:\n" + "\n".join(mismatches)
     _emit({"ok": ok, "mismatches": mismatches}, args.format == "json",
@@ -148,7 +165,9 @@ def _cmd_table3(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    names = list(SUITES) if args.suite == "all" else [args.suite]
+    from .verify import run_suites
+
+    names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     results = run_suites(names, seed=args.seed)
     ok = all(r[1] for r in results)
     lines = [f"[{'PASS' if good else 'FAIL'}] {name}"

@@ -146,7 +146,7 @@ def coker_j(degree: int,
         f"coker-J table exhausted at degree {degree}; built-ins cover "
         f"{sorted(_BUILTIN_COKER_J)}. Extend it by passing coker_j_table= to "
         f"theta_data, omega_tau or minimal_signature, with the "
-        f"abelianization verb's --coker-j-table, or by pointing the "
+        f"abelianization or theta verb's --coker-j-table, or by pointing the "
         f"environment variable {COKER_J_ENV} at a JSON file "
         f'[{{"degree": {degree}, "rank": 0, "torsion": [...]}}, ...].')
 
@@ -309,6 +309,24 @@ def boundary_of_plumbing(inv: AlmostClosedInvariants, n: int,
         raise ValueError(
             f"chi2 = {inv.chi2} not even (n = 3 mod 4 regime)")
     return (inv.sgn // 8) * data.sigma_p + (inv.chi2 // 2) * data.sigma_q
+
+
+def describe_theta_element(el: GroupElement, data: SphereData) -> str:
+    """Symbolic name of a sphere-group element when it is a standard one."""
+    if el.is_zero:
+        return "0"
+    if el == data.sigma_p:
+        return "Sigma_P"
+    if el == data.sigma_q:
+        return "Sigma_Q"
+    if el == -data.sigma_p:
+        return "-Sigma_P"
+    if el == -data.sigma_q:
+        return "-Sigma_Q"
+    for k in range(2, min(element_order(data.sigma_p) or 2, 65)):
+        if el == k * data.sigma_p:
+            return f"{k}.Sigma_P"
+    return f"element{list(el.coords)}"
 
 
 def omega_tau(n: int, **kwargs) -> FinAbGroup:

@@ -3,28 +3,23 @@
 Each check returns (name, ok, detail).  The randomized cocycle checks are
 driven by an explicit seed so failures are reproducible.  Counts here are
 sized for an interactive run; the pytest acceptance suite runs the full
-quantified versions.
+quantified versions.  A suite imports the ``mcg``, ``symplectic`` and
+``cocycles`` names it uses itself, so ``verify --suite spheres`` never
+loads the cocycle path.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from . import reference as ref
 from .abgroups import FinAbGroup, element_order
 from .cohomology import Presentation, GModule, abelianization, h1, \
     h1_free_product_of_cyclics
-from .cocycles import (SurfaceClass, beta_is_symmetric_on_kernel,
-                       chi2_of_class, divided_eval, meyer_tau,
-                       random_affine_class, random_surface_class,
-                       random_symplectic, signature_of_class, sp_power)
 from .linalg import IntMatrix
-from .mcg import (coinvariants_closed, h1_Gg, reproduce_table3, s_pi_n_so,
-                  splitting_decisions)
 from .spheres import (AlmostClosedInvariants, bernoulli, boundary_of_plumbing,
-                      bp_order, minimal_signature, omega_tau, theta_data)
-from .symplectic import GroupFamily, sp_inverse, standard_generators, theta_index
+                      bp_order, describe_theta_element, minimal_signature,
+                      omega_tau, theta_data)
 
 Check = tuple[str, bool, str]
 
@@ -53,6 +48,8 @@ def sp2q_module(modulus: int = 0) -> GModule:
 
 
 def suite_tables() -> list[Check]:
+    from .mcg import h1_Gg, reproduce_table3, s_pi_n_so, splitting_decisions
+
     checks: list[Check] = []
     ok = all(s_pi_n_so(n) == v for n, v in ref.TABLE1.items())
     checks.append(_check("table1-lookup", ok, "residues 3..15 incl. n=6"))
@@ -82,6 +79,9 @@ def suite_tables() -> list[Check]:
 
 
 def suite_appendix() -> list[Check]:
+    from .mcg import coinvariants_closed
+    from .symplectic import theta_index
+
     checks: list[Check] = []
     bad = []
     for g in (1, 2, 3):
@@ -187,26 +187,16 @@ def suite_spheres() -> list[Check]:
     return checks
 
 
-def describe_theta_element(el, data) -> str:
-    """Symbolic name of a sphere-group element when it is a standard one."""
-    if el.is_zero:
-        return "0"
-    if el == data.sigma_p:
-        return "Sigma_P"
-    if el == data.sigma_q:
-        return "Sigma_Q"
-    if el == -data.sigma_p:
-        return "-Sigma_P"
-    if el == -data.sigma_q:
-        return "-Sigma_Q"
-    for k in range(2, min(element_order(data.sigma_p) or 2, 65)):
-        if el == k * data.sigma_p:
-            return f"{k}.Sigma_P"
-    return f"element{list(el.coords)}"
-
-
 def suite_cocycles(seed: int = 0, triples: int = 250, classes: int = 60,
                    conjugations: int = 12, affine: int = 40) -> list[Check]:
+    import random
+
+    from .cocycles import (SurfaceClass, beta_is_symmetric_on_kernel,
+                           chi2_of_class, divided_eval, meyer_tau,
+                           random_affine_class, random_surface_class,
+                           random_symplectic, signature_of_class, sp_power)
+    from .symplectic import GroupFamily, sp_inverse, standard_generators
+
     rng = random.Random(seed)
     checks: list[Check] = []
 

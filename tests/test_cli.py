@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hdmcg.cli import main
+from hdmcg.cli import SUITE_NAMES, main
 from hdmcg.spheres import COKER_J_ENV
 
 
@@ -80,6 +80,22 @@ def test_theta_and_errors(capsys):
     assert "exceptional" in err
 
 
+def test_theta_coker_j_flag_matches_the_environment_variable(tmp_path, capsys,
+                                                             monkeypatch):
+    path = tmp_path / "ckj.json"
+    path.write_text(json.dumps([{"degree": 31, "torsion": [2]}]))
+    monkeypatch.delenv(COKER_J_ENV, raising=False)
+    code, _, err = run(capsys, "theta", "--n", "15")
+    assert code == 1 and "theta verb's --coker-j-table" in err
+    for fmt in ("text", "json"):
+        argv = ("theta", "--n", "15", "--format", fmt)
+        monkeypatch.delenv(COKER_J_ENV, raising=False)
+        by_flag = run(capsys, *argv, "--coker-j-table", str(path))
+        monkeypatch.setenv(COKER_J_ENV, str(path))
+        by_env = run(capsys, *argv)
+        assert by_flag == by_env and by_flag[0] == 0 and by_flag[1]
+
+
 def test_signature_and_chi2_files(tmp_path, capsys):
     ident2 = [[1, 0], [0, 1]]
     cls = {"g": 1, "h": 1, "pairs": [[ident2, ident2]],
@@ -114,6 +130,11 @@ def test_verify_fast_suites(capsys):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_suite_names_are_the_verify_suites():
+    from hdmcg.verify import SUITES
+    assert SUITE_NAMES == tuple(SUITES)
 
 
 def test_verify_all_contract(capsys):

@@ -43,6 +43,7 @@ CLASS = ("class file", ["signature", "--file"])
 FLAG = ("coker-J table",
         ["abelianization", "--g", "1", "--n", "15", "--coker-j-table"])
 ENV = ("coker-J table", ["theta", "--n", "15"])
+THETA_FLAG = ("coker-J table", ["theta", "--n", "15", "--coker-j-table"])
 FILE_CASES = {
     "class-true": (CLASS, _class(g=True), "g must be an integer"),
     "class-float": (CLASS, _class(g=2.0), "g must be an integer"),
@@ -53,7 +54,7 @@ FILE_CASES = {
     "class-not-utf8": (CLASS, NOT_UTF8, "not valid JSON"),
     "class-truncated": (CLASS, TRUNCATED, "not valid JSON"),
 }
-for via, source in (("flag", FLAG), ("env", ENV)):
+for via, source in (("flag", FLAG), ("env", ENV), ("theta-flag", THETA_FLAG)):
     FILE_CASES.update({
         f"coker-j-{via}-true": (source, _blob([{"degree": True}]),
                                 "integer degree"),

@@ -12,7 +12,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdmcg.cocycles import (AffineSurfaceClass, meyer_tau,
+from hdmcg.cocycles import (AffineSurfaceClass, _tau, meyer_tau,
                             random_affine_class, random_surface_class,
                             random_symplectic, signature_of_class,
                             surface_two_cycle)
@@ -87,6 +87,39 @@ def test_meyer_matches_reference_evaluator():
         assert meyer_tau(a, b, g) == want, (g, a, b)
         nonzero += want != 0
     assert nonzero > 100  # the sample is not all structural zeros
+
+
+def kashiwara_tau(a: IntMatrix, b: IntMatrix, g: int) -> int:
+    """Meyer's tau(A, B) as the Kashiwara index of the graphs of I, A and AB
+    in (V + V, omega + -omega): the signature of the symmetric 6g x 6g
+    matrix with zero diagonal blocks and off-diagonal blocks
+    N_ij = J - A_i^T J A_j, N_ji = N_ij^T (Lion-Vergne; Cappell-Lee-Miller,
+    CPAM 47, 1994).  No kernel is formed."""
+    n = 2 * g
+    j = j_matrix(g, -1)
+    mats = (IntMatrix.identity(n), a, a @ b)
+    big = [[0] * (3 * n) for _ in range(3 * n)]
+    for i, k in ((0, 1), (1, 2), (2, 0)):
+        block = j - mats[i].transpose() @ j @ mats[k]
+        for r, row in enumerate(block.to_lists()):
+            for c, x in enumerate(row):
+                big[i * n + r][k * n + c] = big[k * n + c][i * n + r] = x
+    return exact_signature(big)
+
+
+def test_meyer_matches_the_kashiwara_index():
+    rng = random.Random(2026)
+    nonzero = 0
+    for i in range(60):
+        g = 1 + i % 3
+        fam = (GroupFamily.SP, GroupFamily.SPQ)[(i // 3) % 2]
+        gens = standard_generators(fam, g)
+        a = random_symplectic(g, rng, gens)
+        b = random_symplectic(g, rng, gens)
+        want = kashiwara_tau(a, b, g)
+        assert _tau(a, b, g) == want, (g, a, b)
+        nonzero += want != 0
+    assert nonzero >= 20  # the sample is not all structural zeros
 
 
 def test_class_signature_matches_reference_sum():
