@@ -15,12 +15,12 @@ Meyer cocycle model used here: for A, B symplectic, put
     V = {(x, y) : (A^{-1} - 1) x + (B - 1) y = 0},
     beta((x1, y1), (x2, y2)) = (x1 + y1)^T . J . (1 - B) . y2,
 
-and take the signature of the symmetrised restriction of beta to V.  The
-sign and transpose conventions are pinned by the invariant suite (cocycle
-identity, vanishing on torus classes, divisibility by 4); the convention
-self-check asserts that beta is already symmetric on V.  By Sylvester's
-law the signature depends only on V (x) Q, so V is taken from a rational
-kernel basis.
+and take the signature of the restriction of beta to V, which is
+symmetric.  The sign and transpose conventions are pinned by the invariant
+suite (cocycle identity, vanishing on torus classes, divisibility by 4);
+``exact_signature`` refuses an asymmetric matrix, so every term checks that
+beta is symmetric on V.  By Sylvester's law the signature depends only on
+V (x) Q, so V is taken from a rational kernel basis.
 
 Inputs are validated once, at the boundary: ``meyer_tau`` checks that
 both matrices are symplectic, and ``SurfaceClass`` checks every holonomy
@@ -305,8 +305,7 @@ def _tau(a: IntMatrix, b: IntMatrix, g: int) -> int:
     ainv = sp_inverse(a, g)
     if b == ainv:
         return 0
-    form = _meyer_form(ainv, b, g)
-    return exact_signature(form + form.transpose())
+    return exact_signature(_meyer_form(ainv, b, g))
 
 
 def beta_is_symmetric_on_kernel(a: IntMatrix, b: IntMatrix, g: int) -> bool:
@@ -342,36 +341,22 @@ def chi2_of_class(cls: SurfaceClass) -> int:
     return total
 
 
-DIVIDED_FUNCTIONALS = ("sgn/8", "chi2/2", "(chi2-sgn)/8")
-
-
 def divided_eval(which: str, cls) -> int:
     """Divided characteristic classes as integer-valued functionals.
 
-    The divisibility is checked, never assumed: a failure signals either
-    input outside the functional's regime or an implementation fault, and
-    raises ValueError.
+    ``sgn/8`` needs every holonomy in the theta group.  Only the invariants
+    the functional names are computed, and ``spheres.divided`` checks the
+    divisibility, never assuming it: a failure signals either input outside
+    the functional's regime or an implementation fault, and raises
+    ValueError.
     """
-    if which == "sgn/8":
-        if not cls.all_in_theta_group():
-            raise ValueError("sgn/8 needs all holonomies in the theta group")
-        s = signature_of_class(cls)
-        if s % 8:
-            raise ValueError(f"signature {s} is not divisible by 8")
-        return s // 8
-    if which == "chi2/2":
-        c = chi2_of_class(cls)
-        if c % 2:
-            raise ValueError(f"chi^2 = {c} is odd")
-        return c // 2
-    if which == "(chi2-sgn)/8":
-        c = chi2_of_class(cls)
-        s = signature_of_class(cls)
-        if (c - s) % 8:
-            raise ValueError(f"chi^2 - sgn = {c - s} is not divisible by 8")
-        return (c - s) // 8
-    raise ValueError(f"unknown functional {which!r}; "
-                     f"expected one of {DIVIDED_FUNCTIONALS}")
+    from .spheres import divided  # the signature and chi2 verbs skip spheres
+
+    if which == "sgn/8" and not cls.all_in_theta_group():
+        raise ValueError("sgn/8 needs all holonomies in the theta group")
+    sgn = signature_of_class(cls) if "sgn" in which else None
+    chi2 = chi2_of_class(cls) if "chi2" in which else None
+    return divided(which, sgn, chi2)
 
 
 def _json_matrix(x, n: int) -> IntMatrix:

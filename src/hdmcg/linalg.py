@@ -1,9 +1,7 @@
 """Exact linear algebra over Z, Z/m and Q.
 
-Everything runs on Python's arbitrary-precision integers; rationals
-appear only where ``exact_signature`` clears the denominators of
-``fractions.Fraction`` input.  There is no floating point anywhere in this
-package.
+Everything runs on Python's arbitrary-precision integers, and there is no
+floating point anywhere in this package.
 
 One Smith normal form, ``snf``, is the single lattice engine: kernels
 over Z and mod m, column bases, exact solving, inverses, subquotients and
@@ -18,7 +16,6 @@ few dozen rows at most).  The cocycle path uses ``rational_kernel`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 from operator import mul
@@ -467,28 +464,21 @@ def subquotient(top: IntMatrix, bottom: IntMatrix):
     return cokernel_presentation(solve_exact(basis, bottom))[0]
 
 
-def exact_signature(s) -> int:
-    """Signature of a symmetric rational matrix by integer congruence moves.
+def exact_signature(s: IntMatrix) -> int:
+    """Signature of a symmetric integer matrix by integer congruence moves.
 
-    Accepts an IntMatrix or a nested sequence of ints/Fractions.  Input that
-    is not all integers is scaled by the lcm of its denominators, a positive
-    factor.  Each step pivots on the nonzero diagonal entry d of least
-    absolute value, counts its sign, and replaces the remaining block by
-    |d| times its Schur complement, divided by the gcd of its entries; all
-    of these are positive rescalings of a congruent matrix, so the
-    signature is unchanged and no fractions appear.  When every diagonal
-    entry is zero but some a_ij is not, the congruence move "row i += row j,
-    column i += column j" makes the diagonal entry a_ii = 2 a_ij nonzero.
+    Each step pivots on the nonzero diagonal entry d of least absolute
+    value, counts its sign, and replaces the remaining block by |d| times
+    its Schur complement, divided by the gcd of its entries; all of these
+    are positive rescalings of a congruent matrix, so the signature is
+    unchanged and no fractions appear.  When every diagonal entry is zero
+    but some a_ij is not, the congruence move "row i += row j, column i +=
+    column j" makes the diagonal entry a_ii = 2 a_ij nonzero.
     """
-    is_int = isinstance(s, IntMatrix)  # entries are ints by construction
-    rows = s.data if is_int else [list(r) for r in s]
+    rows = s.data
     n = len(rows)
-    if any(len(r) != n for r in rows):
+    if s.cols != n:
         raise ValueError("signature needs a square matrix")
-    if not is_int and not all(isinstance(x, int) for r in rows for x in r):
-        rows = [[Fraction(x) for x in r] for r in rows]
-        den = lcm(*(x.denominator for r in rows for x in r))
-        rows = [[int(x * den) for x in r] for r in rows]
     for i in range(n):
         for j in range(i + 1, n):
             if rows[i][j] != rows[j][i]:

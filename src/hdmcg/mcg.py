@@ -14,14 +14,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .abgroups import (FinAbGroup, direct_sum, quotient_by, subgroup_iso,
                        tensor_with_free, mod_two_quotient)
-from .cohomology import coinvariants
 from . import reference
-from .spheres import (SphereData, UnsupportedDimension, load_coker_j_file,
-                      sphere_data_for, theta_data)
-from .symplectic import GroupFamily, standard_generators
+
+# ``cohomology``, ``spheres`` and ``symplectic`` are imported where they are
+# used, so the table lookups (``h1_Gg``, ``splitting_decisions``) load none
+# of them and ``h1_half_mcg`` does not load ``spheres``
+if TYPE_CHECKING:
+    from .spheres import SphereData
+    from .symplectic import GroupFamily
 
 
 class UnsupportedCase(ValueError):
@@ -39,6 +43,8 @@ class MCGParams:
 
     def sphere_data(self) -> SphereData:
         """One ``theta_data`` call; reads the coker-J file at most once."""
+        from .spheres import load_coker_j_file, theta_data
+
         table = (None if self.coker_j_path is None
                  else load_coker_j_file(self.coker_j_path))
         return theta_data(self.n, sigma_q_order=self.sigma_q_order,
@@ -87,6 +93,8 @@ def s_pi_n_so(n: int) -> FinAbGroup:
 
 def automorphism_family(n: int) -> GroupFamily:
     """Which arithmetic group acts on middle cohomology for dimension n."""
+    from .symplectic import GroupFamily
+
     if n % 2 == 0:
         return GroupFamily.OGG
     if n in (1, 3, 7):
@@ -119,6 +127,9 @@ def h1_Gg(g: int, n: int) -> FinAbGroup:
 
 def _coinvariants_by_generators(g: int, n: int) -> FinAbGroup:
     """(Z^2g tensor SpiSO(n))-coinvariants from the generator matrices."""
+    from .cohomology import coinvariants
+    from .symplectic import standard_generators
+
     module = s_pi_n_so(n)
     if module.is_trivial:
         return FinAbGroup.trivial()
@@ -164,6 +175,8 @@ def h1_torelli(g: int, n: int, data: SphereData | None = None) -> FinAbGroup:
     Genus 0 gives the full homotopy-sphere group; otherwise the quotient
     by Sigma_Q plus 2g copies of SpiSO(n).
     """
+    from .spheres import sphere_data_for
+
     if g < 0:
         raise ValueError("genus must be >= 0")
     data = sphere_data_for(n, data)
@@ -190,6 +203,8 @@ def h1_mcg(g: int, n: int, data: SphereData | None = None) -> FinAbGroup:
     injective: Sigma_Q lies in <Sigma_P> in case 1, and Sigma_P in
     <Sigma_Q> in case 3.
     """
+    from .spheres import sphere_data_for
+
     if g < 0:
         raise ValueError("genus must be >= 0")
     data = sphere_data_for(n, data)
@@ -231,20 +246,19 @@ class ExtensionDescriptor:
 def extension_descriptor(g: int, n: int,
                          data: SphereData | None = None) -> ExtensionDescriptor:
     """Classify the central extension of the framing quotient by the sphere
-    group, by dimension residue, with the d2 image as a subgroup value
-    (None where n has no built-in sphere data and none is given)."""
+    group: the case and divided classes of ``spheres.theorem_b(n)``, with
+    the d2 image as a subgroup value (None where n has no built-in sphere
+    data and none is given)."""
+    from .spheres import UnsupportedDimension, sphere_data_for, theorem_b
+
     if g < 1 or n < 3 or n % 2 == 0:
         raise ValueError("need g >= 1 and odd n >= 3")
     try:
         data = sphere_data_for(n, data)
     except UnsupportedDimension:
         data = None
-    if n % 4 == 1:
-        case, classes = "ThmB-case1", ("sgn/8 . Sigma_P",)
-    elif n in (3, 7):
-        case, classes = "ThmB-case3", ("(chi2-sgn)/8 . Sigma_Q",)
-    else:
-        case, classes = "ThmB-case2", ("sgn/8 . Sigma_P", "chi2/2 . Sigma_Q")
+    case, _, rows = theorem_b(n)
+    classes = tuple(f"{which} . {gen}" for which, gen in rows)
     d2_image = None
     if data is not None:
         gens = [data.sigma_q] if g == 1 else list(data.ba_generators)
@@ -339,6 +353,8 @@ def reproduce_table3() -> tuple[str, bool, list[str]]:
     built once per n and shared by every cell of its column.  Returns the
     rendered table, an overall flag, and the list of offending cells.
     """
+    from .spheres import theta_data
+
     ns = (3, 5, 7, 9)
     spheres = {n: theta_data(n) for n in ns}
     mismatches: list[str] = []

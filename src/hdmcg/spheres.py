@@ -4,11 +4,15 @@ Exact Bernoulli numbers feed the order of the cyclic subgroup bP, which is
 assembled with a built-in cokernel-of-J table into the full group of
 homotopy spheres in odd dimensions, together with the two distinguished
 boundary spheres of the standard plumbings and the subgroup they generate.
+Theorem B's split by the residue of n lives here once: ``theorem_b`` names
+the case and its rows (divided class, generator), and ``divided`` holds
+the one divisibility rule of the three divided classes.
 
 The cokernel-of-J table is data, not a computation.  Built-ins cover
-degrees 7, 11, 15, 19; further degrees can be supplied per call or through
-a JSON file named by the environment variable ``HDMCG_COKER_J_TABLE``
-(schema: ``[{"degree": 23, "rank": 0, "torsion": [..]}, ...]``).
+degrees 7, 11, 15, 19 and always answer there; further degrees can be
+supplied per call or through a JSON file named by the environment variable
+``HDMCG_COKER_J_TABLE`` (schema:
+``[{"degree": 23, "rank": 0, "torsion": [..]}, ...]``).
 """
 
 from __future__ import annotations
@@ -134,14 +138,24 @@ def load_coker_j_file(path: str) -> dict[int, FinAbGroup]:
 
 def coker_j(degree: int,
             coker_j_table: dict[int, FinAbGroup] | None = None) -> FinAbGroup:
-    """Cokernel of the stable J-homomorphism in the given degree (table-backed)."""
-    if coker_j_table and degree in coker_j_table:
-        return coker_j_table[degree]
-    if degree in _BUILTIN_COKER_J:
-        return _BUILTIN_COKER_J[degree]
-    env = _load_env_table()
-    if degree in env:
-        return env[degree]
+    """Cokernel of the stable J-homomorphism in the given degree (table-backed).
+
+    One rule for every source: a built-in degree always answers with the
+    built-in group, and a supplied entry for it (per call, else from the
+    file named by the environment variable) that names another group is
+    refused.  Other degrees are read from the per-call table, else the file.
+    """
+    supplied = (coker_j_table or {}).get(degree)
+    if supplied is None:
+        supplied = _load_env_table().get(degree)
+    group = _BUILTIN_COKER_J.get(degree, supplied)
+    if supplied not in (None, group):
+        raise ValueError(
+            f"coker-J table entry for degree {degree} is "
+            f"{supplied.describe()}, but the built-in group in that degree "
+            f"is {group.describe()}")
+    if group is not None:
+        return group
     raise UnsupportedDimension(
         f"coker-J table exhausted at degree {degree}; built-ins cover "
         f"{sorted(_BUILTIN_COKER_J)}. Extend it by passing coker_j_table= to "
@@ -149,6 +163,47 @@ def coker_j(degree: int,
         f"abelianization or theta verb's --coker-j-table, or by pointing the "
         f"environment variable {COKER_J_ENV} at a JSON file "
         f'[{{"degree": {degree}, "rank": 0, "torsion": [...]}}, ...].')
+
+
+# Theorem B.  Each divided class is a numerator in (sgn, chi2), its divisor
+# and the text of its failure; the divisibility is checked, never assumed.
+_DIVIDED = {
+    "sgn/8": (lambda sgn, chi2: sgn, 8, "signature {} not divisible by 8"),
+    "chi2/2": (lambda sgn, chi2: chi2, 2, "chi2 = {} not even"),
+    "(chi2-sgn)/8": (lambda sgn, chi2: chi2 - sgn, 8,
+                     "chi2 - sgn = {} not divisible by 8"),
+}
+DIVIDED_FUNCTIONALS = tuple(_DIVIDED)
+
+
+def divided(which: str, sgn: int | None, chi2: int | None) -> int:
+    """The divided class ``which`` of the invariants (sgn, chi2); a
+    numerator its divisor does not divide raises ValueError."""
+    if which not in _DIVIDED:
+        raise ValueError(f"unknown functional {which!r}; "
+                         f"expected one of {DIVIDED_FUNCTIONALS}")
+    numerator, divisor, failure = _DIVIDED[which]
+    value = numerator(sgn, chi2)
+    if value % divisor:
+        raise ValueError(failure.format(value))
+    return value // divisor
+
+
+def theorem_b(n: int) -> tuple[str, str, tuple[tuple[str, str], ...]]:
+    """Theorem B's case for odd n: the case id, the regime its errors name,
+    and the rows (divided class, generator).  The boundary sphere is the sum
+    of the rows, and their generators span bA.
+
+        n = 1 mod 4:            sgn/8 * Sigma_P
+        n = 3 mod 4, not 3, 7:  sgn/8 * Sigma_P + chi2/2 * Sigma_Q
+        n = 3, 7:               (chi2 - sgn)/8 * Sigma_Q
+    """
+    if n % 4 == 1:
+        return "ThmB-case1", "n = 1 mod 4", (("sgn/8", "Sigma_P"),)
+    if n in (3, 7):
+        return "ThmB-case3", f"n = {n}", (("(chi2-sgn)/8", "Sigma_Q"),)
+    return "ThmB-case2", "n = 3 mod 4", (("sgn/8", "Sigma_P"),
+                                         ("chi2/2", "Sigma_Q"))
 
 
 @dataclass(frozen=True)
@@ -239,13 +294,8 @@ def theta_data(n: int, sigma_q_order: int | None = None,
             raise ValueError(f"sigma_q_order must divide |bP| = {bp}")
         amb = tuple((bp // order) * x for x in e0)
     sigma_q = from_ambient(amb)
-
-    if n % 4 == 1:
-        ba = (sigma_p,)
-    elif n in (3, 7):
-        ba = (sigma_q,)
-    else:
-        ba = (sigma_p, sigma_q)
+    named = {"Sigma_P": sigma_p, "Sigma_Q": sigma_q}
+    ba = tuple(named[gen] for _, gen in theorem_b(n)[2])
 
     if element_order(sigma_p) != bp:
         raise RuntimeError("Sigma_P does not have order |bP| in the assembly")
@@ -279,36 +329,25 @@ def sphere_data_for(n: int, data: SphereData | None = None) -> SphereData:
 def boundary_of_plumbing(inv: AlmostClosedInvariants, n: int,
                          data: SphereData | None = None) -> GroupElement:
     """Boundary sphere of an almost closed n-connected (2n+2)-manifold with
-    the given invariants, as an element of the homotopy-sphere group.
-
-        n = 1 mod 4:            sgn/8 * Sigma_P
-        n = 3 mod 4, not 3, 7:  sgn/8 * Sigma_P + chi2/2 * Sigma_Q
-        n = 3, 7:               (chi2 - sgn)/8 * Sigma_Q
+    the given invariants, as an element of the homotopy-sphere group: the
+    sum over the rows of ``theorem_b(n)`` of divided class times generator.
+    chi2 must be given exactly where a row uses it.
     """
     data = sphere_data_for(n, data)
-    if n % 4 == 1:
-        if inv.chi2 is not None:
-            raise ValueError(
-                "chi2 is not defined for n = 1 mod 4 (signature-only regime)")
-        if inv.sgn % 8:
-            raise ValueError(
-                f"signature {inv.sgn} not divisible by 8 (n = 1 mod 4 regime)")
-        return (inv.sgn // 8) * data.sigma_p
-    if inv.chi2 is None:
+    _, regime, rows = theorem_b(n)
+    uses_chi2 = any("chi2" in which for which, _ in rows)
+    if uses_chi2 and inv.chi2 is None:
         raise ValueError("chi2 is required for n = 3 mod 4")
-    if n in (3, 7):
-        if (inv.chi2 - inv.sgn) % 8:
-            raise ValueError(
-                f"chi2 - sgn = {inv.chi2 - inv.sgn} not divisible by 8 "
-                f"(n = {n} regime)")
-        return ((inv.chi2 - inv.sgn) // 8) * data.sigma_q
-    if inv.sgn % 8:
+    if not uses_chi2 and inv.chi2 is not None:
         raise ValueError(
-            f"signature {inv.sgn} not divisible by 8 (n = 3 mod 4 regime)")
-    if inv.chi2 % 2:
-        raise ValueError(
-            f"chi2 = {inv.chi2} not even (n = 3 mod 4 regime)")
-    return (inv.sgn // 8) * data.sigma_p + (inv.chi2 // 2) * data.sigma_q
+            f"chi2 is not defined for {regime} (signature-only regime)")
+    named = {"Sigma_P": data.sigma_p, "Sigma_Q": data.sigma_q}
+    try:
+        terms = [divided(which, inv.sgn, inv.chi2) * named[gen]
+                 for which, gen in rows]
+    except ValueError as exc:
+        raise ValueError(f"{exc} ({regime} regime)") from None
+    return sum(terms[1:], terms[0])
 
 
 def describe_theta_element(el: GroupElement, data: SphereData) -> str:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +95,31 @@ def test_theta_coker_j_flag_matches_the_environment_variable(tmp_path, capsys,
         monkeypatch.setenv(COKER_J_ENV, str(path))
         by_env = run(capsys, *argv)
         assert by_flag == by_env and by_flag[0] == 0 and by_flag[1]
+
+
+def test_coker_j_entry_contradicting_a_builtin_is_refused(tmp_path, capsys,
+                                                          monkeypatch):
+    """A built-in degree answers with the built-in group, from every source:
+    the flag and the environment variable refuse the same entry alike."""
+    path = tmp_path / "ck15.json"
+    path.write_text(json.dumps([{"degree": 15, "torsion": [4]}]))
+    monkeypatch.delenv(COKER_J_ENV, raising=False)
+    by_flag = run(capsys, "theta", "--n", "7", "--coker-j-table", str(path))
+    monkeypatch.setenv(COKER_J_ENV, str(path))
+    by_env = run(capsys, "theta", "--n", "7")
+    assert by_flag == by_env == (
+        1, "", "coker-J table entry for degree 15 is Z/4, but the built-in "
+               "group in that degree is Z/2\n")
+    path.write_text(json.dumps([{"degree": 15, "torsion": [2]}]))
+    agreeing = run(capsys, "theta", "--n", "7")
+    monkeypatch.delenv(COKER_J_ENV)
+    assert agreeing == run(capsys, "theta", "--n", "7")
+    assert agreeing[0] == 0 and "Z/2 + Z/8128" in agreeing[1]
+
+
+def test_signature_of_the_nonzero_example(capsys):
+    path = Path(__file__).resolve().parents[1] / "examples" / "nonzero.json"
+    assert run(capsys, "signature", "--file", str(path)) == (0, "4\n", "")
 
 
 def test_signature_and_chi2_files(tmp_path, capsys):

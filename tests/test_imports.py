@@ -25,16 +25,24 @@ def _fresh(*args) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=60)
 
 
-def loaded_modules(*argv) -> set[str]:
-    """The ``hdmcg`` submodules a fresh ``python -m hdmcg.cli`` imports."""
+def imported(*argv) -> set[str]:
+    """Every module a fresh ``python -m hdmcg.cli`` imports."""
     proc = _fresh("-X", "importtime", "-m", "hdmcg.cli", *argv)
     assert proc.returncode == 0, proc.stderr
     names = {line.rsplit("|", 1)[1].strip()
              for line in proc.stderr.splitlines()
              if line.startswith("import time:") and "|" in line}
     assert "hdmcg" in names  # the log was read
-    return {name.split(".", 1)[1] for name in names
+    return names
+
+
+def loaded_modules(*argv) -> set[str]:
+    """The ``hdmcg`` submodules a fresh ``python -m hdmcg.cli`` imports."""
+    return {name.split(".", 1)[1] for name in imported(*argv)
             if name.startswith("hdmcg.")}
+
+
+TABLES = {"inputs", "linalg", "abgroups", "reference", "mcg"}
 
 
 @pytest.mark.parametrize("argv, allowed", [
@@ -46,9 +54,20 @@ def loaded_modules(*argv) -> set[str]:
      {"inputs", "linalg", "symplectic", "cocycles"}),
     (["chi2", "--file", "examples/class.json"],
      {"inputs", "linalg", "symplectic", "cocycles"}),
-], ids=["theta", "boundary", "signature", "chi2"])
+    (["abelianization", "--g", "2", "--n", "5", "--group", "gg"], TABLES),
+    (["splits", "--g", "2", "--n", "5"], TABLES),
+    (["abelianization", "--g", "1", "--n", "9", "--group", "halfmcg"],
+     TABLES | {"cohomology", "symplectic"}),
+], ids=["theta", "boundary", "signature", "chi2", "gg", "splits", "halfmcg"])
 def test_verb_loads_only_its_modules(argv, allowed):
     assert loaded_modules(*argv) <= allowed
+
+
+@pytest.mark.parametrize("verb", ["signature", "chi2"])
+def test_pairing_verbs_load_no_rational_arithmetic(verb):
+    names = imported(verb, "--file", "examples/class.json")
+    assert "hdmcg.cocycles" in names
+    assert not names & {"fractions", "decimal"}
 
 
 def test_verify_spheres_skips_the_cocycle_path():

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from hdmcg import linalg, mcg
+from hdmcg import linalg, spheres
 from hdmcg.abgroups import FinAbGroup
 from hdmcg.mcg import (Decision, MCGParams, UnsupportedCase,
                        coinvariants_closed, extension_descriptor, full_report,
@@ -179,12 +179,12 @@ def test_negative_genus_is_refused():
 
 def _counting(monkeypatch, name):
     calls = []
-    real = getattr(mcg, name)
+    real = getattr(spheres, name)
 
     def wrapper(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
-    monkeypatch.setattr(mcg, name, wrapper)
+    monkeypatch.setattr(spheres, name, wrapper)
     return calls
 
 

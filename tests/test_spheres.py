@@ -1,12 +1,18 @@
+import ast
+import inspect
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from hdmcg import cocycles, mcg, spheres
 from hdmcg.abgroups import FinAbGroup, element_order, quotient_by, subgroup_iso
-from hdmcg.spheres import (COKER_J_ENV, AlmostClosedInvariants, UnsupportedDimension,
+from hdmcg.spheres import (COKER_J_ENV, DIVIDED_FUNCTIONALS,
+                           AlmostClosedInvariants, UnsupportedDimension,
                            bernoulli, boundary_of_plumbing, bp_order, coker_j,
-                           minimal_signature, omega_tau, theta_data)
+                           divided, minimal_signature, omega_tau, theorem_b,
+                           theta_data)
 
 
 def is_prime(p):
@@ -256,3 +262,67 @@ def test_coker_j_refusal_names_the_keyword_that_works():
     assert theta_data(13, coker_j_table=stub).coker_j_group == stub[27]
     assert omega_tau(13, coker_j_table=stub) == stub[27]  # Sigma_Q = 0
     assert minimal_signature(13, coker_j_table=stub) == 8 * bp_order(28)
+
+
+def test_coker_j_entry_contradicting_a_builtin_is_refused():
+    """The per-call table follows the rule the CLI test checks for the flag
+    and the environment file: a built-in degree keeps its group."""
+    with pytest.raises(ValueError) as err:
+        coker_j(15, coker_j_table={15: FinAbGroup.cyclic(4)})
+    assert str(err.value) == ("coker-J table entry for degree 15 is Z/4, "
+                              "but the built-in group in that degree is Z/2")
+    assert coker_j(15, {15: FinAbGroup.cyclic(2)}) == FinAbGroup.cyclic(2)
+
+
+def test_theorem_b_cases():
+    assert theorem_b(5) == ("ThmB-case1", "n = 1 mod 4",
+                            (("sgn/8", "Sigma_P"),))
+    assert theorem_b(7) == ("ThmB-case3", "n = 7",
+                            (("(chi2-sgn)/8", "Sigma_Q"),))
+    assert theorem_b(3)[:2] == ("ThmB-case3", "n = 3")
+    assert theorem_b(15) == ("ThmB-case2", "n = 3 mod 4",
+                             (("sgn/8", "Sigma_P"), ("chi2/2", "Sigma_Q")))
+    assert theorem_b(11)[0] == "ThmB-case2"
+
+
+def test_divided_classes_check_their_divisors():
+    assert DIVIDED_FUNCTIONALS == ("sgn/8", "chi2/2", "(chi2-sgn)/8")
+    assert divided("sgn/8", -16, None) == -2
+    assert divided("chi2/2", None, 6) == 3
+    assert divided("(chi2-sgn)/8", 1, 9) == 1
+    for which, sgn, chi2, message in (
+            ("sgn/8", 4, None, "signature 4 not divisible by 8"),
+            ("chi2/2", None, 3, "chi2 = 3 not even"),
+            ("(chi2-sgn)/8", 0, 3, "chi2 - sgn = 3 not divisible by 8")):
+        with pytest.raises(ValueError) as err:
+            divided(which, sgn, chi2)
+        assert str(err.value) == message
+    with pytest.raises(ValueError, match="unknown functional 'sgn/4'"):
+        divided("sgn/4", 8, None)
+
+
+def test_theorem_b_is_written_once():
+    """The case ids live in ``spheres`` alone; the modules that read the
+    split reduce only the dimension n (and the 2-cycle length) by 2 or 8,
+    never an invariant; the readers branch on no residue; and bA is the
+    generators of the rows."""
+    src = Path(spheres.__file__).parent
+    for path in src.glob("*.py"):
+        if path.name != "spheres.py":
+            assert "ThmB-case" not in path.read_text(), path.name
+    for name in ("cocycles.py", "mcg.py", "cli.py"):
+        for node in ast.walk(ast.parse((src / name).read_text())):
+            if (isinstance(node, ast.BinOp)
+                    and isinstance(node.op, (ast.Mod, ast.FloorDiv))
+                    and isinstance(node.right, ast.Constant)
+                    and node.right.value in (2, 8)):
+                assert ast.unparse(node.left) in ("n", "len(el)"), \
+                    (name, node.lineno)
+    for reader in (cocycles.divided_eval, mcg.extension_descriptor):
+        body = inspect.getsource(reader)
+        assert "% 4" not in body and "(3, 7)" not in body, reader.__name__
+    for n in (3, 5, 7, 9):
+        data = theta_data(n)
+        named = {"Sigma_P": data.sigma_p, "Sigma_Q": data.sigma_q}
+        assert data.ba_generators == tuple(named[gen]
+                                           for _, gen in theorem_b(n)[2])
