@@ -51,6 +51,7 @@ from itertools import accumulate
 from operator import add, matmul, mul
 from typing import Sequence
 
+from .cases import divided
 from .inputs import json_int, json_pairs, json_vector, read_json
 from .linalg import IntMatrix, exact_signature, rational_kernel
 from .symplectic import GroupFamily, is_member, j_matrix, sp_inverse
@@ -345,13 +346,11 @@ def divided_eval(which: str, cls) -> int:
     """Divided characteristic classes as integer-valued functionals.
 
     ``sgn/8`` needs every holonomy in the theta group.  Only the invariants
-    the functional names are computed, and ``spheres.divided`` checks the
+    the functional names are computed, and ``cases.divided`` checks the
     divisibility, never assuming it: a failure signals either input outside
     the functional's regime or an implementation fault, and raises
     ValueError.
     """
-    from .spheres import divided  # the signature and chi2 verbs skip spheres
-
     if which == "sgn/8" and not cls.all_in_theta_group():
         raise ValueError("sgn/8 needs all holonomies in the theta group")
     sgn = signature_of_class(cls) if "sgn" in which else None

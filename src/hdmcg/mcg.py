@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 from .abgroups import (FinAbGroup, direct_sum, quotient_by, subgroup_iso,
                        tensor_with_free, mod_two_quotient)
 from . import reference
+from .cases import hopf, signature_only, theorem_b
 
 # ``cohomology``, ``spheres`` and ``symplectic`` are imported where they are
 # used, so the table lookups (``h1_Gg``, ``splitting_decisions``) load none
@@ -97,7 +98,7 @@ def automorphism_family(n: int) -> GroupFamily:
 
     if n % 2 == 0:
         return GroupFamily.OGG
-    if n in (1, 3, 7):
+    if hopf(n):
         return GroupFamily.SP
     return GroupFamily.SPQ
 
@@ -107,12 +108,14 @@ def h1_Gg(g: int, n: int) -> FinAbGroup:
     form, for n odd (table-backed)."""
     if g < 1:
         raise ValueError("genus must be >= 1")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if n % 2 == 0:
         raise UnsupportedCase(
             "no abelianisation table for the even-dimensional orthogonal "
             "family O_{g,g}(Z) is built in; the full even-n assembly is "
             "refused for lack of that input")
-    if n in (1, 3, 7):
+    if hopf(n):
         if g == 1:
             return FinAbGroup.cyclic(12)
         if g == 2:
@@ -146,20 +149,16 @@ def _coinvariants_by_generators(g: int, n: int) -> FinAbGroup:
 def coinvariants_closed(g: int, n: int) -> FinAbGroup:
     """Coinvariants of the middle-cohomology action on H(g) tensor SpiSO(n).
 
-    Closed form: 0 for g >= 2 or n in {3, 6, 7} or n = 5 mod 8;
-    (Z/2)^2 for g = 1 and n = 0 mod 8; Z/2 otherwise.  For g <= 3 the
-    value is recomputed from generator matrices and a mismatch aborts.
+    Closed form: 0 for g >= 2 or in the Hopf dimensions n = 3, 7, where
+    the group is Sp; otherwise SpiSO(n)/2.  For g <= 3 the value is
+    recomputed from generator matrices and a mismatch aborts.
     """
     if g < 1:
         raise ValueError("genus must be >= 1")
     if n < 3:
         raise ValueError("n must be >= 3")
-    if g >= 2 or n in (3, 6, 7) or n % 8 == 5:
-        closed = FinAbGroup.trivial()
-    elif n % 8 == 0:
-        closed = FinAbGroup(0, (2, 2))
-    else:
-        closed = FinAbGroup.cyclic(2)
+    closed = (FinAbGroup.trivial() if g >= 2 or hopf(n)
+              else mod_two_quotient(s_pi_n_so(n)))
     if g <= 3:
         computed = _coinvariants_by_generators(g, n)
         if computed != closed:
@@ -246,10 +245,10 @@ class ExtensionDescriptor:
 def extension_descriptor(g: int, n: int,
                          data: SphereData | None = None) -> ExtensionDescriptor:
     """Classify the central extension of the framing quotient by the sphere
-    group: the case and divided classes of ``spheres.theorem_b(n)``, with
+    group: the case and divided classes of ``cases.theorem_b(n)``, with
     the d2 image as a subgroup value (None where n has no built-in sphere
     data and none is given)."""
-    from .spheres import UnsupportedDimension, sphere_data_for, theorem_b
+    from .spheres import UnsupportedDimension, sphere_data_for
 
     if g < 1 or n < 3 or n % 2 == 0:
         raise ValueError("need g >= 1 and odd n >= 3")
@@ -279,20 +278,16 @@ def splitting_decisions(g: int, n: int) -> dict[str, Decision]:
     if g < 1 or n < 3 or n % 2 == 0:
         raise ValueError("need g >= 1 and odd n >= 3")
     out: dict[str, Decision] = {}
-    if n in (3, 7):
-        out["ext4"] = Decision("yes" if g == 1 else "no", "ThmA")
-    else:
-        out["ext4"] = Decision("yes", "ThmA")
-    out["ext3"] = Decision("yes" if (g == 1 and n % 4 == 1) else "no", "ThmB")
+    out["ext4"] = Decision("no" if g >= 2 and hopf(n) else "yes", "ThmA")
+    out["ext3"] = Decision("yes" if g == 1 and signature_only(n) else "no",
+                           "ThmB")
     if g >= 2:
         out["kreck1"] = Decision("no", "CorC-i")
-    elif n == 3:
-        out["kreck1"] = Decision("no", "CorC-i-Rem")
-    elif n == 7:
-        out["kreck1"] = Decision("unknown", "CorC-i-Rem")
+    elif hopf(n):
+        out["kreck1"] = Decision("no" if n == 3 else "unknown", "CorC-i-Rem")
     else:
         out["kreck1"] = Decision("yes", "CorC-i")
-    out["kreck2"] = Decision("yes" if n % 4 == 1 else "no", "CorC-ii")
+    out["kreck2"] = Decision("yes" if signature_only(n) else "no", "CorC-ii")
     return out
 
 
@@ -330,14 +325,14 @@ def haut_report(g: int, n: int,
     if g < 1 or n < 3 or n % 2 == 0:
         raise ValueError("need g >= 1 and odd n >= 3")
     d_n = {3: 12, 7: 120}.get(n)
-    if n in (3, 7):
+    if hopf(n):
         spi = FinAbGroup.cyclic(d_n) if spi_2n_sn is None else spi_2n_sn
         splits = Decision("yes" if g == 1 else "no", "CorE-i")
     else:
         spi = spi_2n_sn
         splits = Decision("yes", "CorE-i")
     base = h1_Gg(g, n)
-    if g >= 2 or n in (3, 7):
+    if g >= 2 or hopf(n):
         return HautReport(g, n, splits, base, None, spi, d_n)
     if spi is not None:
         return HautReport(g, n, splits, direct_sum([base, mod_two_quotient(spi)]),

@@ -4,9 +4,8 @@ Exact Bernoulli numbers feed the order of the cyclic subgroup bP, which is
 assembled with a built-in cokernel-of-J table into the full group of
 homotopy spheres in odd dimensions, together with the two distinguished
 boundary spheres of the standard plumbings and the subgroup they generate.
-Theorem B's split by the residue of n lives here once: ``theorem_b`` names
-the case and its rows (divided class, generator), and ``divided`` holds
-the one divisibility rule of the three divided classes.
+The boundary formula, bA and the placement of Sigma_Q read Theorem B's
+split from ``cases``.
 
 The cokernel-of-J table is data, not a computation.  Built-ins cover
 degrees 7, 11, 15, 19 and always answer there; further degrees can be
@@ -25,6 +24,7 @@ from math import comb
 from . import reference
 from .abgroups import (FinAbGroup, GroupElement, element_order, quotient_by,
                        quotient_with_projection)
+from .cases import divided, hopf, signature_only, theorem_b
 from .inputs import json_int, json_vector, read_json
 from .linalg import IntMatrix, cokernel_presentation
 
@@ -165,47 +165,6 @@ def coker_j(degree: int,
         f'[{{"degree": {degree}, "rank": 0, "torsion": [...]}}, ...].')
 
 
-# Theorem B.  Each divided class is a numerator in (sgn, chi2), its divisor
-# and the text of its failure; the divisibility is checked, never assumed.
-_DIVIDED = {
-    "sgn/8": (lambda sgn, chi2: sgn, 8, "signature {} not divisible by 8"),
-    "chi2/2": (lambda sgn, chi2: chi2, 2, "chi2 = {} not even"),
-    "(chi2-sgn)/8": (lambda sgn, chi2: chi2 - sgn, 8,
-                     "chi2 - sgn = {} not divisible by 8"),
-}
-DIVIDED_FUNCTIONALS = tuple(_DIVIDED)
-
-
-def divided(which: str, sgn: int | None, chi2: int | None) -> int:
-    """The divided class ``which`` of the invariants (sgn, chi2); a
-    numerator its divisor does not divide raises ValueError."""
-    if which not in _DIVIDED:
-        raise ValueError(f"unknown functional {which!r}; "
-                         f"expected one of {DIVIDED_FUNCTIONALS}")
-    numerator, divisor, failure = _DIVIDED[which]
-    value = numerator(sgn, chi2)
-    if value % divisor:
-        raise ValueError(failure.format(value))
-    return value // divisor
-
-
-def theorem_b(n: int) -> tuple[str, str, tuple[tuple[str, str], ...]]:
-    """Theorem B's case for odd n: the case id, the regime its errors name,
-    and the rows (divided class, generator).  The boundary sphere is the sum
-    of the rows, and their generators span bA.
-
-        n = 1 mod 4:            sgn/8 * Sigma_P
-        n = 3 mod 4, not 3, 7:  sgn/8 * Sigma_P + chi2/2 * Sigma_Q
-        n = 3, 7:               (chi2 - sgn)/8 * Sigma_Q
-    """
-    if n % 4 == 1:
-        return "ThmB-case1", "n = 1 mod 4", (("sgn/8", "Sigma_P"),)
-    if n in (3, 7):
-        return "ThmB-case3", f"n = {n}", (("(chi2-sgn)/8", "Sigma_Q"),)
-    return "ThmB-case2", "n = 3 mod 4", (("sgn/8", "Sigma_P"),
-                                         ("chi2/2", "Sigma_Q"))
-
-
 @dataclass(frozen=True)
 class SphereData:
     """The group of homotopy (2n+1)-spheres with its distinguished pieces."""
@@ -260,8 +219,9 @@ def theta_data(n: int, sigma_q_order: int | None = None,
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
-    if sigma_q_order is not None:
-        json_int(sigma_q_order, "sigma_q_order")
+    if sigma_q_order is not None and json_int(sigma_q_order,
+                                              "sigma_q_order") < 1:
+        raise ValueError("sigma_q_order must be >= 1")
     if n == 11 and sigma_q_ambient is None:
         raise UnsupportedDimension(
             "n = 11 is an exceptional case: Sigma_Q does not bound a "
@@ -283,14 +243,14 @@ def theta_data(n: int, sigma_q_order: int | None = None,
         amb = json_vector(sigma_q_ambient, None, "sigma_q_ambient")
         if len(amb) != m:
             raise ValueError(f"sigma_q_ambient needs {m} coordinates")
-    elif n % 4 == 1:
+    elif signature_only(n):
         amb = (0,) * m
-    elif n in (3, 7):
+    elif hopf(n):
         amb = tuple(-x for x in e0)
     else:
         order = 2 if sigma_q_order is None else sigma_q_order
         assumed = sigma_q_order is None
-        if order < 1 or bp % order:
+        if bp % order:
             raise ValueError(f"sigma_q_order must divide |bP| = {bp}")
         amb = tuple((bp // order) * x for x in e0)
     sigma_q = from_ambient(amb)
@@ -376,8 +336,9 @@ def omega_tau(n: int, **kwargs) -> FinAbGroup:
 
 def minimal_signature(n: int, **kwargs) -> int:
     """Minimal positive signature of a closed smooth n-connected
-    (2n+2)-manifold: 1 for n = 3, 7, else 8 * |bA / <Sigma_Q>|."""
-    if n in (3, 7):
+    (2n+2)-manifold: 1 in the Hopf dimensions n = 1, 3, 7 (the projective
+    planes over C, H and O), else 8 * |bA / <Sigma_Q>|."""
+    if hopf(n):
         return 1
     data = theta_data(n, **kwargs)
     quotient_group, proj = quotient_with_projection(data.theta, [data.sigma_q])

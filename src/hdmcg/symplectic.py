@@ -13,6 +13,7 @@ from functools import cache
 from itertools import product
 from operator import mul
 
+from .cases import hopf
 from .linalg import IntMatrix
 
 
@@ -43,7 +44,8 @@ class WallForm:
     """Genus, symmetry sign, pairing matrix, and the value group of q.
 
     ``q_value_modulus`` encodes Z/Lambda_n: 0 means Z (n even), 2 means
-    Z/2 (n odd, n not 3 or 7), and 1 means the trivial group (n = 3, 7).
+    Z/2 (n odd, n not 1, 3 or 7), and 1 means the trivial group in the
+    Hopf dimensions n = 1, 3, 7, where the automorphism group is Sp.
     """
 
     g: int
@@ -62,12 +64,7 @@ class WallForm:
     @classmethod
     def for_params(cls, g: int, n: int) -> "WallForm":
         eps = 1 if n % 2 == 0 else -1
-        if n % 2 == 0:
-            qmod = 0
-        elif n in (3, 7):
-            qmod = 1
-        else:
-            qmod = 2
+        qmod = 0 if n % 2 == 0 else 1 if hopf(n) else 2
         return cls(g=g, epsilon=eps, lam=j_matrix(g, eps), q_value_modulus=qmod)
 
 
@@ -213,7 +210,7 @@ def theta_index(g: int) -> int:
     """
     if not 1 <= g <= 6:
         raise ValueError("enumeration bound: 1 <= g <= 6")
-    form = WallForm.for_params(g, 5)  # any n odd, n != 3,7: value group Z/2
+    form = WallForm.for_params(g, 5)  # odd n outside 1, 3, 7: value group Z/2
     n = 2 * g
     basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     count = 0

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from . import reference as ref
 from .abgroups import FinAbGroup, element_order
+from .cases import divided
 from .cohomology import Presentation, GModule, abelianization, h1, \
     h1_free_product_of_cyclics
 from .linalg import IntMatrix
@@ -237,9 +238,10 @@ def suite_cocycles(seed: int = 0, triples: int = 250, classes: int = 60,
             bad.append(f"signature {s} not divisible by 4")
             break
         qcls = random_surface_class(g, 2, rng, qgens)
-        sq = signature_of_class(qcls)
-        if sq % 8:
-            bad.append(f"theta-group signature {sq} not divisible by 8")
+        try:
+            divided("sgn/8", signature_of_class(qcls), None)
+        except ValueError as exc:
+            bad.append(f"theta-group {exc}")
             break
     checks.append(_check("class-signature-divisibility", not bad, "; ".join(bad)))
 

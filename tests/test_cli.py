@@ -265,6 +265,25 @@ def test_negative_genus_is_refused(capsys):
         assert "copies" not in err
 
 
+def test_negative_dimension_is_refused(capsys):
+    code, out, err = run(capsys, "abelianization", "--g", "1", "--n", "-1",
+                         "--group", "gg")
+    assert (code, out, err) == (1, "", "n must be >= 1\n")
+    code, out, _ = run(capsys, "abelianization", "--g", "1", "--n", "1",
+                       "--group", "gg")
+    assert (code, out) == (0, "Z/12\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("theta", "--n", "9"),
+    ("abelianization", "--g", "1", "--n", "5"),
+    ("theta", "--n", "15"),
+], ids=["theta-n9", "abelianization-n5", "theta-n15"])
+def test_sigma_q_order_below_1_is_refused_for_every_n(capsys, argv):
+    code, out, err = run(capsys, *argv, "--sigma-q-order", "0")
+    assert (code, out, err) == (1, "", "sigma_q_order must be >= 1\n")
+
+
 def test_readme_example_class_file(capsys):
     """The class file the README's CLI block runs."""
     from pathlib import Path

@@ -42,18 +42,18 @@ def loaded_modules(*argv) -> set[str]:
             if name.startswith("hdmcg.")}
 
 
-TABLES = {"inputs", "linalg", "abgroups", "reference", "mcg"}
+TABLES = {"inputs", "linalg", "abgroups", "reference", "cases", "mcg"}
 
 
 @pytest.mark.parametrize("argv, allowed", [
     (["theta", "--n", "7"],
-     {"inputs", "linalg", "abgroups", "reference", "spheres"}),
+     {"inputs", "linalg", "abgroups", "reference", "cases", "spheres"}),
     (["boundary", "--n", "7", "--sgn", "0", "--chi2", "8"],
-     {"inputs", "linalg", "abgroups", "reference", "spheres"}),
+     {"inputs", "linalg", "abgroups", "reference", "cases", "spheres"}),
     (["signature", "--file", "examples/class.json"],
-     {"inputs", "linalg", "symplectic", "cocycles"}),
+     {"inputs", "linalg", "cases", "symplectic", "cocycles"}),
     (["chi2", "--file", "examples/class.json"],
-     {"inputs", "linalg", "symplectic", "cocycles"}),
+     {"inputs", "linalg", "cases", "symplectic", "cocycles"}),
     (["abelianization", "--g", "2", "--n", "5", "--group", "gg"], TABLES),
     (["splits", "--g", "2", "--n", "5"], TABLES),
     (["abelianization", "--g", "1", "--n", "9", "--group", "halfmcg"],

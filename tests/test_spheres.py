@@ -6,13 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from hdmcg import cocycles, mcg, spheres
+from hdmcg import cases, cocycles, mcg
 from hdmcg.abgroups import FinAbGroup, element_order, quotient_by, subgroup_iso
-from hdmcg.spheres import (COKER_J_ENV, DIVIDED_FUNCTIONALS,
-                           AlmostClosedInvariants, UnsupportedDimension,
-                           bernoulli, boundary_of_plumbing, bp_order, coker_j,
-                           divided, minimal_signature, omega_tau, theorem_b,
-                           theta_data)
+from hdmcg.cases import DIVIDED_FUNCTIONALS, divided, theorem_b
+from hdmcg.spheres import (COKER_J_ENV, AlmostClosedInvariants,
+                           UnsupportedDimension, bernoulli,
+                           boundary_of_plumbing, bp_order, coker_j,
+                           minimal_signature, omega_tau, theta_data)
 
 
 def is_prime(p):
@@ -301,15 +301,50 @@ def test_divided_classes_check_their_divisors():
         divided("sgn/4", 8, None)
 
 
+def _with_function(node, name=None):
+    """Every node below ``node``, with the name of its enclosing function."""
+    for child in ast.iter_child_nodes(node):
+        yield name, child
+        yield from _with_function(
+            child, child.name if isinstance(child, ast.FunctionDef) else name)
+
+
 def test_theorem_b_is_written_once():
-    """The case ids live in ``spheres`` alone; the modules that read the
+    """The case ids live in ``cases`` alone; the modules that read the
     split reduce only the dimension n (and the 2-cycle length) by 2 or 8,
     never an invariant; the readers branch on no residue; and bA is the
-    generators of the rows."""
-    src = Path(spheres.__file__).parent
+    generators of the rows.  Outside ``cases`` (and the independent
+    statements of ``verify`` and ``reference``) no module compares with a
+    literal holding 3 and 7, reduces mod 4 (bar the multiple-of-4 check of
+    ``bp_order``'s dimension), or reduces mod 8 outside ``s_pi_n_so``; and
+    ``verify`` reduces nothing mod 8."""
+    src = Path(cases.__file__).parent
+    assert not any(isinstance(node, ast.ImportFrom) and node.level
+                   for node in ast.walk(ast.parse(
+                       (src / "cases.py").read_text())))  # a leaf module
     for path in src.glob("*.py"):
-        if path.name != "spheres.py":
+        if path.name != "cases.py":
             assert "ThmB-case" not in path.read_text(), path.name
+        if path.name in ("cases.py", "reference.py"):
+            continue
+        for fn, node in _with_function(ast.parse(path.read_text())):
+            where = (path.name, getattr(node, "lineno", None))
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                    and isinstance(node.right, ast.Constant)):
+                left = ast.unparse(node.left)
+                if node.right.value == 8:
+                    assert path.name != "verify.py", where
+                    assert (path.name, fn, left) == ("mcg.py", "s_pi_n_so",
+                                                     "n"), where
+                if node.right.value == 4 and path.name != "verify.py":
+                    assert (path.name, fn, left) == ("spheres.py", "bp_order",
+                                                     "dim"), where
+            if isinstance(node, ast.Compare) and path.name != "verify.py":
+                for literal in node.comparators:
+                    if isinstance(literal, (ast.Tuple, ast.Set)):
+                        values = {e.value for e in literal.elts
+                                  if isinstance(e, ast.Constant)}
+                        assert not {3, 7} <= values, where
     for name in ("cocycles.py", "mcg.py", "cli.py"):
         for node in ast.walk(ast.parse((src / name).read_text())):
             if (isinstance(node, ast.BinOp)

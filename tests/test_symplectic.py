@@ -4,6 +4,7 @@ import pytest
 
 from hdmcg.cocycles import random_symplectic
 from hdmcg.linalg import IntMatrix
+from hdmcg.mcg import automorphism_family
 from hdmcg.symplectic import (GroupFamily, WallForm, is_member, j_matrix,
                               q_eval, sp_inverse, standard_generators,
                               theta_index)
@@ -21,6 +22,12 @@ def test_wall_form_value_groups():
     assert WallForm.for_params(2, 3).q_value_modulus == 1
     assert WallForm.for_params(2, 7).q_value_modulus == 1
     assert WallForm.for_params(2, 8).q_value_modulus == 0
+
+
+def test_wall_form_agrees_with_the_automorphism_family_at_n_1():
+    """n = 1 is a Hopf dimension: the group is Sp, so q takes no values."""
+    assert WallForm.for_params(1, 1).q_value_modulus == 1
+    assert automorphism_family(1) is GroupFamily.SP
 
 
 def test_q_eval_examples():
