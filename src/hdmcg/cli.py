@@ -89,6 +89,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_abelianization(args) -> int:
+    if args.group in ("halfmcg", "gg"):  # these groups read no sphere data
+        unused = [flag for flag, value in (
+            ("--sigma-q-order", args.sigma_q_order),
+            ("--coker-j-table", args.coker_j_table)) if value is not None]
+        if unused:
+            print(f"abelianization --group {args.group} does not take "
+                  f"{' or '.join(unused)}", file=sys.stderr)
+            return 2
     from .mcg import MCGParams, h1_Gg, h1_half_mcg, h1_mcg, h1_torelli
 
     params = MCGParams(args.g, args.n, sigma_q_order=args.sigma_q_order,

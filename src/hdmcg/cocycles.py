@@ -30,17 +30,18 @@ B = I then 1 - B = 0; if A = I then every (x, y) in V has (B - 1) y = 0;
 if B = A^{-1} then x + y is fixed by A on V, and A-invariance of J gives
 (x + y)^T J A^{-1} y2 = (A (x + y))^T J y2 = (x + y)^T J y2, so beta = 0.
 
-Each remaining term costs one inverse, two products and one signature.
-A^{-1} is formed once and serves both the B = A^{-1} test and the kernel
-rows [A^{-1} - 1 | B - 1].  On each kernel column (x, y) the products are
-w = y - B y and then beta(u_i, u_j) = (x_i + y_i) . J w_j, where
-J w = (w_f, -w_e) is a signed half swap, not a product with J.  A class
-walks its relator word once, on construction, and keeps the letters and
-prefix products (and, with translations, the letter moves and prefix
-shifts).  The canonical 2-cycle is a list of (i, j, coeff) over indices
-into that walk; it depends only on h, so it is built, and its boundary
-checked on free-group words, once per h, and ``surface_two_cycle`` forms
-no products.
+Each remaining term costs one inverse, one pass over int lists and one
+signature.  A^{-1} serves both the B = A^{-1} test and the rows
+[A^{-1} - 1 | B - 1]; their elimination, the kernel columns, w over the
+nonzero y_k and the Gram matrix of beta stay int lists, and only the Gram
+becomes an ``IntMatrix``, for ``exact_signature`` (in four rounds of the
+benchmark's cocycle sweep, 1,848 of 4,056 terms get this far, at about
+0.1 ms each at its reference host speed).  A class walks its relator word
+once, on construction, and keeps the letters and prefix products (and,
+with translations, the letter moves and prefix shifts).  The canonical
+2-cycle is a list of (i, j, coeff) over indices into that walk; it depends
+only on h, so it is built, and its boundary checked on free-group words,
+once per h, and ``surface_two_cycle`` forms no products.
 """
 
 from __future__ import annotations
@@ -48,12 +49,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial, reduce
 from itertools import accumulate
+from math import gcd, lcm
 from operator import add, matmul, mul
 from typing import Sequence
 
 from .cases import divided
 from .inputs import json_int, json_pairs, json_vector, read_json
-from .linalg import IntMatrix, exact_signature, rational_kernel
+from .linalg import IntMatrix, exact_signature
 from .symplectic import GroupFamily, is_member, j_matrix, sp_inverse
 
 Vector = tuple[int, ...]
@@ -273,29 +275,70 @@ def meyer_tau(a: IntMatrix, b: IntMatrix, g: int) -> int:
     return _tau(a, b, g)
 
 
-def _meyer_form(ainv: IntMatrix, b: IntMatrix, g: int) -> IntMatrix:
-    """Matrix of beta on a rational basis of V = ker [A^-1 - 1 | B - 1].
+def _kernel_columns(a: list[list[int]], nc: int) -> list[list[int]]:
+    """Primitive basis of ker(M) over Q, for the rows ``a`` of M with
+    ``nc`` columns (the list is reordered, no row is changed): fraction-free
+    Gauss-Jordan, a pivot d = a[r][c] clearing column c from each other row
+    by a[i] <- d a[i] - a[i][c] a[r] over its content.  With L the lcm of
+    the pivots d_r, free column f gives L e_f - sum_r (L / d_r) a[r][f]
+    e_{p_r} over its content: the one primitive kernel vector on f and the
+    pivot columns p_r with f coordinate > 0, so the basis depends on M only.
+    """
+    nr = len(a)
+    pivots: list[int] = []
+    for c in range(nc):
+        r = len(pivots)
+        if r == nr:
+            break
+        for p in range(r, nr):
+            if a[p][c]:
+                break
+        else:
+            continue
+        a[r], a[p] = a[p], a[r]
+        prow = a[r]
+        d = prow[c]
+        for i in [i for i, row in enumerate(a) if row[c] and i != r]:
+            f = a[i][c]
+            row = [d * x - f * y for x, y in zip(a[i], prow)]
+            content = gcd(*row)
+            a[i] = [x // content for x in row] if content > 1 else row
+        pivots.append(c)
+    den = lcm(*(a[r][c] for r, c in enumerate(pivots)))
+    scaled = [(c, -den // a[r][c], a[r]) for r, c in enumerate(pivots)]
+    out = []
+    for f in sorted(set(range(nc)).difference(pivots)):
+        v = [0] * nc
+        v[f] = den
+        for c, s, row in scaled:
+            v[c] = s * row[f]
+        content = gcd(*v)
+        out.append([x // content for x in v] if content > 1 else v)
+    return out
 
-    The basis columns are (x, y), and the form is read off them with two
-    products: w = y - B y for each column, then beta(u_i, u_j) =
-    (x_i + y_i) . J w_j, where J w = (w_f, -w_e) is a signed half swap.
+
+def _meyer_form(ainv: IntMatrix, b: IntMatrix, g: int) -> IntMatrix:
+    """Matrix of beta on a rational basis of V = ker [A^-1 - 1 | B - 1], in
+    one pass over int lists: the rows, their kernel columns (x, y), then
+    (B - 1) y = -w over the nonzero y_k only (one, when every pivot falls in
+    the x block), and beta(u_i, u_j) = (x_i + y_i) . J w_j, J w = (w_f, -w_e).
     """
     n = 2 * g
-    rows = []
-    for i, (ra, rb) in enumerate(zip(ainv.data, b.data)):
-        row = list(ra + rb)
+    rows = [[*ra, *rb] for ra, rb in zip(ainv.data, b.data)]
+    for i, row in enumerate(rows):
         row[i] -= 1
         row[n + i] -= 1
-        rows.append(tuple(row))
-    cols = tuple(zip(*rational_kernel(IntMatrix._of(tuple(rows), 2 * n)).data))
     zs, jw = [], []
-    for c in cols:
-        y = c[n:]
-        zs.append(tuple(map(add, c[:n], y)))
-        w = [t - sum(map(mul, r, y)) for t, r in zip(y, b.data)]
-        jw.append(w[g:] + [-t for t in w[:g]])
-    return IntMatrix._of(tuple(tuple(sum(map(mul, z, u)) for u in jw)
-                               for z in zs), len(cols))
+    for v in _kernel_columns(rows[:], 2 * n):
+        y = v[n:]
+        zs.append(list(map(add, v, y)))
+        u = [0] * n
+        for k, c in enumerate(y, n):
+            if c:
+                u = [t + c * r[k] for t, r in zip(u, rows)]
+        jw.append([-t for t in u[g:]] + u[:g])
+    return IntMatrix._of(tuple(tuple([sum(map(mul, z, t)) for t in jw])
+                               for z in zs), len(zs))
 
 
 def _tau(a: IntMatrix, b: IntMatrix, g: int) -> int:

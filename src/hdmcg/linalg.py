@@ -9,15 +9,15 @@ cokernel presentations all read their answer off its U, D and V, and
 every quotient group the other modules compute goes through it.
 Pivoting picks the smallest nonzero entry in absolute value, which keeps
 entry growth manageable at the matrix sizes this package deals with (a
-few dozen rows at most).  The cocycle path uses ``rational_kernel`` and
-``exact_signature`` instead, which need no lattice.
+few dozen rows at most).  The cocycle path needs no lattice: ``cocycles``
+forms its kernels over Q, and ``exact_signature`` its signatures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -324,56 +324,6 @@ def kernel_basis(m: IntMatrix, modulus: int = 0) -> IntMatrix:
     return IntMatrix._of(tuple(row[r:] for row in res.V.data), m.cols - r)
 
 
-def rational_kernel(m: IntMatrix) -> IntMatrix:
-    """Basis of ker(M) over Q, as primitive integral columns.
-
-    Fraction-free Gauss-Jordan elimination: a pivot d = a[r][c] clears
-    column c from every other row i with f = a[i][c] != 0 by
-    a[i] <- d a[i] - f a[r], and the new row is divided by its content, so
-    entries stay small.  Rows already 0 in the pivot column are left
-    alone.  At the end each pivot row r reads d_r e_{p_r} + (entries in
-    free columns); with L the lcm of the pivots, each free column f gives
-    the kernel vector L e_f - sum_r (L / d_r) a[r][f] e_{p_r}, divided by
-    its content, so its free coordinate is positive.  Unlike
-    ``kernel_basis`` the columns need not span the integral kernel; they
-    span it over Q.
-    """
-    a = [list(r) for r in m.data]
-    nr, nc = m.rows, m.cols
-    pivots: list[int] = []
-    for c in range(nc):
-        r = len(pivots)
-        if r == nr:
-            break
-        p = next((i for i in range(r, nr) if a[i][c]), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        prow = a[r]
-        d = prow[c]
-        for i in range(nr):
-            f = a[i][c]
-            if f and i != r:
-                row = [d * x - f * y for x, y in zip(a[i], prow)]
-                content = gcd(*row)
-                a[i] = [x // content for x in row] if content > 1 else row
-        pivots.append(c)
-    den = lcm(*(a[r][pc] for r, pc in enumerate(pivots)))
-    scale = [den // a[r][pc] for r, pc in enumerate(pivots)]
-    pivot_set = set(pivots)
-    cols = []
-    for f in range(nc):
-        if f in pivot_set:
-            continue
-        v = [0] * nc
-        v[f] = den
-        for r, pc in enumerate(pivots):
-            v[pc] = -a[r][f] * scale[r]
-        content = gcd(*v)
-        cols.append([x // content for x in v])
-    return IntMatrix._of(tuple(zip(*cols)) if cols else ((),) * nc, len(cols))
-
-
 def column_basis(m: IntMatrix) -> IntMatrix:
     """Basis of the column-span lattice of M (columns of the result).
 
@@ -476,20 +426,22 @@ def exact_signature(s: IntMatrix) -> int:
     column j" makes the diagonal entry a_ii = 2 a_ij nonzero.
     """
     rows = s.data
-    n = len(rows)
-    if s.cols != n:
+    if s.cols != len(rows):
         raise ValueError("signature needs a square matrix")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                raise ValueError("signature needs a symmetric matrix")
+    if tuple(zip(*rows)) != rows:
+        raise ValueError("signature needs a symmetric matrix")
     a = [list(r) for r in rows]
     sig = 0
     while a:
         m = len(a)
-        p = min((i for i in range(m) if a[i][i]), key=lambda i: abs(a[i][i]),
-                default=None)
-        if p is None:
+        p, best = -1, 0
+        for i in range(m):
+            x = abs(a[i][i])
+            if x and (not best or x < best):
+                p, best = i, x
+                if x == 1:
+                    break
+        if p < 0:
             pair = next(((i, j) for i in range(m) for j in range(i + 1, m)
                          if a[i][j]), None)
             if pair is None:
@@ -501,12 +453,17 @@ def exact_signature(s: IntMatrix) -> int:
             continue
         piv = a.pop(p)
         d = piv.pop(p)
-        sd = 1 if d > 0 else -1
-        sig += sd
+        sig += 1 if d > 0 else -1
+        if d < 0:  # |d| times the Schur complement
+            d, piv = -d, [-y for y in piv]
         col = [row.pop(p) for row in a]
-        a = [[sd * (d * x - c * y) for x, y in zip(row, piv)]
-             for row, c in zip(a, col)]
-        content = gcd(*(x for row in a for x in row))
+        a = [[d * x - c * y for x, y in zip(row, piv)] if c or d > 1
+             else row for row, c in zip(a, col)]  # d = 1 leaves c = 0 rows
+        content = 0
+        for row in a:
+            content = gcd(content, *row)
+            if content == 1:
+                break
         if content > 1:
             a = [[x // content for x in row] for row in a]
     return sig

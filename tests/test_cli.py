@@ -187,6 +187,27 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["--g", "1", "--n", "5", "--group", "gg", "--sigma-q-order", "0"],
+     ["--sigma-q-order"]),
+    (["--g", "1", "--n", "9", "--group", "halfmcg", "--sigma-q-order", "-4",
+      "--coker-j-table", "/nonexistent"],
+     ["--sigma-q-order", "--coker-j-table"]),
+    (["--g", "2", "--n", "7", "--group", "gg", "--coker-j-table", "t.json"],
+     ["--coker-j-table"]),
+    (["--g", "2", "--n", "5", "--group", "halfmcg", "--sigma-q-order", "2"],
+     ["--sigma-q-order"]),
+])
+def test_abelianization_refuses_flags_its_group_ignores(capsys, argv, flags):
+    """gg and halfmcg read no sphere data, so the two sphere-data flags are
+    usage errors there rather than silently dropped."""
+    code, out, err = run(capsys, "abelianization", *argv)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert [f for f in ("--sigma-q-order", "--coker-j-table") if f in err] \
+        == flags
+
+
 IDENT2 = [[1, 0], [0, 1]]
 
 

@@ -7,17 +7,19 @@ entry, and a signature from a Fraction LDL^T decomposition.
 
 import random
 from fractions import Fraction
+from functools import lru_cache, reduce
 from math import gcd, lcm
+from operator import matmul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdmcg.cocycles import (AffineSurfaceClass, _tau, meyer_tau,
-                            random_affine_class, random_surface_class,
-                            random_symplectic, signature_of_class,
-                            surface_two_cycle)
+from hdmcg.cocycles import (AffineSurfaceClass, _kernel_columns, _meyer_form,
+                            _tau, meyer_tau, random_affine_class,
+                            random_surface_class, random_symplectic,
+                            signature_of_class, surface_two_cycle)
 from hdmcg.linalg import (IntMatrix, exact_signature, hstack, kernel_basis,
-                          rational_kernel, snf)
+                          snf)
 from hdmcg.symplectic import (GroupFamily, is_member, j_matrix, sp_inverse,
                               standard_generators)
 
@@ -110,9 +112,9 @@ def kashiwara_tau(a: IntMatrix, b: IntMatrix, g: int) -> int:
 def test_meyer_matches_the_kashiwara_index():
     rng = random.Random(2026)
     nonzero = 0
-    for i in range(60):
-        g = 1 + i % 3
-        fam = (GroupFamily.SP, GroupFamily.SPQ)[(i // 3) % 2]
+    for i in range(80):
+        g = 1 + i % 4
+        fam = (GroupFamily.SP, GroupFamily.SPQ)[(i // 4) % 2]
         gens = standard_generators(fam, g)
         a = random_symplectic(g, rng, gens)
         b = random_symplectic(g, rng, gens)
@@ -120,6 +122,86 @@ def test_meyer_matches_the_kashiwara_index():
         assert _tau(a, b, g) == want, (g, a, b)
         nonzero += want != 0
     assert nonzero >= 20  # the sample is not all structural zeros
+
+
+def transvection(v, k: int, g: int) -> IntMatrix:
+    """T_v^k: x -> x + k omega(v, x) v, with omega(v, x) = v^T J x."""
+    vvj = IntMatrix.from_columns([v]) @ IntMatrix([v]) @ j_matrix(g, -1)
+    return IntMatrix.identity(2 * g) + vvj.scaled(k)
+
+
+def block_embedded(m: IntMatrix, h: int, g: int) -> IntMatrix:
+    """A genus-h matrix on the coordinates e_1..e_h, f_1..f_h of genus g,
+    the identity on the rest."""
+    idx = list(range(h)) + list(range(g, g + h))
+    rows = IntMatrix.identity(2 * g).to_lists()
+    for r, i in enumerate(idx):
+        for c, j in enumerate(idx):
+            rows[i][j] = m.data[r][c]
+    return IntMatrix(rows)
+
+
+def transvection_pair(rng, g: int):
+    """Two words in transvections along fewer than 2g vectors: A - 1 and
+    B - 1 both map into the span of those vectors."""
+    n = 2 * g
+    vecs = [[rng.randint(-1, 1) for _ in range(n)]
+            for _ in range(rng.randint(1, n - 1))]
+    vecs = [v for v in vecs if any(v)] or [[1] + [0] * (n - 1)]
+
+    def word():
+        return reduce(matmul, [transvection(rng.choice(vecs),
+                                            rng.choice((-2, -1, 1, 2)), g)
+                               for _ in range(rng.randint(1, 5))])
+    return word(), word()
+
+
+def sub_block_pair(rng, g: int):
+    """Two words that fix a symplectic sub-block of genus h < g, conjugated
+    by one random symplectic matrix."""
+    h = rng.randint(1, g - 1)
+    gens = standard_generators(GroupFamily.SP, h)
+    p = random_symplectic(g, rng, standard_generators(GroupFamily.SP, g))
+    pinv = sp_inverse(p, g)
+    return tuple(p @ block_embedded(random_symplectic(h, rng, gens), h, g)
+                 @ pinv for _ in range(2))
+
+
+@lru_cache(maxsize=None)
+def degenerate_sample() -> tuple:
+    """240 seeded Meyer terms (A, B, g) at g = 1..4 with
+    rank [A^-1 - 1 | B - 1] < 2g, none of them a skipped term: transvection
+    words at every g, alternating with sub-block words at g >= 2."""
+    rng = random.Random(2027)
+    out = []
+    i = 0
+    while len(out) < 240:
+        g = 1 + i % 4
+        i += 1
+        pair = transvection_pair if g == 1 or i % 2 else sub_block_pair
+        a, b = pair(rng, g)
+        if IntMatrix.identity(2 * g) in (a, b) or b == sp_inverse(a, g):
+            continue
+        assert is_member(GroupFamily.SP, a, g)
+        assert is_member(GroupFamily.SP, b, g)
+        out.append((a, b, g))
+    return tuple(out)
+
+
+def test_degenerate_meyer_terms():
+    """Terms whose form has dimension > 2g, against both oracles."""
+    degenerate, nonzero, genera = 0, 0, set()
+    for a, b, g in degenerate_sample():
+        dim = _meyer_form(sp_inverse(a, g), b, g).rows
+        assert dim >= 2 * g
+        want = reference_tau(a, b, g)
+        assert _tau(a, b, g) == want == kashiwara_tau(a, b, g), (g, a, b)
+        if dim > 2 * g:
+            degenerate += 1
+            genera.add(g)
+        nonzero += want != 0
+    assert degenerate >= 100 and nonzero >= 20, (degenerate, nonzero)
+    assert genera == {1, 2, 3, 4}
 
 
 def test_class_signature_matches_reference_sum():
@@ -133,10 +215,10 @@ def test_class_signature_matches_reference_sum():
             assert signature_of_class(cls) == want
 
 
-def symmetric(draw_entry):
+def symmetric(draw_entry, max_n=5):
     @st.composite
     def build(draw):
-        n = draw(st.integers(0, 5))
+        n = draw(st.integers(0, max_n))
         m = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
@@ -187,13 +269,70 @@ def test_signature_congruence_and_negation(m, ops):
     assert exact_signature(cleared([[-x for x in r] for r in m])) == -sig
 
 
+def berkowitz(m) -> list[int]:
+    """Coefficients of det(x I - M), leading 1 first, by Berkowitz's
+    division-free recursion: M = [[a, R], [C, S]] gives the Toeplitz column
+    1, -a, -R C, -R S C, ..., -R S^(n-2) C applied to the polynomial of S."""
+    n = len(m)
+    if n == 0:
+        return [1]
+    row, sub = m[0][1:], [r[1:] for r in m[1:]]
+    t, v = [1, -m[0][0]], [r[0] for r in m[1:]]
+    for _ in range(n - 1):
+        t.append(-sum(x * y for x, y in zip(row, v)))
+        v = [sum(x * y for x, y in zip(r, v)) for r in sub]
+    inner = berkowitz(sub)
+    return [sum(t[i - j] * inner[j] for j in range(min(i + 1, n)))
+            for i in range(n + 1)]
+
+
+def descartes_signature(m) -> int:
+    """Positive minus negative roots of the characteristic polynomial of a
+    symmetric M: all its roots are real, so Descartes' rule counts them
+    exactly, as the sign changes of p(x) and of p(-x)."""
+    coeffs = berkowitz([list(r) for r in m])
+    n = len(coeffs) - 1
+
+    def changes(cs):
+        signs = [c > 0 for c in cs if c]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    return changes(coeffs) - changes([c * (-1) ** (n - i)
+                                      for i, c in enumerate(coeffs)])
+
+
+def test_berkowitz_is_the_characteristic_polynomial():
+    assert berkowitz([[2, 1], [1, 3]]) == [1, -5, 5]
+    assert berkowitz([[1, 2, 0], [0, 3, 0], [0, 0, -1]]) == [1, -3, -1, 3]
+    assert descartes_signature([[0, 1], [1, 0]]) == 0
+    assert descartes_signature([[0, 0], [0, -4]]) == -1
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric(small_ints, max_n=8))
+def test_signature_matches_the_descartes_oracle(m):
+    assert exact_signature(IntMatrix(m, cols=len(m))) == \
+        descartes_signature(m)
+
+
+def test_degenerate_forms_match_the_descartes_oracle():
+    for a, b, g in degenerate_sample():
+        form = _meyer_form(sp_inverse(a, g), b, g)
+        assert exact_signature(form) == descartes_signature(form.data)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 5).flatmap(lambda r: st.integers(0, 7).flatmap(
     lambda c: st.lists(st.lists(small_ints, min_size=c, max_size=c),
                        min_size=r, max_size=r).map(
         lambda rows: IntMatrix(rows, cols=c)))))
 def test_rational_kernel(m):
-    k = rational_kernel(m)
+    """The elimination behind the Meyer form: a primitive basis of ker(M)
+    over Q, left in the caller's row lists."""
+    rows = [list(r) for r in m.data]
+    cols = _kernel_columns(rows[:], m.cols)
+    assert rows == m.to_lists()  # the rows themselves are not changed
+    k = IntMatrix.from_columns(cols, rows=m.cols)
     assert k.rows == m.cols
     for v in k.columns():
         assert not any(m.mult_vec(v))
