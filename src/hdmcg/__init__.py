@@ -13,7 +13,7 @@ from importlib import import_module
 # each submodule with the names it lends the package; ``__all__`` holds both
 _EXPORTS = {
     "abgroups": "FinAbGroup GroupElement direct_sum element_order "
-                "from_relations quotient_by subgroup_iso",
+                "quotient_by subgroup_iso",
     "cocycles": "AffineSurfaceClass BarTwoCycle SurfaceClass chi2_of_class "
                 "divided_eval meyer_tau signature_of_class surface_two_cycle",
     "cohomology": "GModule Presentation abelianization coinvariants "

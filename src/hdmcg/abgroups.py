@@ -199,18 +199,6 @@ def element_order(x: GroupElement) -> int | None:
     return k
 
 
-def from_relations(ambient_rank: int, relations: IntMatrix):
-    """Z^ambient_rank modulo the column span of ``relations``.
-
-    Returns (FinAbGroup, projection).  The relation matrix must have
-    ``ambient_rank`` rows; its columns are the relators.
-    """
-    if relations.rows != ambient_rank:
-        raise ValueError(f"relation matrix has {relations.rows} rows, "
-                         f"expected {ambient_rank}")
-    return cokernel_presentation(relations)
-
-
 def _presentation_lattice(g: FinAbGroup) -> IntMatrix:
     """Relation matrix of the canonical presentation Z^num_coords -> g."""
     t = len(g.torsion)

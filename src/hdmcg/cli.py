@@ -4,7 +4,9 @@ Verbs: abelianization, splits, boundary, signature, chi2, theta, table3,
 verify.  Every verb honors ``--format json|text``; JSON output is a single
 line rendered with sorted keys, so parsing and re-rendering round-trips
 byte-identically.  Exit codes: 0 success, 1 verification/computation
-failure, 2 usage error.
+failure, 2 usage error.  ``abelianization``, ``theta`` and ``boundary``
+share the sphere-data flags ``--sigma-q-order`` and ``--coker-j-table``,
+declared once on a parent parser and read by ``_sphere_data``.
 
 Each handler imports the modules its verb uses when it runs, so a process
 pays only for those: ``theta`` and ``boundary`` load ``spheres`` and its
@@ -40,15 +42,18 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_format(sp):
         sp.add_argument("--format", choices=("json", "text"), default="text")
 
-    sp = sub.add_parser("abelianization",
+    # the sphere-data flags, declared once for the verbs that read them
+    sphere = argparse.ArgumentParser(add_help=False)
+    sphere.add_argument("--sigma-q-order", type=int, default=None)
+    sphere.add_argument("--coker-j-table", type=str, default=None,
+                        help="path to a JSON coker-J extension table")
+
+    sp = sub.add_parser("abelianization", parents=[sphere],
                         help="first homology of one of the groups")
     sp.add_argument("--g", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--group", choices=("mcg", "torelli", "halfmcg", "gg"),
                     default="mcg")
-    sp.add_argument("--sigma-q-order", type=int, default=None)
-    sp.add_argument("--coker-j-table", type=str, default=None,
-                    help="path to a JSON coker-J extension table")
     add_format(sp)
 
     sp = sub.add_parser("splits", help="splitting decisions for (g, n)")
@@ -56,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     add_format(sp)
 
-    sp = sub.add_parser("boundary",
+    sp = sub.add_parser("boundary", parents=[sphere],
                         help="boundary sphere of an almost closed manifold "
                              "with the given invariants")
     sp.add_argument("--n", type=int, required=True)
@@ -70,11 +75,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--file", type=str, required=True)
         add_format(sp)
 
-    sp = sub.add_parser("theta", help="homotopy-sphere data for odd n")
+    sp = sub.add_parser("theta", parents=[sphere],
+                        help="homotopy-sphere data for odd n")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--sigma-q-order", type=int, default=None)
-    sp.add_argument("--coker-j-table", type=str, default=None,
-                    help="path to a JSON coker-J extension table")
     add_format(sp)
 
     sp = sub.add_parser("table3", help="recompute the example table and diff")
@@ -88,6 +91,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _sphere_data(args):
+    """The sphere data of ``args.n`` under the verb's sphere-data flags."""
+    from .spheres import load_coker_j_file, theta_data
+
+    table = (None if args.coker_j_table is None
+             else load_coker_j_file(args.coker_j_table))
+    return theta_data(args.n, sigma_q_order=args.sigma_q_order,
+                      coker_j_table=table)
+
+
 def _cmd_abelianization(args) -> int:
     if args.group in ("halfmcg", "gg"):  # these groups read no sphere data
         unused = [flag for flag, value in (
@@ -97,14 +110,12 @@ def _cmd_abelianization(args) -> int:
             print(f"abelianization --group {args.group} does not take "
                   f"{' or '.join(unused)}", file=sys.stderr)
             return 2
-    from .mcg import MCGParams, h1_Gg, h1_half_mcg, h1_mcg, h1_torelli
+    from .mcg import h1_Gg, h1_half_mcg, h1_mcg, h1_torelli
 
-    params = MCGParams(args.g, args.n, sigma_q_order=args.sigma_q_order,
-                       coker_j_path=args.coker_j_table)
     if args.group == "mcg":
-        group = h1_mcg(args.g, args.n, params.sphere_data())
+        group = h1_mcg(args.g, args.n, _sphere_data(args))
     elif args.group == "torelli":
-        group = h1_torelli(args.g, args.n, params.sphere_data())
+        group = h1_torelli(args.g, args.n, _sphere_data(args))
     elif args.group == "halfmcg":
         group = h1_half_mcg(args.g, args.n)
     else:
@@ -126,9 +137,9 @@ def _cmd_splits(args) -> int:
 
 def _cmd_boundary(args) -> int:
     from .spheres import (AlmostClosedInvariants, boundary_of_plumbing,
-                          describe_theta_element, theta_data)
+                          describe_theta_element)
 
-    data = theta_data(args.n)
+    data = _sphere_data(args)
     inv = AlmostClosedInvariants(args.sgn, args.chi2)
     el = boundary_of_plumbing(inv, args.n, data)
     label = describe_theta_element(el, data)
@@ -147,12 +158,7 @@ def _cmd_pairing(args) -> int:
 
 
 def _cmd_theta(args) -> int:
-    from .spheres import load_coker_j_file, theta_data
-
-    table = (None if args.coker_j_table is None
-             else load_coker_j_file(args.coker_j_table))
-    data = theta_data(args.n, sigma_q_order=args.sigma_q_order,
-                      coker_j_table=table)
+    data = _sphere_data(args)
     text = (f"theta = {data.theta.describe()}\n"
             f"Sigma_P coords {list(data.sigma_p.coords)}, "
             f"Sigma_Q coords {list(data.sigma_q.coords)}\n"

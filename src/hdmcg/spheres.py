@@ -8,15 +8,16 @@ The boundary formula, bA and the placement of Sigma_Q read Theorem B's
 split from ``cases``.
 
 The cokernel-of-J table is data, not a computation.  Built-ins cover
-degrees 7, 11, 15, 19 and always answer there; further degrees can be
-supplied per call or through a JSON file named by the environment variable
-``HDMCG_COKER_J_TABLE`` (schema:
-``[{"degree": 23, "rank": 0, "torsion": [..]}, ...]``).
+degrees 7, 11, 15, 19 and always answer there; further degrees are read
+from the table passed to ``theta_data`` as ``coker_j_table``, which the CLI
+loads from the JSON file named by ``--coker-j-table`` (schema:
+``[{"degree": 23, "rank": 0, "torsion": [..]}, ...]``).  ``theta_data``'s
+arguments are the one place sphere-data settings enter: every other answer
+takes the ``SphereData`` it builds, through ``sphere_data_for``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -27,8 +28,6 @@ from .abgroups import (FinAbGroup, GroupElement, element_order, quotient_by,
 from .cases import divided, hopf, signature_only, theorem_b
 from .inputs import json_int, json_vector, read_json
 from .linalg import IntMatrix, cokernel_presentation
-
-COKER_J_ENV = "HDMCG_COKER_J_TABLE"
 
 _BUILTIN_COKER_J: dict[int, FinAbGroup] = {
     7: FinAbGroup.trivial(),
@@ -92,13 +91,6 @@ def bp_order(dim: int) -> int:
     return value
 
 
-def _load_env_table() -> dict[int, FinAbGroup]:
-    path = os.environ.get(COKER_J_ENV)
-    if not path:
-        return {}
-    return load_coker_j_file(path)
-
-
 def _coker_j_entries(entries) -> dict[int, FinAbGroup]:
     if not isinstance(entries, list):
         raise ValueError("must hold a JSON list of entries")
@@ -140,14 +132,11 @@ def coker_j(degree: int,
             coker_j_table: dict[int, FinAbGroup] | None = None) -> FinAbGroup:
     """Cokernel of the stable J-homomorphism in the given degree (table-backed).
 
-    One rule for every source: a built-in degree always answers with the
-    built-in group, and a supplied entry for it (per call, else from the
-    file named by the environment variable) that names another group is
-    refused.  Other degrees are read from the per-call table, else the file.
+    A built-in degree always answers with the built-in group, and a
+    supplied entry for it that names another group is refused.  Other
+    degrees are read from the supplied table, or refused.
     """
     supplied = (coker_j_table or {}).get(degree)
-    if supplied is None:
-        supplied = _load_env_table().get(degree)
     group = _BUILTIN_COKER_J.get(degree, supplied)
     if supplied not in (None, group):
         raise ValueError(
@@ -159,9 +148,8 @@ def coker_j(degree: int,
     raise UnsupportedDimension(
         f"coker-J table exhausted at degree {degree}; built-ins cover "
         f"{sorted(_BUILTIN_COKER_J)}. Extend it by passing coker_j_table= to "
-        f"theta_data, omega_tau or minimal_signature, with the "
-        f"abelianization or theta verb's --coker-j-table, or by pointing the "
-        f"environment variable {COKER_J_ENV} at a JSON file "
+        f"theta_data, or with the abelianization, theta or boundary verb's "
+        f"--coker-j-table naming a JSON file "
         f'[{{"degree": {degree}, "rank": 0, "torsion": [...]}}, ...].')
 
 
@@ -211,7 +199,7 @@ def theta_data(n: int, sigma_q_order: int | None = None,
     the bP summand; that default can be overridden by ``sigma_q_order``
     (its order inside bP) or pinned exactly with ``sigma_q_ambient``
     (coordinates: bP first, then the coker-J coordinates).  n = 11 is
-    refused unless explicit Sigma_Q data is supplied.  Both Sigma_Q
+    refused unless ``sigma_q_ambient`` places Sigma_Q.  Both Sigma_Q
     arguments take integers only (``sigma_q_ambient`` a list or tuple).
     Theta is presented straight from its diagonal relations (a zero adds
     none), and the check that Theta/bA is omega = coker J/<Sigma_Q> is
@@ -226,7 +214,8 @@ def theta_data(n: int, sigma_q_order: int | None = None,
         raise UnsupportedDimension(
             "n = 11 is an exceptional case: Sigma_Q does not bound a "
             "parallelisable manifold there, and its placement is not part of "
-            "the built-in data. Supply sigma_q_ambient explicitly to proceed.")
+            "the built-in data. Place it with theta_data's sigma_q_ambient "
+            "keyword, which no CLI verb takes.")
     ck = coker_j(2 * n + 1, coker_j_table)  # refuses before the recurrence
     bp = bp_order(2 * n + 2)
     m = 1 + ck.num_coords
@@ -328,19 +317,21 @@ def describe_theta_element(el: GroupElement, data: SphereData) -> str:
     return f"element{list(el.coords)}"
 
 
-def omega_tau(n: int, **kwargs) -> FinAbGroup:
+def omega_tau(n: int, data: SphereData | None = None) -> FinAbGroup:
     """Bordism group of closed (2n+1)-manifolds with highly connected
-    normal structure: coker J modulo the class of Sigma_Q."""
-    return theta_data(n, **kwargs).omega
+    normal structure over the sphere data of n: coker J modulo the class
+    of Sigma_Q."""
+    return sphere_data_for(n, data).omega
 
 
-def minimal_signature(n: int, **kwargs) -> int:
+def minimal_signature(n: int, data: SphereData | None = None) -> int:
     """Minimal positive signature of a closed smooth n-connected
     (2n+2)-manifold: 1 in the Hopf dimensions n = 1, 3, 7 (the projective
-    planes over C, H and O), else 8 * |bA / <Sigma_Q>|."""
+    planes over C, H and O), else 8 * |bA / <Sigma_Q>| over the sphere data
+    of n."""
     if hopf(n):
         return 1
-    data = theta_data(n, **kwargs)
+    data = sphere_data_for(n, data)
     quotient_group, proj = quotient_with_projection(data.theta, [data.sigma_q])
     image = quotient_group.element(proj.mult_vec(list(data.sigma_p.coords)))
     order = element_order(image)

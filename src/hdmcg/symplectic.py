@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from operator import mul
+from operator import mul, neg
 
 from .cases import hopf
 from .linalg import IntMatrix
@@ -130,8 +130,8 @@ def sp_inverse(a: IntMatrix, g: int) -> IntMatrix:
     if a.rows != n or a.cols != n:
         raise ValueError(f"matrix must be {n}x{n}")
     t = tuple(zip(*a.data))  # A^T = [[a^T, c^T], [b^T, d^T]]
-    top = tuple(r[g:] + tuple(-x for x in r[:g]) for r in t[g:])
-    bottom = tuple(tuple(-x for x in r[g:]) + r[:g] for r in t[:g])
+    top = tuple(r[g:] + tuple(map(neg, r[:g])) for r in t[g:])
+    bottom = tuple(tuple(map(neg, r[g:])) + r[:g] for r in t[:g])
     return IntMatrix._of(top + bottom, n)
 
 

@@ -1,10 +1,12 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hdmcg.cli import SUITE_NAMES, main
-from hdmcg.spheres import COKER_J_ENV
 
 
 def run(capsys, *argv):
@@ -81,38 +83,89 @@ def test_theta_and_errors(capsys):
     assert "exceptional" in err
 
 
-def test_theta_coker_j_flag_matches_the_environment_variable(tmp_path, capsys,
-                                                             monkeypatch):
+def test_n11_refusal_names_the_library_keyword(capsys):
+    """No verb places Sigma_Q at n = 11, so the refusal points to
+    ``theta_data``'s keyword and says no verb takes it."""
+    for argv in (("boundary", "--n", "11", "--sgn", "8", "--chi2", "0"),
+                 ("theta", "--n", "11", "--sigma-q-order", "2"),
+                 ("abelianization", "--g", "1", "--n", "11")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and len(err.splitlines()) == 1
+        assert err.endswith("Place it with theta_data's sigma_q_ambient "
+                            "keyword, which no CLI verb takes.\n")
+
+
+def test_coker_j_flag_ignores_the_environment_variable(tmp_path, capsys,
+                                                       monkeypatch):
+    """The coker-J data comes from the flag alone: a valid degree-27 file
+    in the former environment variable ``HDMCG_COKER_J_TABLE`` is never
+    opened, and each of the three verbs reads the same file by its flag."""
     path = tmp_path / "ckj.json"
+    path.write_text(json.dumps([{"degree": 27, "torsion": [2]}]))
+    monkeypatch.setenv("HDMCG_COKER_J_TABLE", str(path))
+    opened = []
+    real_open = open
+
+    def spy(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+    monkeypatch.setattr("builtins.open", spy)
+    for argv in (("theta", "--n", "13"),
+                 ("boundary", "--n", "13", "--sgn", "8"),
+                 ("abelianization", "--g", "2", "--n", "13")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and len(err.splitlines()) == 1
+        assert "coker-J table exhausted at degree 27" in err
+        assert "abelianization, theta or boundary verb's --coker-j-table" \
+            in err
+    assert opened == []
+    flag = ("--coker-j-table", str(path))
+    assert run(capsys, "theta", "--n", "13", *flag)[:2] == (0, (
+        "theta = Z/2 + Z/67100672\n"
+        "Sigma_P coords [0, 1], Sigma_Q coords [0, 0]\n"
+        "coker J = Z/2, omega = Z/2\n"))
+    assert run(capsys, "boundary", "--n", "13", "--sgn", "8", *flag) \
+        == (0, "Sigma_P\n", "")
+    assert run(capsys, "abelianization", "--g", "2", "--n", "13", *flag) \
+        == (0, "(Z/2)^2 + Z/4\n", "")
+    assert opened == [str(path)] * 3
+
+
+@pytest.mark.parametrize("order", [None, 2, 4, 8])
+def test_boundary_and_theta_read_the_same_sphere_flags(tmp_path, capsys,
+                                                       order):
+    """At n = 15, chi2/2 = 1 puts the boundary on Sigma_Q, wherever
+    ``--sigma-q-order`` places it; ``boundary`` and ``theta`` agree."""
+    path = tmp_path / "ck31.json"
     path.write_text(json.dumps([{"degree": 31, "torsion": [2]}]))
-    monkeypatch.delenv(COKER_J_ENV, raising=False)
-    code, _, err = run(capsys, "theta", "--n", "15")
-    assert code == 1 and "theta verb's --coker-j-table" in err
-    for fmt in ("text", "json"):
-        argv = ("theta", "--n", "15", "--format", fmt)
-        monkeypatch.delenv(COKER_J_ENV, raising=False)
-        by_flag = run(capsys, *argv, "--coker-j-table", str(path))
-        monkeypatch.setenv(COKER_J_ENV, str(path))
-        by_env = run(capsys, *argv)
-        assert by_flag == by_env and by_flag[0] == 0 and by_flag[1]
+    flags = ["--coker-j-table", str(path), "--format", "json"]
+    if order is not None:
+        flags += ["--sigma-q-order", str(order)]
+    code, out, _ = run(capsys, "theta", "--n", "15", *flags)
+    assert code == 0
+    sigma_q = json.loads(out)["sigma_Q"]
+    code, out, _ = run(capsys, "boundary", "--n", "15", "--sgn", "0",
+                       "--chi2", "2", *flags)
+    assert (code, json.loads(out)) == (0, {"label": "Sigma_Q",
+                                           "coords": sigma_q})
+    bp = 2 ** 14 * (2 ** 15 - 1) * 3617  # |bP_32|
+    assert sigma_q == [0, bp // (order or 2)]
 
 
-def test_coker_j_entry_contradicting_a_builtin_is_refused(tmp_path, capsys,
-                                                          monkeypatch):
-    """A built-in degree answers with the built-in group, from every source:
-    the flag and the environment variable refuse the same entry alike."""
+def test_coker_j_entry_contradicting_a_builtin_is_refused(tmp_path, capsys):
+    """A built-in degree answers with the built-in group: each verb that
+    takes the flag refuses the same entry alike."""
     path = tmp_path / "ck15.json"
     path.write_text(json.dumps([{"degree": 15, "torsion": [4]}]))
-    monkeypatch.delenv(COKER_J_ENV, raising=False)
-    by_flag = run(capsys, "theta", "--n", "7", "--coker-j-table", str(path))
-    monkeypatch.setenv(COKER_J_ENV, str(path))
-    by_env = run(capsys, "theta", "--n", "7")
-    assert by_flag == by_env == (
+    flag = ("--coker-j-table", str(path))
+    by_theta = run(capsys, "theta", "--n", "7", *flag)
+    by_boundary = run(capsys, "boundary", "--n", "7", "--sgn", "0",
+                      "--chi2", "8", *flag)
+    assert by_theta == by_boundary == (
         1, "", "coker-J table entry for degree 15 is Z/4, but the built-in "
                "group in that degree is Z/2\n")
     path.write_text(json.dumps([{"degree": 15, "torsion": [2]}]))
-    agreeing = run(capsys, "theta", "--n", "7")
-    monkeypatch.delenv(COKER_J_ENV)
+    agreeing = run(capsys, "theta", "--n", "7", *flag)
     assert agreeing == run(capsys, "theta", "--n", "7")
     assert agreeing[0] == 0 and "Z/2 + Z/8128" in agreeing[1]
 
@@ -245,7 +298,13 @@ def test_unreadable_class_file_is_a_one_line_error(tmp_path, capsys, text):
         assert f"class file {path}: not valid JSON" in err
 
 
-@pytest.mark.parametrize("via", ["flag", "env"])
+# the verbs that read n = 15 and n = 13 from a supplied table; the "env"
+# ids are kept from the environment variable, which is no longer read,
+# that was this row's source before ``boundary`` took the flag
+@pytest.mark.parametrize("argv", [
+    pytest.param(["abelianization", "--g", "1", "--n", "15"], id="flag"),
+    pytest.param(["boundary", "--n", "13", "--sgn", "0"], id="env"),
+])
 @pytest.mark.parametrize("text, message", [
     ("[{", "not valid JSON"),
     ({"degree": 31}, "JSON list"),
@@ -260,18 +319,11 @@ def test_unreadable_class_file_is_a_one_line_error(tmp_path, capsys, text):
 ], ids=["not-json", "top-level-object", "entry-not-object", "missing-degree",
         "string-degree", "float-degree", "bool-degree", "bool-rank",
         "float-torsion", "zero-torsion"])
-def test_malformed_coker_j_table_is_a_one_line_error(tmp_path, capsys,
-                                                     monkeypatch, via, text,
-                                                     message):
+def test_malformed_coker_j_table_is_a_one_line_error(tmp_path, capsys, argv,
+                                                     text, message):
     path = tmp_path / "ckj.json"
     path.write_text(text if isinstance(text, str) else json.dumps(text))
-    argv = ["abelianization", "--g", "1", "--n", "15"]
-    if via == "flag":
-        monkeypatch.delenv(COKER_J_ENV, raising=False)
-        argv += ["--coker-j-table", str(path)]
-    else:
-        monkeypatch.setenv(COKER_J_ENV, str(path))
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, "--coker-j-table", str(path))
     assert code == 1 and not out
     assert len(err.strip().splitlines()) == 1
     assert message in err and f"coker-J table {path}" in err
@@ -313,3 +365,80 @@ def test_readme_example_class_file(capsys):
     assert (code, out.strip()) == (0, "0")
     code, out, _ = run(capsys, "chi2", "--file", path)
     assert code == 0 and abs(int(out)) == 2
+
+
+# in-process fuzz of the verbs that take numbers and files: every argument
+# is bounded (|g| <= 12, n <= 41) and every file comes from a fixed set, so
+# no drawn vector starts large work
+EXAMPLE_CLASS = Path(__file__).resolve().parents[1] / "examples" / "class.json"
+FILE_KINDS = ("missing", "directory", "malformed", "class", "coker-j")
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "malformed.json").write_text('[{"degree": 27,')
+    (root / "coker-j.json").write_text(json.dumps([{"degree": 27,
+                                                    "torsion": [2]}]))
+    return {"missing": root / "missing.json", "directory": root,
+            "malformed": root / "malformed.json", "class": EXAMPLE_CLASS,
+            "coker-j": root / "coker-j.json"}
+
+
+def _opt(flag, values):
+    return st.just([]) | values.map(lambda v: [flag, str(v)])
+
+
+def _cli_argv():
+    # the answering values drawn often, the whole range the rest of the time
+    g = (st.integers(0, 4) | st.integers(-12, 12)).map(lambda v: ["--g",
+                                                                  str(v)])
+    n = (st.sampled_from((3, 5, 7, 9, 13, 15)) | st.integers(-3, 41)).map(
+        lambda v: ["--n", str(v)])
+    small = st.integers(-5, 5).map(lambda v: 8 * v) | st.integers(-40, 40)
+    sphere = st.tuples(_opt("--sigma-q-order", st.integers(-2, 16)),
+                       _opt("--coker-j-table", st.sampled_from(FILE_KINDS)))
+    fmt = _opt("--format", st.sampled_from(("json", "text")))
+    groups = _opt("--group", st.sampled_from(("mcg", "torelli", "halfmcg",
+                                              "gg")))
+    verbs = (
+        st.tuples(st.just(["abelianization"]), g, n, groups, sphere, fmt),
+        st.tuples(st.just(["splits"]), g, n, fmt),
+        st.tuples(st.just(["boundary"]), n, small.map(lambda v: ["--sgn",
+                                                                 str(v)]),
+                  _opt("--chi2", small), sphere, fmt),
+        st.tuples(st.just(["theta"]), n, sphere, fmt),
+        st.tuples(st.sampled_from((["signature"], ["chi2"])),
+                  st.sampled_from(FILE_KINDS).map(lambda k: ["--file", k]),
+                  fmt),
+    )
+    stray = st.sampled_from(([], [], [], ["--n"], ["--bogus"], ["7"]))
+    return st.tuples(st.one_of(verbs), stray)
+
+
+def _flatten(parts):
+    out = []
+    for part in parts:
+        out.extend(_flatten(part) if isinstance(part, tuple) else part)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=_cli_argv())
+def test_cli_fuzz_exits_0_1_or_2_with_one_error_line(fuzz_files, drawn):
+    """No exception escapes ``main``, the exit code is 0, 1 or 2, and a
+    nonzero exit that is not an argparse usage error is one stderr line."""
+    argv = [str(fuzz_files.get(token, token)) for token in _flatten(drawn)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code, usage = main(argv), False
+        except SystemExit as exc:  # argparse's usage error
+            code, usage = exc.code, True
+    assert code in (0, 1, 2), argv
+    assert not usage or code == 2, argv
+    if code and not usage:
+        assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
+        assert not out.getvalue(), argv
+    if not code:
+        assert out.getvalue() and not err.getvalue(), argv

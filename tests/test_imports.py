@@ -84,8 +84,7 @@ ALL_NAMES = [
     "boundary_of_plumbing", "bp_order", "chi2_of_class", "cocycles",
     "cohomology", "coinvariants", "coinvariants_closed", "coker_j",
     "direct_sum", "divided_eval", "element_order", "exact_signature",
-    "extension_descriptor", "fox_derivative", "from_relations",
-    "full_report", "h1", "h1_Gg", "h1_mcg", "h1_torelli", "haut_report",
+    "extension_descriptor", "fox_derivative", "full_report", "h1", "h1_Gg", "h1_mcg", "h1_torelli", "haut_report",
     "inputs", "invariants", "is_member", "j_matrix", "kernel_basis",
     "linalg", "mcg", "meyer_tau", "minimal_signature", "omega_tau", "q_eval",
     "quotient_by", "reference", "reproduce_table3", "s_pi_n_so",

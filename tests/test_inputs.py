@@ -5,7 +5,8 @@ The two file loaders run through the CLI: exit 1, nothing on stdout and
 one stderr line that starts with ``<kind> <path>:``.  The library entry
 points raise a one-line ValueError that names the key or argument.  The
 guards at the end keep the JSON-integer rule and the file reading in
-``hdmcg.inputs``.
+``hdmcg.inputs``, and keep every module from reading the process
+environment.
 """
 
 import ast
@@ -21,8 +22,7 @@ from hdmcg.abgroups import FinAbGroup
 from hdmcg.cli import main
 from hdmcg.cocycles import class_from_json_dict, load_class_file
 from hdmcg.cohomology import Presentation
-from hdmcg.spheres import (COKER_J_ENV, _coker_j_entries, load_coker_j_file,
-                           theta_data)
+from hdmcg.spheres import _coker_j_entries, load_coker_j_file, theta_data
 
 IDENT4 = [[int(i == j) for j in range(4)] for i in range(4)]
 NOT_UTF8 = b"\xff\xfe[]"
@@ -38,11 +38,14 @@ def _class(**entries) -> bytes:
 
 
 # ((kind, argv), file contents, message) for the CLI; the coker-J file is
-# tried through the flag and through the environment variable
+# tried through the flag of each of the three verbs that take it (the
+# "env" ids are kept from the environment variable, which is no longer
+# read, that was the third source before ``boundary`` took the flag)
 CLASS = ("class file", ["signature", "--file"])
 FLAG = ("coker-J table",
         ["abelianization", "--g", "1", "--n", "15", "--coker-j-table"])
-ENV = ("coker-J table", ["theta", "--n", "15"])
+BOUNDARY_FLAG = ("coker-J table",
+                 ["boundary", "--n", "13", "--sgn", "0", "--coker-j-table"])
 THETA_FLAG = ("coker-J table", ["theta", "--n", "15", "--coker-j-table"])
 FILE_CASES = {
     "class-true": (CLASS, _class(g=True), "g must be an integer"),
@@ -54,7 +57,8 @@ FILE_CASES = {
     "class-not-utf8": (CLASS, NOT_UTF8, "not valid JSON"),
     "class-truncated": (CLASS, TRUNCATED, "not valid JSON"),
 }
-for via, source in (("flag", FLAG), ("env", ENV), ("theta-flag", THETA_FLAG)):
+for via, source in (("flag", FLAG), ("env", BOUNDARY_FLAG),
+                    ("theta-flag", THETA_FLAG)):
     FILE_CASES.update({
         f"coker-j-{via}-true": (source, _blob([{"degree": True}]),
                                 "integer degree"),
@@ -75,18 +79,12 @@ for via, source in (("flag", FLAG), ("env", ENV), ("theta-flag", THETA_FLAG)):
 
 @pytest.mark.parametrize("source, contents, message", FILE_CASES.values(),
                          ids=FILE_CASES.keys())
-def test_malformed_file_is_one_line_naming_the_file(tmp_path, capsys,
-                                                    monkeypatch, source,
+def test_malformed_file_is_one_line_naming_the_file(tmp_path, capsys, source,
                                                     contents, message):
     kind, argv = source
     path = tmp_path / "input.json"
     path.write_bytes(contents)
-    monkeypatch.delenv(COKER_J_ENV, raising=False)
-    if source is ENV:
-        monkeypatch.setenv(COKER_J_ENV, str(path))
-    else:
-        argv = argv + [str(path)]
-    code = main(argv)
+    code = main(argv + [str(path)])
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1
@@ -183,6 +181,20 @@ def test_the_json_integer_rule_is_spelled_only_in_inputs():
                             for n in ast.walk(node.args[1]))):
                 spelled.append(path.name)
     assert set(spelled) == {"inputs.py"}
+
+
+def test_no_module_reads_the_process_environment():
+    """Every setting reaches the package as an argument: no module reads
+    ``os.environ`` or calls ``os.getenv``."""
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in ("environ", "environb", "getenv", "getenvb"):
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []
 
 
 @pytest.mark.parametrize("loader", [load_class_file, load_coker_j_file])

@@ -1,5 +1,6 @@
 import random
-from itertools import product
+from itertools import combinations, product
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -260,6 +261,22 @@ def test_snf_property_and_trusted_matrices(shape):
     assert _is_int_rows(res.U, rows, rows)
     assert _is_int_rows(res.D, rows, cols)
     assert _is_int_rows(res.V, cols, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda r: st.integers(1, 4).flatmap(
+    lambda c: st.lists(st.lists(st.integers(-12, 12), min_size=c, max_size=c),
+                       min_size=r, max_size=r))))
+def test_snf_diagonal_is_the_determinantal_divisor_chain(data):
+    """Oracle: d1 ... dk is the gcd of all k x k minors, for every k."""
+    m = IntMatrix(data)
+    diag = snf(m).diagonal()
+    for k in range(1, len(diag) + 1):
+        minors = (bareiss_det(IntMatrix([[data[i][j] for j in cols]
+                                         for i in rows]))
+                  for rows in combinations(range(m.rows), k)
+                  for cols in combinations(range(m.cols), k))
+        assert prod(diag[:k]) == gcd(*minors)
 
 
 def test_from_columns_coerces_and_refuses_ragged_columns():

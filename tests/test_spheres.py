@@ -9,10 +9,10 @@ import pytest
 from hdmcg import cases, cocycles, mcg
 from hdmcg.abgroups import FinAbGroup, element_order, quotient_by, subgroup_iso
 from hdmcg.cases import DIVIDED_FUNCTIONALS, divided, theorem_b
-from hdmcg.spheres import (COKER_J_ENV, AlmostClosedInvariants,
-                           UnsupportedDimension, bernoulli,
-                           boundary_of_plumbing, bp_order, coker_j,
-                           minimal_signature, omega_tau, theta_data)
+from hdmcg.spheres import (AlmostClosedInvariants, UnsupportedDimension,
+                           bernoulli, boundary_of_plumbing, bp_order, coker_j,
+                           load_coker_j_file, minimal_signature, omega_tau,
+                           theta_data)
 
 
 def is_prime(p):
@@ -52,15 +52,20 @@ def test_coker_j_builtin_and_error():
     assert coker_j(15) == FinAbGroup.cyclic(2)
     with pytest.raises(UnsupportedDimension) as err:
         coker_j(21)
-    assert COKER_J_ENV in str(err.value)
+    assert "coker_j_table=" in str(err.value)
     assert "21" in str(err.value)
 
 
 def test_coker_j_env_extension(tmp_path, monkeypatch):
+    """Degree 23 is extended by the supplied table only: a file named in
+    the former environment variable ``HDMCG_COKER_J_TABLE`` is not read."""
     path = tmp_path / "ckj.json"
     path.write_text(json.dumps([{"degree": 23, "rank": 0, "torsion": [2, 8]}]))
-    monkeypatch.setenv(COKER_J_ENV, str(path))
-    assert coker_j(23) == FinAbGroup(0, (2, 8))
+    monkeypatch.setenv("HDMCG_COKER_J_TABLE", str(path))
+    with pytest.raises(UnsupportedDimension, match="degree 23"):
+        coker_j(23)
+    table = load_coker_j_file(str(path))
+    assert coker_j(23, table) == FinAbGroup(0, (2, 8))
 
 
 def test_theta_examples():
@@ -218,7 +223,21 @@ def test_minimal_signature():
     assert minimal_signature(9) == 8 * 261632
     # order-2 default placement halves the cyclic quotient
     stub = {31: FinAbGroup.cyclic(2)}
-    assert minimal_signature(15, coker_j_table=stub) == 8 * bp_order(32) // 2
+    assert minimal_signature(15, theta_data(15, coker_j_table=stub)) \
+        == 8 * bp_order(32) // 2
+
+
+def test_answers_take_the_sphere_data_of_their_n():
+    """``omega_tau`` and ``minimal_signature`` read the data they are
+    given, and refuse data built for another n."""
+    data = theta_data(15, sigma_q_order=4,
+                      coker_j_table={31: FinAbGroup.cyclic(2)})
+    assert minimal_signature(15, data) == 8 * bp_order(32) // 4
+    assert omega_tau(15, data) == FinAbGroup.cyclic(2)
+    for answer in (omega_tau, minimal_signature):
+        with pytest.raises(ValueError, match="n = 9.*n = 5"):
+            answer(5, theta_data(9))
+    assert minimal_signature(7, theta_data(9)) == 1  # Hopf: no data read
 
 
 def test_theta_order_consistency():
@@ -236,7 +255,6 @@ def test_missing_coker_j_is_refused_before_the_bp_recurrence(monkeypatch):
     def no_recurrence(dim):
         raise AssertionError(f"bp_order({dim}) ran before the lookup")
 
-    monkeypatch.delenv(COKER_J_ENV, raising=False)
     monkeypatch.setattr(hdmcg.spheres, "bp_order", no_recurrence)
     with pytest.raises(UnsupportedDimension, match="1203"):
         theta_data(601)
@@ -254,19 +272,22 @@ def test_coker_j_refusal_names_the_keyword_that_works():
     with pytest.raises(UnsupportedDimension) as err:
         theta_data(13)
     message = str(err.value)
-    for name in ("coker_j_table=", "--coker-j-table", COKER_J_ENV):
+    for name in ("coker_j_table= to theta_data",
+                 "abelianization, theta or boundary verb's --coker-j-table"):
         assert name in message
+    assert "environment" not in message and "omega_tau" not in message
     assert "\n" not in message
     stub = {27: FinAbGroup.cyclic(2)}
     assert coker_j(27, coker_j_table=stub) == stub[27]
-    assert theta_data(13, coker_j_table=stub).coker_j_group == stub[27]
-    assert omega_tau(13, coker_j_table=stub) == stub[27]  # Sigma_Q = 0
-    assert minimal_signature(13, coker_j_table=stub) == 8 * bp_order(28)
+    data = theta_data(13, coker_j_table=stub)
+    assert data.coker_j_group == stub[27]
+    assert omega_tau(13, data) == stub[27]  # Sigma_Q = 0
+    assert minimal_signature(13, data) == 8 * bp_order(28)
 
 
 def test_coker_j_entry_contradicting_a_builtin_is_refused():
-    """The per-call table follows the rule the CLI test checks for the flag
-    and the environment file: a built-in degree keeps its group."""
+    """The supplied table follows the rule the CLI test checks for the
+    flag: a built-in degree keeps its group."""
     with pytest.raises(ValueError) as err:
         coker_j(15, coker_j_table={15: FinAbGroup.cyclic(4)})
     assert str(err.value) == ("coker-J table entry for degree 15 is Z/4, "
