@@ -4,8 +4,12 @@ Verbs: abelianization, splits, boundary, signature, chi2, theta, table3,
 verify.  Every verb honors ``--format json|text``; JSON output is a single
 line rendered with sorted keys, so parsing and re-rendering round-trips
 byte-identically.  Exit codes: 0 success, 1 verification/computation
-failure, 2 usage error.  ``abelianization``, ``theta`` and ``boundary``
-share the sphere-data flags ``--sigma-q-order`` and ``--coker-j-table``,
+failure, 2 usage error; a nonzero exit writes one line to stderr, which
+``main`` alone writes.  A usage error, argparse's or the refusal of a flag
+the chosen group ignores, is a ``_UsageError`` that ``main`` catches, so
+``main`` returns rather than raising ``SystemExit`` (``-h`` still exits 0
+through argparse).  ``abelianization``, ``theta`` and ``boundary`` share
+the sphere-data flags ``--sigma-q-order`` and ``--coker-j-table``,
 declared once on a parent parser and read by ``_sphere_data``.
 
 Each handler imports the modules its verb uses when it runs, so a process
@@ -25,6 +29,18 @@ import sys
 SUITE_NAMES = ("tables", "appendix", "spheres", "cocycles")
 
 
+class _UsageError(Exception):
+    """A usage error, carrying its one-line message."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises ``_UsageError`` where argparse would print usage and exit 2;
+    ``add_subparsers`` makes each verb's parser one too."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: error: {message}")
+
+
 def _emit(obj, as_json: bool, text: str) -> None:
     if as_json:
         print(json.dumps(obj, sort_keys=True))
@@ -33,7 +49,7 @@ def _emit(obj, as_json: bool, text: str) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="hdmcg",
         description="Exact invariants of mapping class groups of g-fold "
                     "connected sums of S^n x S^n (n odd).")
@@ -93,12 +109,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _sphere_data(args):
     """The sphere data of ``args.n`` under the verb's sphere-data flags."""
-    from .spheres import load_coker_j_file, theta_data
+    from .spheres import load_sphere_data
 
-    table = (None if args.coker_j_table is None
-             else load_coker_j_file(args.coker_j_table))
-    return theta_data(args.n, sigma_q_order=args.sigma_q_order,
-                      coker_j_table=table)
+    return load_sphere_data(args.n, args.sigma_q_order, args.coker_j_table)
 
 
 def _cmd_abelianization(args) -> int:
@@ -107,9 +120,8 @@ def _cmd_abelianization(args) -> int:
             ("--sigma-q-order", args.sigma_q_order),
             ("--coker-j-table", args.coker_j_table)) if value is not None]
         if unused:
-            print(f"abelianization --group {args.group} does not take "
-                  f"{' or '.join(unused)}", file=sys.stderr)
-            return 2
+            raise _UsageError(f"abelianization --group {args.group} does "
+                              f"not take {' or '.join(unused)}")
     from .mcg import h1_Gg, h1_half_mcg, h1_mcg, h1_torelli
 
     if args.group == "mcg":
@@ -208,13 +220,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.verb](args)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (_UsageError, ValueError, OSError, RuntimeError) as exc:
         print(str(exc), file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -44,12 +44,15 @@ class MCGParams:
 
     def sphere_data(self) -> SphereData:
         """One ``theta_data`` call; reads the coker-J file at most once."""
-        from .spheres import load_coker_j_file, theta_data
+        from .spheres import load_sphere_data
 
-        table = (None if self.coker_j_path is None
-                 else load_coker_j_file(self.coker_j_path))
-        return theta_data(self.n, sigma_q_order=self.sigma_q_order,
-                          coker_j_table=table)
+        return load_sphere_data(self.n, self.sigma_q_order, self.coker_j_path)
+
+
+def _check_paper_range(g: int, n: int) -> None:
+    """Refuse (g, n) outside the paper's range, g >= 1 and odd n >= 3."""
+    if g < 1 or n < 3 or n % 2 == 0:
+        raise UnsupportedCase("need g >= 1 and odd n >= 3")
 
 
 @dataclass(frozen=True)
@@ -250,8 +253,7 @@ def extension_descriptor(g: int, n: int,
     data and none is given)."""
     from .spheres import UnsupportedDimension, sphere_data_for
 
-    if g < 1 or n < 3 or n % 2 == 0:
-        raise ValueError("need g >= 1 and odd n >= 3")
+    _check_paper_range(g, n)
     try:
         data = sphere_data_for(n, data)
     except UnsupportedDimension:
@@ -275,8 +277,7 @@ def splitting_decisions(g: int, n: int) -> dict[str, Decision]:
     kreck1: the full group over the arithmetic group.
     kreck2: the Torelli group over its free quotient.
     """
-    if g < 1 or n < 3 or n % 2 == 0:
-        raise ValueError("need g >= 1 and odd n >= 3")
+    _check_paper_range(g, n)
     out: dict[str, Decision] = {}
     out["ext4"] = Decision("no" if g >= 2 and hopf(n) else "yes", "ThmA")
     out["ext3"] = Decision("yes" if g == 1 and signature_only(n) else "no",
@@ -322,8 +323,7 @@ def haut_report(g: int, n: int,
     otherwise.  Outside n = 3, 7 the homotopy group is not built in, so the
     extra summand stays symbolic unless the caller supplies the group.
     """
-    if g < 1 or n < 3 or n % 2 == 0:
-        raise ValueError("need g >= 1 and odd n >= 3")
+    _check_paper_range(g, n)
     d_n = {3: 12, 7: 120}.get(n)
     if hopf(n):
         spi = FinAbGroup.cyclic(d_n) if spi_2n_sn is None else spi_2n_sn
@@ -412,8 +412,7 @@ class MCGReport:
 def full_report(params: MCGParams) -> MCGReport:
     """Every invariant of (g, n), all over one build of the sphere data."""
     g, n = params.g, params.n
-    if g < 1 or n < 3 or n % 2 == 0:
-        raise UnsupportedCase("full reports need g >= 1 and odd n >= 3")
+    _check_paper_range(g, n)
     data = params.sphere_data()
     flags = []
     if data.sigma_q_order_assumed:

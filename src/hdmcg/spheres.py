@@ -9,11 +9,13 @@ split from ``cases``.
 
 The cokernel-of-J table is data, not a computation.  Built-ins cover
 degrees 7, 11, 15, 19 and always answer there; further degrees are read
-from the table passed to ``theta_data`` as ``coker_j_table``, which the CLI
-loads from the JSON file named by ``--coker-j-table`` (schema:
-``[{"degree": 23, "rank": 0, "torsion": [..]}, ...]``).  ``theta_data``'s
-arguments are the one place sphere-data settings enter: every other answer
-takes the ``SphereData`` it builds, through ``sphere_data_for``.
+from the table passed to ``theta_data`` as ``coker_j_table`` (schema of
+its JSON file: ``[{"degree": 23, "rank": 0, "torsion": [..]}, ...]``).
+``theta_data``'s arguments are the one place sphere-data settings enter:
+every other answer takes the ``SphereData`` it builds, through
+``sphere_data_for``.  ``load_sphere_data`` is the one route from the
+settings a user names (a Sigma_Q order and a coker-J file path, as in
+``MCGParams`` and the CLI's sphere-data flags) to that call.
 """
 
 from __future__ import annotations
@@ -199,7 +201,8 @@ def theta_data(n: int, sigma_q_order: int | None = None,
     the bP summand; that default can be overridden by ``sigma_q_order``
     (its order inside bP) or pinned exactly with ``sigma_q_ambient``
     (coordinates: bP first, then the coker-J coordinates).  n = 11 is
-    refused unless ``sigma_q_ambient`` places Sigma_Q.  Both Sigma_Q
+    refused unless ``sigma_q_ambient`` places Sigma_Q, and it needs
+    ``coker_j_table`` to give coker J in degree 23.  Both Sigma_Q
     arguments take integers only (``sigma_q_ambient`` a list or tuple).
     Theta is presented straight from its diagonal relations (a zero adds
     none), and the check that Theta/bA is omega = coker J/<Sigma_Q> is
@@ -212,10 +215,11 @@ def theta_data(n: int, sigma_q_order: int | None = None,
         raise ValueError("sigma_q_order must be >= 1")
     if n == 11 and sigma_q_ambient is None:
         raise UnsupportedDimension(
-            "n = 11 is an exceptional case: Sigma_Q does not bound a "
-            "parallelisable manifold there, and its placement is not part of "
-            "the built-in data. Place it with theta_data's sigma_q_ambient "
-            "keyword, which no CLI verb takes.")
+            "n = 11 is an exceptional case: coker J in degree 23 is not built "
+            "in (pass it as theta_data's coker_j_table keyword), and Sigma_Q "
+            "does not bound a parallelisable manifold there, so its placement "
+            "is not part of the built-in data. Place it with theta_data's "
+            "sigma_q_ambient keyword, which no CLI verb takes.")
     ck = coker_j(2 * n + 1, coker_j_table)  # refuses before the recurrence
     bp = bp_order(2 * n + 2)
     m = 1 + ck.num_coords
@@ -262,6 +266,14 @@ def theta_data(n: int, sigma_q_order: int | None = None,
     return SphereData(n=n, theta=theta, sigma_p=sigma_p, sigma_q=sigma_q,
                       ba_generators=ba, coker_j_group=ck, omega=omega,
                       sigma_q_order_assumed=assumed)
+
+
+def load_sphere_data(n: int, sigma_q_order: int | None = None,
+                     coker_j_path: str | None = None) -> SphereData:
+    """One ``theta_data`` call over the coker-J file at ``coker_j_path``,
+    which is read once, if a path is given."""
+    table = None if coker_j_path is None else load_coker_j_file(coker_j_path)
+    return theta_data(n, sigma_q_order=sigma_q_order, coker_j_table=table)
 
 
 def sphere_data_for(n: int, data: SphereData | None = None) -> SphereData:

@@ -115,6 +115,14 @@ def test_subgroup_iso():
     assert subgroup_iso(free, [free.element([2, 0])]) == FinAbGroup.free(1)
 
 
+def test_generators_of_another_group_are_refused_alike():
+    g, other = FinAbGroup(0, (2, 4)), FinAbGroup.cyclic(4)
+    for build in (quotient_with_projection, subgroup_iso):
+        with pytest.raises(ValueError) as err:
+            build(g, [g.element([1, 1]), other.element([1])])
+        assert str(err.value) == "generator does not belong to the group"
+
+
 def test_helpers():
     assert tensor_with_free(FinAbGroup.cyclic(2), 4) == FinAbGroup(0, (2, 2, 2, 2))
     assert tensor_with_free(FinAbGroup.free(1), 3) == FinAbGroup.free(3)

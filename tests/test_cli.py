@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hdmcg import cli
 from hdmcg.cli import SUITE_NAMES, main
 
 
@@ -231,13 +233,56 @@ def test_verify_deterministic_under_seed():
     assert a == b
 
 
+USAGE_ERRORS = [
+    (["abelianization", "--g", "two", "--n", "7"],
+     "hdmcg abelianization: error: argument --g: invalid int value: 'two'"),
+    (["nonsense"], "hdmcg: error: argument verb: invalid choice: 'nonsense' "
+                   "(choose from 'abelianization', 'splits', 'boundary', "
+                   "'signature', 'chi2', 'theta', 'table3', 'verify')"),
+    (["theta", "--n", "3", "--bogus"],
+     "hdmcg: error: unrecognized arguments: --bogus"),
+    ([], "hdmcg: error: the following arguments are required: verb"),
+    (["splits", "--g", "1"],
+     "hdmcg splits: error: the following arguments are required: --n"),
+]
+
+
 def test_usage_error_exit_code(capsys):
+    """``main`` returns 2 for argparse's usage errors, with argparse's own
+    last line as the one stderr line and no usage block."""
+    for argv, line in USAGE_ERRORS:
+        assert run(capsys, *argv) == (2, "", line + "\n"), argv
+
+
+def test_only_main_writes_stderr_and_no_handler_returns_2():
+    """Every error line and exit code comes from ``main``: no other
+    function in ``cli`` touches ``sys.stderr``, and no verb handler
+    returns 2 (a usage error is raised instead)."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    writers, handler_twos = set(), []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if ast.unparse(node) == "sys.stderr":
+                writers.add(getattr(top, "name", None))
+            if (isinstance(node, ast.Return) and node.value is not None
+                    and top.name in {f.__name__ for f in
+                                     cli._COMMANDS.values()}
+                    and any(isinstance(c, ast.Constant) and c.value == 2
+                            for c in ast.walk(node.value))):
+                handler_twos.append(node.lineno)
+    assert writers == {"main"} and handler_twos == []
+
+
+def test_splits_outside_the_paper_range_keeps_its_refusal(capsys):
+    for g, n in (("0", "5"), ("1", "4"), ("2", "1")):
+        assert run(capsys, "splits", "--g", g, "--n", n) \
+            == (1, "", "need g >= 1 and odd n >= 3\n")
+
+
+def test_help_still_exits_0_through_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["abelianization", "--g", "two", "--n", "7"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["nonsense"])
-    assert exc.value.code == 2
+        main(["theta", "-h"])
+    assert exc.value.code == 0 and "--coker-j-table" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv, flags", [
@@ -427,17 +472,13 @@ def _flatten(parts):
 @given(drawn=_cli_argv())
 def test_cli_fuzz_exits_0_1_or_2_with_one_error_line(fuzz_files, drawn):
     """No exception escapes ``main``, the exit code is 0, 1 or 2, and a
-    nonzero exit that is not an argparse usage error is one stderr line."""
+    nonzero exit, a usage error included, is one stderr line."""
     argv = [str(fuzz_files.get(token, token)) for token in _flatten(drawn)]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code, usage = main(argv), False
-        except SystemExit as exc:  # argparse's usage error
-            code, usage = exc.code, True
+        code = main(argv)
     assert code in (0, 1, 2), argv
-    assert not usage or code == 2, argv
-    if code and not usage:
+    if code:
         assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
         assert not out.getvalue(), argv
     if not code:

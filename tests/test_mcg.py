@@ -3,8 +3,8 @@ import time
 
 import pytest
 
-from hdmcg import linalg, spheres
-from hdmcg.abgroups import FinAbGroup
+from hdmcg import abgroups, linalg, spheres
+from hdmcg.abgroups import MAX_TORSION_FACTORS, FinAbGroup
 from hdmcg.mcg import (Decision, MCGParams, UnsupportedCase,
                        coinvariants_closed, extension_descriptor, full_report,
                        h1_Gg, h1_half_mcg, h1_mcg, h1_torelli, haut_report,
@@ -270,6 +270,37 @@ def test_torelli_at_huge_genus_is_linear_in_the_factors():
     elapsed = time.perf_counter() - start
     assert got == FinAbGroup(0, (2,) * (2 * 10**5 + 1) + (261632,))
     assert elapsed < 1.0
+
+
+def test_torelli_just_past_the_factor_limit_is_refused_before_building(
+        monkeypatch):
+    """g = 10^5 above sits at the limit; one more genus is refused before
+    any factor list is built.  Without torsion in SpiSO(n) g is free."""
+    def no_chain(factors):
+        raise AssertionError("a factor list was built")
+
+    monkeypatch.setattr(abgroups, "_normalize_chain", no_chain)
+    g = MAX_TORSION_FACTORS // 2 + 1
+    with pytest.raises(ValueError) as err:
+        h1_torelli(g, 9)
+    assert str(err.value) == (
+        f"Z/2 tensor Z^{2 * g} has {2 * g} torsion factors, more than the "
+        f"limit of {MAX_TORSION_FACTORS}")
+    monkeypatch.undo()
+    assert h1_torelli(10**8, 3).rank == 2 * 10**8
+
+
+@pytest.mark.parametrize("g, n", [(0, 5), (-2, 9), (1, 4), (3, 1), (2, -7)])
+def test_paper_range_is_checked_alike(g, n):
+    """The four answers stated for g >= 1 and odd n >= 3 refuse the rest
+    with one exception type and one message."""
+    for answer in (extension_descriptor, splitting_decisions, haut_report,
+                   lambda g, n: full_report(MCGParams(g, n))):
+        with pytest.raises(UnsupportedCase) as err:
+            answer(g, n)
+        assert str(err.value) == "need g >= 1 and odd n >= 3"
+    with pytest.raises(spheres.UnsupportedDimension):
+        full_report(MCGParams(max(g, 1), 11))
 
 
 @pytest.mark.parametrize("answer", [h1_mcg, h1_torelli, extension_descriptor])

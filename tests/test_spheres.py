@@ -11,8 +11,8 @@ from hdmcg.abgroups import FinAbGroup, element_order, quotient_by, subgroup_iso
 from hdmcg.cases import DIVIDED_FUNCTIONALS, divided, theorem_b
 from hdmcg.spheres import (AlmostClosedInvariants, UnsupportedDimension,
                            bernoulli, boundary_of_plumbing, bp_order, coker_j,
-                           load_coker_j_file, minimal_signature, omega_tau,
-                           theta_data)
+                           load_coker_j_file, load_sphere_data,
+                           minimal_signature, omega_tau, theta_data)
 
 
 def is_prime(p):
@@ -382,3 +382,41 @@ def test_theorem_b_is_written_once():
         named = {"Sigma_P": data.sigma_p, "Sigma_Q": data.sigma_q}
         assert data.ba_generators == tuple(named[gen]
                                            for _, gen in theorem_b(n)[2])
+
+
+def test_n11_refusal_names_both_keywords_it_needs():
+    """The first refusal at n = 11 names both pieces of data: following it
+    with only ``sigma_q_ambient`` would be refused again for degree 23."""
+    with pytest.raises(UnsupportedDimension) as err:
+        theta_data(11)
+    message = str(err.value)
+    assert "exceptional" in message and "\n" not in message
+    assert "coker_j_table" in message and "sigma_q_ambient" in message
+    with pytest.raises(UnsupportedDimension, match="degree 23"):
+        theta_data(11, sigma_q_ambient=(0,))
+    stub = {23: FinAbGroup.cyclic(2)}
+    assert theta_data(11, sigma_q_ambient=(0, 1), coker_j_table=stub).omega \
+        .is_trivial
+
+
+def test_load_sphere_data_is_one_theta_data_call(tmp_path):
+    path = tmp_path / "ck31.json"
+    path.write_text(json.dumps([{"degree": 31, "torsion": [2]}]))
+    assert load_sphere_data(15, 4, str(path)) == theta_data(
+        15, sigma_q_order=4, coker_j_table={31: FinAbGroup.cyclic(2)})
+    assert load_sphere_data(7) == theta_data(7)
+    with pytest.raises(OSError):
+        load_sphere_data(7, coker_j_path=str(tmp_path / "missing.json"))
+
+
+def test_only_spheres_reads_a_coker_j_file():
+    """The route from a coker-J path to sphere data is ``load_sphere_data``:
+    no other module calls ``load_coker_j_file``."""
+    callers = []
+    for path in sorted(Path(cases.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and "load_coker_j_file"
+                    in (getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None))):
+                callers.append(path.name)
+    assert callers == ["spheres.py"]
