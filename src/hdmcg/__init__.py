@@ -27,8 +27,8 @@ _EXPORTS = {
     "spheres": "AlmostClosedInvariants SphereData bernoulli "
                "boundary_of_plumbing bp_order coker_j minimal_signature "
                "omega_tau theta_data",
-    "symplectic": "GroupFamily WallForm is_member j_matrix q_eval "
-                  "standard_generators theta_index",
+    "symplectic": "GroupFamily is_member j_matrix standard_generators "
+                  "theta_index",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names.split()}

@@ -5,7 +5,8 @@ verify.  Every verb honors ``--format json|text``; JSON output is a single
 line rendered with sorted keys, so parsing and re-rendering round-trips
 byte-identically.  Exit codes: 0 success, 1 verification/computation
 failure, 2 usage error; a nonzero exit writes one line to stderr, which
-``main`` alone writes.  A usage error, argparse's or the refusal of a flag
+``main`` alone writes, showing any line break inside the message as a
+visible ``\\n``.  A usage error, argparse's or the refusal of a flag
 the chosen group ignores, is a ``_UsageError`` that ``main`` catches, so
 ``main`` returns rather than raising ``SystemExit`` (``-h`` still exits 0
 through argparse).  ``abelianization``, ``theta`` and ``boundary`` share
@@ -224,7 +225,9 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.verb](args)
     except (_UsageError, ValueError, OSError, RuntimeError) as exc:
-        print(str(exc), file=sys.stderr)
+        # a line break inside the message (a stray argument or a file path
+        # may hold one) is shown as a visible \n, so the error stays one line
+        print("\\n".join(str(exc).splitlines()), file=sys.stderr)
         return 2 if isinstance(exc, _UsageError) else 1
 
 

@@ -6,7 +6,8 @@ floating point anywhere in this package.
 One Smith normal form, ``snf``, is the single lattice engine: kernels
 over Z and mod m, column bases, exact solving, inverses, subquotients and
 cokernel presentations all read their answer off its U, D and V, and
-every quotient group the other modules compute goes through it.
+every quotient group the other modules compute goes through it.  A
+kernel, over Z or mod m, is one Smith form of M itself.
 Pivoting picks the smallest nonzero entry in absolute value, which keeps
 entry growth manageable at the matrix sizes this package deals with (a
 few dozen rows at most).  The cocycle path needs no lattice: ``cocycles``
@@ -74,15 +75,14 @@ class IntMatrix:
         return cls._of(((0,) * cols,) * rows, cols)
 
     @classmethod
-    def diagonal(cls, entries: Sequence[int], rows: int | None = None,
-                 cols: int | None = None) -> "IntMatrix":
+    def diagonal(cls, entries: Sequence[int]) -> "IntMatrix":
+        """The square matrix with these diagonal entries."""
         entries = list(entries)
-        r = len(entries) if rows is None else rows
-        c = len(entries) if cols is None else cols
-        data = [[0] * c for _ in range(r)]
+        c = len(entries)
+        data = [[0] * c for _ in range(c)]
         for i, d in enumerate(entries):
             data[i][i] = d
-        return cls(data, cols=c)
+        return cls(data)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]],
@@ -306,22 +306,25 @@ def kernel_basis(m: IntMatrix, modulus: int = 0) -> IntMatrix:
     """Lattice basis of {x in Z^n : M x = 0 mod modulus}; modulus 0 means
     M x = 0 over Z.
 
-    Over Z the basis is the last n - rank columns of V in the Smith form,
-    and the lattice is saturated (any integral vector in the rational
-    kernel is an integral combination of the columns).  For modulus m > 0
-    the lattice is the preimage in Z^n of the solutions over Z/m, a
-    full-rank lattice containing m Z^n: the first n coordinates of
-    ker [M | m I] over Z, reduced to a basis by ``column_basis``.
+    Both read one Smith form U M V = D.  With x = V y, M x = U^-1 D y, so
+    M x = 0 mod m exactly when d_i y_i = 0 mod m for each i < rank: y_i
+    runs over the multiples of m / gcd(d_i, m), and the free y_i past the
+    rank are unconstrained.  The basis is those multiples of the first
+    rank columns of V (only when m > 0), then its last n - rank columns.
+    Over Z the lattice is saturated (any integral vector in the rational
+    kernel is an integral combination of the columns); mod m > 0 it is the
+    preimage in Z^n of the solutions over Z/m, a full-rank lattice
+    containing m Z^n.
     """
     if modulus < 0:
         raise ValueError("modulus must be 0 (= Z) or positive")
-    if modulus:
-        aug = hstack(m, IntMatrix.identity(m.rows).scaled(modulus))
-        full = kernel_basis(aug)
-        return column_basis(IntMatrix._of(full.data[:m.cols], full.cols))
     res = snf(m)
-    r = sum(1 for d in res.diagonal() if d)
-    return IntMatrix._of(tuple(row[r:] for row in res.V.data), m.cols - r)
+    diag = res.diagonal()
+    r = sum(1 for d in diag if d)
+    scale = [modulus // gcd(d, modulus) for d in diag[:r]] if modulus else []
+    return IntMatrix._of(tuple(tuple(c * x for c, x in zip(scale, row))
+                               + row[r:] for row in res.V.data),
+                         m.cols - r + len(scale))
 
 
 def column_basis(m: IntMatrix) -> IntMatrix:

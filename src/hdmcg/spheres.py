@@ -43,6 +43,14 @@ class UnsupportedDimension(ValueError):
     """Raised when a computation needs data outside the built-in tables."""
 
 
+# Largest sphere degree 2n+1 that theta_data takes.  bp_order's Bernoulli
+# recurrence runs quadratically many steps on growing Fractions: a cold
+# theta_data took 8 ms at degree 91, 59 ms at 255 and 138 ms at 403 on a
+# 2-core x86-64 host, and the growth steepens past that.  Coker J is known
+# only to stem 90, so no real coker-J data lies past this bound.
+MAX_SPHERE_DEGREE = 255
+
+
 _bernoulli_cache: list[Fraction] = [Fraction(1)]
 
 
@@ -204,12 +212,19 @@ def theta_data(n: int, sigma_q_order: int | None = None,
     refused unless ``sigma_q_ambient`` places Sigma_Q, and it needs
     ``coker_j_table`` to give coker J in degree 23.  Both Sigma_Q
     arguments take integers only (``sigma_q_ambient`` a list or tuple).
+    A degree 2n+1 past ``MAX_SPHERE_DEGREE`` is refused before any
+    Bernoulli number is formed.
     Theta is presented straight from its diagonal relations (a zero adds
     none), and the check that Theta/bA is omega = coker J/<Sigma_Q> is
     what lets ``h1_mcg`` read Theta/<Sigma_P, Sigma_Q> off as omega.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
+    if 2 * n + 1 > MAX_SPHERE_DEGREE:
+        raise UnsupportedDimension(
+            f"sphere degree 2n+1 = {2 * n + 1} is past the limit "
+            f"{MAX_SPHERE_DEGREE} (n <= {MAX_SPHERE_DEGREE // 2}); coker J "
+            f"is known only to stem 90")
     if sigma_q_order is not None and json_int(sigma_q_order,
                                               "sigma_q_order") < 1:
         raise ValueError("sigma_q_order must be >= 1")

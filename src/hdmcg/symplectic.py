@@ -1,19 +1,22 @@
-"""Wall's quadratic form and the three arithmetic automorphism-group families.
+"""Wall's form (H, lambda, mu) and the three arithmetic automorphism-group
+families.
 
 Basis convention throughout the package: (e_1, ..., e_g, f_1, ..., f_g),
 so the pairing matrix is the block form [[0, I], [eps*I, 0]] and the
 standard quadratic refinement is q(x_1..x_g, y_1..y_g) = sum x_i y_i.
+The form has one model here: ``j_matrix`` for the pairing and ``_q2`` for
+q mod 2, the two things ``is_member`` tests.  Which family a dimension n
+gets (Theorem A) is ``mcg.automorphism_family``'s answer, read off
+``cases.hopf``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from operator import mul, neg
 
-from .cases import hopf
 from .linalg import IntMatrix
 
 
@@ -37,48 +40,6 @@ def j_matrix(g: int, epsilon: int) -> IntMatrix:
         data[i][g + i] = 1
         data[g + i][i] = epsilon
     return IntMatrix(data)
-
-
-@dataclass(frozen=True)
-class WallForm:
-    """Genus, symmetry sign, pairing matrix, and the value group of q.
-
-    ``q_value_modulus`` encodes Z/Lambda_n: 0 means Z (n even), 2 means
-    Z/2 (n odd, n not 1, 3 or 7), and 1 means the trivial group in the
-    Hopf dimensions n = 1, 3, 7, where the automorphism group is Sp.
-    """
-
-    g: int
-    epsilon: int
-    lam: IntMatrix
-    q_value_modulus: int
-
-    def __post_init__(self):
-        if self.g < 1:
-            raise ValueError("genus must be >= 1")
-        if self.lam != j_matrix(self.g, self.epsilon):
-            raise ValueError("pairing matrix must be the standard block form")
-        if self.q_value_modulus not in (0, 1, 2):
-            raise ValueError("q value modulus must be 0, 1 or 2")
-
-    @classmethod
-    def for_params(cls, g: int, n: int) -> "WallForm":
-        eps = 1 if n % 2 == 0 else -1
-        qmod = 0 if n % 2 == 0 else 1 if hopf(n) else 2
-        return cls(g=g, epsilon=eps, lam=j_matrix(g, eps), q_value_modulus=qmod)
-
-
-def q_eval(form: WallForm, x) -> int:
-    """Standard quadratic refinement sum x_i y_i, reduced into Z/Lambda_n."""
-    x = list(x)
-    if len(x) != 2 * form.g:
-        raise ValueError("vector length must be 2g")
-    s = sum(x[i] * x[form.g + i] for i in range(form.g))
-    if form.q_value_modulus == 0:
-        return s
-    if form.q_value_modulus == 1:
-        return 0
-    return s % form.q_value_modulus
 
 
 def _q2(g: int, x) -> int:
@@ -203,23 +164,16 @@ def standard_generators(family: GroupFamily, g: int) -> list[IntMatrix]:
 def theta_index(g: int) -> int:
     """Number of even theta characteristics, counted by enumeration.
 
-    Runs over all c in F_2^{2g}, forms q_c(x) = q(x) + c.x, computes the
-    Arf invariant sum q_c(e_i) q_c(f_i), and counts the Arf-0 refinements.
-    The result must match the closed form 2^(2g-1) + 2^(g-1); a mismatch
-    raises.
+    The refinements of the pairing are q_c(x) = q(x) + c.x for c in
+    F_2^{2g}.  q vanishes on every basis vector, so q_c(e_i) = c_i and
+    q_c(f_i) = c_{g+i}, and the Arf invariant sum q_c(e_i) q_c(f_i) is
+    q(c).  The count of Arf-0 refinements is therefore the number of c
+    with ``_q2(g, c) == 0``.  The result must match the closed form
+    2^(2g-1) + 2^(g-1); a mismatch raises.
     """
     if not 1 <= g <= 6:
         raise ValueError("enumeration bound: 1 <= g <= 6")
-    form = WallForm.for_params(g, 5)  # odd n outside 1, 3, 7: value group Z/2
-    n = 2 * g
-    basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    count = 0
-    for c in product((0, 1), repeat=n):
-        def qc(x):
-            return (q_eval(form, x) + sum(a * b for a, b in zip(c, x))) % 2
-        arf = sum(qc(basis[i]) * qc(basis[g + i]) for i in range(g)) % 2
-        if arf == 0:
-            count += 1
+    count = sum(1 for c in product((0, 1), repeat=2 * g) if _q2(g, c) == 0)
     expected = 2 ** (2 * g - 1) + 2 ** (g - 1)
     if count != expected:
         raise RuntimeError(f"theta enumeration gave {count}, "

@@ -343,6 +343,32 @@ def test_unreadable_class_file_is_a_one_line_error(tmp_path, capsys, text):
         assert f"class file {path}: not valid JSON" in err
 
 
+LINE_BREAKS = pytest.mark.parametrize("brk", ["\n", "\r", "\u2028"],
+                                      ids=["lf", "cr", "u2028"])
+
+
+@LINE_BREAKS
+def test_a_line_break_in_a_stray_argument_is_shown_on_one_line(capsys, brk):
+    assert run(capsys, "theta", "--n", "3", f"a{brk}b") \
+        == (2, "", "hdmcg: error: unrecognized arguments: a\\nb\n")
+
+
+@LINE_BREAKS
+@pytest.mark.parametrize("argv, source", [
+    (["signature", "--file"], "class file"),
+    (["theta", "--n", "13", "--coker-j-table"], "coker-J table"),
+], ids=["class-file", "coker-j-table"])
+def test_a_line_break_in_a_file_path_is_shown_on_one_line(tmp_path, capsys,
+                                                          brk, argv, source):
+    path = tmp_path / f"x{brk}y.json"
+    path.write_text("[{")
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 1 and not out and err.count("\n") == 1
+    shown = str(path).replace(brk, "\\n")
+    assert err.startswith(f"{source} {shown}: not valid JSON")
+    assert len(err.splitlines()) == 1
+
+
 # the verbs that read n = 15 and n = 13 from a supplied table; the "env"
 # ids are kept from the environment variable, which is no longer read,
 # that was this row's source before ``boundary`` took the flag
@@ -416,7 +442,8 @@ def test_readme_example_class_file(capsys):
 # is bounded (|g| <= 12, n <= 41) and every file comes from a fixed set, so
 # no drawn vector starts large work
 EXAMPLE_CLASS = Path(__file__).resolve().parents[1] / "examples" / "class.json"
-FILE_KINDS = ("missing", "directory", "malformed", "class", "coker-j")
+FILE_KINDS = ("missing", "directory", "malformed", "class", "coker-j",
+              "line-break")
 
 
 @pytest.fixture(scope="module")
@@ -425,9 +452,11 @@ def fuzz_files(tmp_path_factory):
     (root / "malformed.json").write_text('[{"degree": 27,')
     (root / "coker-j.json").write_text(json.dumps([{"degree": 27,
                                                     "torsion": [2]}]))
+    (root / "line\nbreak.json").write_text("[{")
     return {"missing": root / "missing.json", "directory": root,
             "malformed": root / "malformed.json", "class": EXAMPLE_CLASS,
-            "coker-j": root / "coker-j.json"}
+            "coker-j": root / "coker-j.json",
+            "line-break": root / "line\nbreak.json"}
 
 
 def _opt(flag, values):
@@ -457,7 +486,8 @@ def _cli_argv():
                   st.sampled_from(FILE_KINDS).map(lambda k: ["--file", k]),
                   fmt),
     )
-    stray = st.sampled_from(([], [], [], ["--n"], ["--bogus"], ["7"]))
+    stray = st.sampled_from(([], [], [], ["--n"], ["--bogus"], ["7"],
+                             ["a\nb"], ["a\r\u2028b"]))
     return st.tuples(st.one_of(verbs), stray)
 
 

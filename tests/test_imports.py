@@ -80,13 +80,13 @@ ALL_NAMES = [
     "AffineSurfaceClass", "AlmostClosedInvariants", "BarTwoCycle",
     "FinAbGroup", "GModule", "GroupElement", "GroupFamily", "IntMatrix",
     "MCGParams", "MCGReport", "Presentation", "SNFResult", "SphereData",
-    "SurfaceClass", "WallForm", "abelianization", "abgroups", "bernoulli",
+    "SurfaceClass", "abelianization", "abgroups", "bernoulli",
     "boundary_of_plumbing", "bp_order", "chi2_of_class", "cocycles",
     "cohomology", "coinvariants", "coinvariants_closed", "coker_j",
     "direct_sum", "divided_eval", "element_order", "exact_signature",
     "extension_descriptor", "fox_derivative", "full_report", "h1", "h1_Gg", "h1_mcg", "h1_torelli", "haut_report",
     "inputs", "invariants", "is_member", "j_matrix", "kernel_basis",
-    "linalg", "mcg", "meyer_tau", "minimal_signature", "omega_tau", "q_eval",
+    "linalg", "mcg", "meyer_tau", "minimal_signature", "omega_tau",
     "quotient_by", "reference", "reproduce_table3", "s_pi_n_so",
     "signature_of_class", "snf", "spheres", "splitting_decisions",
     "standard_generators", "subgroup_iso", "surface_two_cycle", "symplectic",

@@ -5,9 +5,10 @@ from math import gcd, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hdmcg import linalg
 from hdmcg.linalg import (IntMatrix, cokernel_presentation, column_basis,
-                          exact_signature, inverse_mod, kernel_basis, snf,
-                          solve_exact)
+                          exact_signature, hstack, inverse_mod, kernel_basis,
+                          snf, solve_exact)
 
 
 def bareiss_det(m: IntMatrix) -> int:
@@ -131,6 +132,63 @@ def test_kernel_mod_m_is_a_basis_of_the_preimage_lattice(modulus):
         for d in diag:
             index *= d
         assert index * kernel_size == modulus ** 4
+
+
+def _augmented_route(m, modulus):
+    """The lattice {x : M x = 0 mod m} built without reducing mod m: the
+    first n coordinates of ker [M | m I] over Z, reduced to a basis."""
+    full = kernel_basis(hstack(m, IntMatrix.identity(m.rows).scaled(modulus)))
+    return column_basis(IntMatrix(full.data[:m.cols], cols=full.cols))
+
+
+def _contains(lattice, vectors):
+    """Every column of ``vectors`` is an integral combination of the
+    columns of ``lattice``."""
+    if vectors.cols == 0:
+        return True
+    try:
+        solve_exact(lattice, vectors)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("modulus", [0, 2, 3, 4, 6])
+def test_kernel_basis_against_independent_witnesses(monkeypatch, modulus):
+    """Seeded M up to 3x4 with entries in [-3, 3]: each column solves
+    M x = 0 mod m, the lattice's residues mod m are exactly the brute-force
+    solutions in (Z/m)^n (m^n / |det B| of them), the lattice equals the
+    augmented route's, and ``kernel_basis`` runs one Smith form."""
+    rng = random.Random(100 + modulus)
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return snf(x)
+
+    for _ in range(12):
+        rows, cols = rng.randint(0, 3), rng.randint(1, 4)
+        m = (random_matrix(rng, rows, cols, span=3) if rows
+             else IntMatrix.zeros(0, cols))
+        calls.clear()
+        monkeypatch.setattr(linalg, "snf", counted)
+        basis = kernel_basis(m, modulus)
+        monkeypatch.undo()
+        assert len(calls) == 1, m
+        for col in basis.columns():
+            assert all((x % modulus if modulus else x) == 0
+                       for x in m.mult_vec(col))
+        ref = _augmented_route(m, modulus)
+        assert _contains(basis, ref) and _contains(ref, basis), m
+        if not modulus:
+            continue
+        solutions = {x for x in product(range(modulus), repeat=cols)
+                     if all(s % modulus == 0 for s in m.mult_vec(x))}
+        residues = {tuple(x % modulus for x in basis.mult_vec(c))
+                    for c in product(range(modulus), repeat=basis.cols)}
+        assert residues == solutions, m
+        assert basis.cols == cols
+        assert len(solutions) * abs(bareiss_det(basis)) == modulus ** cols
 
 
 def test_cokernel_examples():

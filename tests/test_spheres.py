@@ -94,6 +94,34 @@ def test_theta_rejects_bad_input():
         theta_data(13)  # coker J in degree 27 is not built in
 
 
+def test_sphere_degree_past_the_limit_is_refused_before_bp_order(
+        monkeypatch, tmp_path, capsys):
+    """Degree 2n+1 = 259 is the first one past ``MAX_SPHERE_DEGREE`` = 255;
+    it is refused in one line, exit 1, before the Bernoulli recurrence
+    starts, while the bound itself reaches ``bp_order``."""
+    from hdmcg import spheres
+    from hdmcg.cli import main
+
+    def reached(dim):
+        raise AssertionError(f"bp_order({dim}) reached")
+
+    monkeypatch.setattr(spheres, "bp_order", reached)
+    bound = spheres.MAX_SPHERE_DEGREE
+    n = (bound - 1) // 2 + 2
+    stub = {2 * n - 3: FinAbGroup.trivial(), 2 * n + 1: FinAbGroup.trivial()}
+    line = (f"sphere degree 2n+1 = {2 * n + 1} is past the limit {bound} "
+            f"(n <= {bound // 2}); coker J is known only to stem 90")
+    with pytest.raises(UnsupportedDimension) as exc:
+        theta_data(n, coker_j_table=stub)
+    assert str(exc.value) == line
+    with pytest.raises(AssertionError, match=f"bp_order\\({2 * n - 2}\\)"):
+        theta_data(n - 2, coker_j_table=stub)
+    path = tmp_path / "ckj.json"
+    path.write_text(json.dumps([{"degree": 2 * n + 1}]))
+    assert main(["theta", "--n", str(n), "--coker-j-table", str(path)]) == 1
+    assert capsys.readouterr() == ("", line + "\n")
+
+
 def test_theta_extended_table():
     # stub cokernel values: exercising the extension contract, not asserting
     # the true stable-stem answers

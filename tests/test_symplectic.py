@@ -5,9 +5,8 @@ import pytest
 from hdmcg.cocycles import random_symplectic
 from hdmcg.linalg import IntMatrix
 from hdmcg.mcg import automorphism_family
-from hdmcg.symplectic import (GroupFamily, WallForm, is_member, j_matrix,
-                              q_eval, sp_inverse, standard_generators,
-                              theta_index)
+from hdmcg.symplectic import (GroupFamily, is_member, j_matrix, sp_inverse,
+                              standard_generators, theta_index)
 
 
 def test_j_matrix_shape():
@@ -17,27 +16,14 @@ def test_j_matrix_shape():
     assert j_matrix(1, 1) == IntMatrix([[0, 1], [1, 0]])
 
 
-def test_wall_form_value_groups():
-    assert WallForm.for_params(2, 5).q_value_modulus == 2
-    assert WallForm.for_params(2, 3).q_value_modulus == 1
-    assert WallForm.for_params(2, 7).q_value_modulus == 1
-    assert WallForm.for_params(2, 8).q_value_modulus == 0
-
-
-def test_wall_form_agrees_with_the_automorphism_family_at_n_1():
-    """n = 1 is a Hopf dimension: the group is Sp, so q takes no values."""
-    assert WallForm.for_params(1, 1).q_value_modulus == 1
+def test_automorphism_family_follows_theorem_a():
+    """Sp in the Hopf dimensions n = 1, 3, 7 (q takes no values), the theta
+    group in the other odd n, and O_{g,g} for even n."""
     assert automorphism_family(1) is GroupFamily.SP
-
-
-def test_q_eval_examples():
-    w = WallForm.for_params(1, 5)
-    assert q_eval(w, (1, 0)) == 0
-    assert q_eval(w, (1, 1)) == 1
-    w37 = WallForm.for_params(1, 3)
-    assert q_eval(w37, (1, 1)) == 0
-    weven = WallForm.for_params(1, 8)
-    assert q_eval(weven, (3, 2)) == 6
+    for n in range(1, 17):
+        want = (GroupFamily.OGG if n % 2 == 0 else GroupFamily.SP
+                if n in (1, 3, 7) else GroupFamily.SPQ)
+        assert automorphism_family(n) is want, n
 
 
 def test_membership_examples():
@@ -181,13 +167,15 @@ def test_generators_preserve_pairing_exactly():
 
 
 def test_q_preserved_on_basis_by_theta_generators():
+    """q(x) = sum x_i y_i mod 2, written out here rather than read from
+    ``symplectic``, is 0 on every basis vector and on its image."""
     for g in (1, 2, 3):
-        w = WallForm.for_params(g, 5)
         n = 2 * g
         basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         for m in standard_generators(GroupFamily.SPQ, g):
             for x in basis:
-                assert q_eval(w, m.mult_vec(x)) == q_eval(w, x)
+                y = m.mult_vec(x)
+                assert sum(y[i] * y[g + i] for i in range(g)) % 2 == 0
 
 
 def test_random_products_stay_members():
