@@ -14,8 +14,8 @@ from importlib import import_module
 _EXPORTS = {
     "abgroups": "FinAbGroup GroupElement direct_sum element_order "
                 "quotient_by subgroup_iso",
-    "cocycles": "AffineSurfaceClass BarTwoCycle SurfaceClass chi2_of_class "
-                "divided_eval meyer_tau signature_of_class surface_two_cycle",
+    "cocycles": "SurfaceClass chi2_of_class divided_eval meyer_tau "
+                "signature_of_class surface_two_cycle",
     "cohomology": "GModule Presentation abelianization coinvariants "
                   "fox_derivative h1 invariants",
     "inputs": "",

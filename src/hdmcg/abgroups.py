@@ -144,14 +144,6 @@ class FinAbGroup:
     def to_json_dict(self) -> dict:
         return {"rank": self.rank, "torsion": list(self.torsion)}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FinAbGroup":
-        if not (isinstance(d, dict) and "rank" in d
-                and isinstance(d.get("torsion"), list)):
-            raise ValueError(f"a group must be a JSON object with a 'rank' "
-                             f"and a 'torsion' list, got {d!r}")
-        return cls(d["rank"], tuple(d["torsion"]))
-
 
 @dataclass(frozen=True)
 class GroupElement:

@@ -37,17 +37,18 @@ nonzero y_k and the Gram matrix of beta stay int lists, and only the Gram
 becomes an ``IntMatrix``, for ``exact_signature`` (in four rounds of the
 benchmark's cocycle sweep, 1,848 of 4,056 terms get this far, at about
 0.1 ms each at its reference host speed).  A class walks its relator word
-once, on construction, and keeps the letters and prefix products (and,
-with translations, the letter moves and prefix shifts).  The canonical
-2-cycle is a list of (i, j, coeff) over indices into that walk; it depends
-only on h, so it is built, and its boundary checked on free-group words,
-once per h, and ``surface_two_cycle`` forms no products.
+once, on construction, and keeps one table: the letters, the prefix
+products and the identity (and, with translations, the matching vectors:
+the letter moves, the prefix shifts and 0).  The canonical 2-cycle is a
+list of (i, j, coeff) over indices into that table; it depends only on h,
+so it is built, and its boundary checked on free-group words, once per h.
+Both pairings read the table through it, and neither forms a product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial, reduce
+from functools import lru_cache, partial, reduce
 from itertools import accumulate
 from math import gcd, lcm
 from operator import add, matmul, mul
@@ -59,8 +60,7 @@ from .linalg import IntMatrix, exact_signature
 from .symplectic import GroupFamily, is_member, j_matrix, sp_inverse
 
 Vector = tuple[int, ...]
-_FIELDS = ("g", "pairs", "translations", "letters", "prefixes", "moves",
-           "shifts")
+_FIELDS = ("g", "pairs", "translations", "table", "vectors")
 _walked = partial(field, init=False, repr=False, compare=False)
 
 
@@ -72,12 +72,15 @@ def _relator_walk(pairs, inverse, product) -> tuple[list, list]:
 
 
 def _walk(g: int, pairs, translations) -> tuple:
-    """Relator letters X_k, prefixes P_k, moves u_k (translations of X_k) and
-    shifts t_k = t_{k-1} + P_{k-1} u_k; u, t are None without translations."""
+    """The genus-h table (X_0..X_{4h-1}, P_0..P_{4h-1}, e) of relator
+    letters and prefix products, and its vectors (u_0.., t_0.., 0): moves
+    u_k (translations of X_k) and shifts t_k = t_{k-1} + P_{k-1} u_k, or
+    None without translations."""
     letters, prefixes = _relator_walk(pairs, lambda a: sp_inverse(a, g),
                                       matmul)
+    table = (*letters, *prefixes, IntMatrix.identity(2 * g))
     if translations is None:
-        return tuple(letters), tuple(prefixes), None, None
+        return table, None
     moves: list[Vector] = []
     for (v, w), ainv, binv in zip(translations, letters[2::4], letters[3::4]):
         moves += [v, w, tuple(-t for t in ainv.mult_vec(v)),
@@ -85,7 +88,7 @@ def _walk(g: int, pairs, translations) -> tuple:
     shifts = [moves[0]]
     for p, u in zip(prefixes, moves[1:]):
         shifts.append(tuple(map(add, shifts[-1], p.mult_vec(u))))
-    return tuple(letters), tuple(prefixes), tuple(moves), tuple(shifts)
+    return table, (*moves, *shifts, (0,) * 2 * g)
 
 
 @dataclass(frozen=True)
@@ -100,10 +103,8 @@ class SurfaceClass:
     g: int
     pairs: tuple[tuple[IntMatrix, IntMatrix], ...]
     translations: tuple[tuple[Vector, Vector], ...] | None = None
-    letters: tuple[IntMatrix, ...] = _walked()
-    prefixes: tuple[IntMatrix, ...] = _walked()
-    moves: tuple[Vector, ...] | None = _walked()
-    shifts: tuple[Vector, ...] | None = _walked()
+    table: tuple[IntMatrix, ...] = _walked()
+    vectors: tuple[Vector, ...] | None = _walked()
 
     def __post_init__(self):
         if not self.pairs:
@@ -122,9 +123,9 @@ class SurfaceClass:
                 raise ValueError("one translation pair per matrix pair")
         walk = _walk(self.g, pairs, tr)
         self.__dict__.update(zip(_FIELDS[1:], (pairs, tr, *walk)))  # frozen
-        if self.prefixes[-1] != IntMatrix.identity(2 * self.g):
+        if self.table[-2] != self.table[-1]:
             raise ValueError("commutator relator does not close up")
-        if tr is not None and any(self.shifts[-1]):
+        if tr is not None and any(self.vectors[-2]):
             raise ValueError("affine relator does not close up; the crossed "
                              "homomorphism is ill-defined")
 
@@ -156,8 +157,8 @@ class SurfaceClass:
         return self._unchecked(self.g, pairs, tr, *_walk(self.g, pairs, tr))
 
     def scaled_translations(self, t: int) -> "SurfaceClass":
-        """Multiply the translations, and so the moves and shifts, by the
-        integer t; the letters and prefixes are kept."""
+        """Multiply the translations, and so the walk's vectors, by the
+        integer t; the table is kept."""
         t = json_int(t, "the scale factor")
         if self.translations is None:
             raise ValueError("scaling needs a class with translation data")
@@ -167,17 +168,7 @@ class SurfaceClass:
 
         return self._unchecked(self.g, self.pairs,
                                tuple(map(scale, self.translations)),
-                               self.letters, self.prefixes,
-                               scale(self.moves), scale(self.shifts))
-
-    def matrix_class(self) -> "SurfaceClass":
-        """The class without its translations (itself if it has none)."""
-        return self if self.translations is None else self._matrix_class
-
-    @cached_property
-    def _matrix_class(self) -> "SurfaceClass":
-        return self._unchecked(self.g, self.pairs, None, self.letters,
-                               self.prefixes, None, None)
+                               self.table, scale(self.vectors))
 
     def to_json_dict(self) -> dict:
         d = {"g": self.g, "h": self.h,
@@ -188,7 +179,8 @@ class SurfaceClass:
         return d
 
 
-AffineSurfaceClass = SurfaceClass  # the old name of a class with translations
+# the old name of a class with translations, which perfbench still names
+AffineSurfaceClass = SurfaceClass
 
 
 def _free_product(u: Vector, v: Vector) -> Vector:
@@ -230,41 +222,10 @@ def _filling(h: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(terms)
 
 
-@dataclass(frozen=True)
-class BarTwoCycle:
-    """Formal integer combination of bar-complex 2-chains [x_i | x_j].
-
-    ``index_terms`` are (i, j, coeff) into ``elements``, a class's values on
-    the genus-h table: matrices, or (translation, matrix) pairs.
-    """
-
-    index_terms: tuple[tuple[int, int, int], ...]
-    elements: tuple
-
-    @property
-    def terms(self) -> tuple[tuple[object, object, int], ...]:
-        el = self.elements
-        return tuple((el[i], el[j], c) for i, j, c in self.index_terms)
-
-    @property
-    def size(self) -> int:
-        return sum(abs(c) for _, _, c in self.index_terms)
-
-    def boundary_is_zero(self) -> bool:
-        """The bar boundary is the image of its value on the table's words,
-        [e] - [relator] for a filling, which is 0 if the relator closes."""
-        el = self.elements
-        return (_fills_relator(len(el) // 8, self.index_terms)
-                and el[-2] == el[-1])
-
-
-def surface_two_cycle(cls: SurfaceClass) -> BarTwoCycle:
-    """Canonical bar 2-cycle filling the surface relator of a class, on
-    the elements the class kept from walking its relator: no products."""
-    el = cls.letters + cls.prefixes + (IntMatrix.identity(2 * cls.g),)
-    if cls.translations is not None:
-        el = tuple(zip(cls.moves + cls.shifts + ((0,) * 2 * cls.g,), el))
-    return BarTwoCycle(_filling(cls.h), el)
+def surface_two_cycle(cls: SurfaceClass) -> tuple[tuple[int, int, int], ...]:
+    """Canonical bar 2-cycle filling the surface relator of a class, as
+    (i, j, coeff) over its table: the chain sum coeff [table[i] | table[j]]."""
+    return _filling(cls.h)
 
 
 def meyer_tau(a: IntMatrix, b: IntMatrix, g: int) -> int:
@@ -365,23 +326,26 @@ def signature_of_class(cls: SurfaceClass) -> int:
     the 2-cycle is a product of holonomies and their inverses, so the terms
     go to the unchecked evaluator.  Translations play no part.
     """
-    cycle = surface_two_cycle(cls.matrix_class())
-    return sum(c * _tau(a, b, cls.g) for a, b, c in cycle.terms)
+    t = cls.table
+    return sum(c * _tau(t[i], t[j], cls.g)
+               for i, j, c in surface_two_cycle(cls))
 
 
 def chi2_of_class(cls: SurfaceClass) -> int:
     """Cup square of the translation cocycle against the symplectic form.
 
-    Evaluates sum(coeff * lambda(u(a), rho(a) u(b))) over the canonical
-    2-cycle, with u the crossed homomorphism of the class's translations.
+    Evaluates sum(coeff * lambda(u[i], t[i] u[j])) over the canonical
+    2-cycle, with t the class's table and u its vectors, the values of the
+    crossed homomorphism of its translations.
     """
     if cls.translations is None:
         raise ValueError("chi^2 needs a class with translation data")
     j = j_matrix(cls.g, -1)
+    t, u = cls.table, cls.vectors
     total = 0
-    for (va, ma), (vb, _), c in surface_two_cycle(cls).terms:
-        rho_ub = ma.mult_vec(list(vb))
-        total += c * sum(x * y for x, y in zip(va, j.mult_vec(rho_ub)))
+    for i, k, c in surface_two_cycle(cls):
+        ju = j.mult_vec(t[i].mult_vec(u[k]))
+        total += c * sum(x * y for x, y in zip(u[i], ju))
     return total
 
 

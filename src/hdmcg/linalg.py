@@ -152,12 +152,6 @@ class IntMatrix:
         return IntMatrix._of(tuple(tuple(a % m for a in r) for r in self.data),
                              self.cols)
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.data)
-
-    def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
-
     def mult_vec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")

@@ -43,12 +43,23 @@ class UnsupportedDimension(ValueError):
     """Raised when a computation needs data outside the built-in tables."""
 
 
-# Largest sphere degree 2n+1 that theta_data takes.  bp_order's Bernoulli
-# recurrence runs quadratically many steps on growing Fractions: a cold
-# theta_data took 8 ms at degree 91, 59 ms at 255 and 138 ms at 403 on a
-# 2-core x86-64 host, and the growth steepens past that.  Coker J is known
-# only to stem 90, so no real coker-J data lies past this bound.
+# Largest sphere degree that theta_data (2n+1) and bernoulli (4k-1, and so
+# bp_order) take.  The Bernoulli recurrence runs quadratically many steps on
+# growing Fractions: a cold theta_data took 8 ms at degree 91, 59 ms at 255
+# and 138 ms at 403 on a 2-core x86-64 host, and the growth steepens past
+# that.  Coker J is known only to stem 90, so no real coker-J data lies past
+# this bound.
 MAX_SPHERE_DEGREE = 255
+
+
+def _check_degree(name: str, degree: int, largest: str) -> None:
+    """Refuse a sphere degree past MAX_SPHERE_DEGREE, in one line, before
+    any Bernoulli number is formed."""
+    if degree > MAX_SPHERE_DEGREE:
+        raise UnsupportedDimension(
+            f"sphere degree {name} = {degree} is past the limit "
+            f"{MAX_SPHERE_DEGREE} ({largest}); coker J is known only to "
+            f"stem 90")
 
 
 _bernoulli_cache: list[Fraction] = [Fraction(1)]
@@ -67,6 +78,8 @@ def bernoulli(k: int) -> Fraction:
     """|B_{2k}| as an exact rational (topologist convention)."""
     if k < 1:
         raise ValueError("index must be >= 1")
+    _check_degree("4k-1", 4 * k - 1,
+                  f"k <= {(MAX_SPHERE_DEGREE + 1) // 4}")
     return abs(_bernoulli_classical(2 * k))
 
 
@@ -81,7 +94,7 @@ def bp_order(dim: int) -> int:
 
     The formula is validated once against the paper's values
     28, 992, 8128, 261632 (``reference.BP_ORDER``); a mismatch aborts every
-    caller.
+    caller.  ``bernoulli`` refuses a degree dim - 1 past MAX_SPHERE_DEGREE.
     """
     global _bp_validated
     if dim % 4 or dim < 8:
@@ -220,11 +233,7 @@ def theta_data(n: int, sigma_q_order: int | None = None,
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
-    if 2 * n + 1 > MAX_SPHERE_DEGREE:
-        raise UnsupportedDimension(
-            f"sphere degree 2n+1 = {2 * n + 1} is past the limit "
-            f"{MAX_SPHERE_DEGREE} (n <= {MAX_SPHERE_DEGREE // 2}); coker J "
-            f"is known only to stem 90")
+    _check_degree("2n+1", 2 * n + 1, f"n <= {MAX_SPHERE_DEGREE // 2}")
     if sigma_q_order is not None and json_int(sigma_q_order,
                                               "sigma_q_order") < 1:
         raise ValueError("sigma_q_order must be >= 1")

@@ -133,7 +133,7 @@ def test_json_round_trip():
     g = FinAbGroup(2, (2, 4))
     blob = json.dumps(g.to_json_dict(), sort_keys=True)
     assert blob == '{"rank": 2, "torsion": [2, 4]}'
-    assert FinAbGroup.from_json_dict(json.loads(blob)) == g
+    assert FinAbGroup(**json.loads(blob)) == g
 
 
 def pairwise_chain(factors):
@@ -176,9 +176,9 @@ def test_chain_normalisation_refuses_nonpositive_orders():
     (FinAbGroup, ("1", ())),
     (FinAbGroup.of, (0, [2.9, 4])),
     (FinAbGroup.of, (0, ["4"])),
-    (FinAbGroup.from_json_dict, ({"rank": 0, "torsion": [2.7]},)),
-    (FinAbGroup.from_json_dict, ({"rank": 1.0, "torsion": []},)),
-    (FinAbGroup.from_json_dict, ({"rank": 0, "torsion": ["2"]},)),
+    (FinAbGroup, (0, [2.7])),
+    (FinAbGroup, (1.0, [])),
+    (FinAbGroup, (0, ["2"])),
 ], ids=lambda x: repr(x) if isinstance(x, tuple) else x.__name__)
 def test_non_integer_rank_or_torsion_is_refused(build, args):
     with pytest.raises(ValueError, match="must be an integer"):

@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from hdmcg.abgroups import FinAbGroup, direct_sum
-from hdmcg.cocycles import (AffineSurfaceClass, chi2_of_class,
+from hdmcg.cocycles import (SurfaceClass, chi2_of_class,
                             random_affine_class, random_surface_class,
                             random_symplectic, signature_of_class, meyer_tau)
 from hdmcg.cohomology import coinvariants, h1
@@ -224,7 +224,7 @@ def test_criterion_08_cocycle_properties():
 def test_criterion_09_chi2():
     rng = random.Random(1)
     ident = IntMatrix.identity(2)
-    torus = AffineSurfaceClass(1, ((ident, ident),), (((1, 0), (0, 1)),))
+    torus = SurfaceClass(1, ((ident, ident),), (((1, 0), (0, 1)),))
     ok = abs(chi2_of_class(torus)) == 2
     gens = standard_generators(GroupFamily.SP, 2)
     for i in range(100):

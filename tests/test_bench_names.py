@@ -1,12 +1,16 @@
-"""The package names the benchmark's tracer patches still exist.
+"""The package API the benchmark calls still exists and still answers.
 
 ``perfbench/layers.py`` wraps functions and patches methods of ``hdmcg``
-by name, so deleting or renaming one of them crashes a traced run.  The
-file is read with ``ast`` here, neither imported nor edited.
+by name, so deleting or renaming one of them crashes a traced run.  That
+file is read with ``ast`` here, neither imported nor edited.  The calls
+the workloads make (``scaled_translations``, ``conjugated``, ...) are
+checked by running one round of each in-process workload of
+``perfbench/workloads.py``, imported without writing bytecode.
 """
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,3 +70,28 @@ def test_every_patched_name_resolves():
             ("hdmcg.mcg", "coinvariants_closed.cache_info")} <= names
     for module, path in sorted(names):
         _resolve(module, path)
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """``perfbench/workloads.py``, imported from its directory; the
+    benchmark's own modules leave ``sys.modules`` afterwards."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(LAYERS.parent))
+    yield importlib.import_module("workloads")
+    for name, mod in list(sys.modules.items()):
+        if Path(getattr(mod, "__file__", None) or "/").parent == LAYERS.parent:
+            del sys.modules[name]
+
+
+@pytest.mark.parametrize("name", ["CocycleSweep", "InvariantQueries"])
+def test_one_workload_round_passes_its_own_checks(workloads, name):
+    workload = getattr(workloads, name)(str(LAYERS.parents[1]), 401)
+    workload.setup()
+    for op in workload.make_round():
+        try:
+            result, raised = op.fn(), False
+        except Exception as exc:  # the op's check judges a raise
+            result, raised = exc, True
+        status, answer = op.check(result, raised)
+        assert status == "ok", (op.kind, answer)

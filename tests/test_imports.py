@@ -77,8 +77,7 @@ def test_verify_spheres_skips_the_cocycle_path():
 
 
 ALL_NAMES = [
-    "AffineSurfaceClass", "AlmostClosedInvariants", "BarTwoCycle",
-    "FinAbGroup", "GModule", "GroupElement", "GroupFamily", "IntMatrix",
+    "AlmostClosedInvariants", "FinAbGroup", "GModule", "GroupElement", "GroupFamily", "IntMatrix",
     "MCGParams", "MCGReport", "Presentation", "SNFResult", "SphereData",
     "SurfaceClass", "abelianization", "abgroups", "bernoulli",
     "boundary_of_plumbing", "bp_order", "chi2_of_class", "cocycles",

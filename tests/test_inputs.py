@@ -93,17 +93,12 @@ def test_malformed_file_is_one_line_naming_the_file(tmp_path, capsys, source,
 
 STUB = {31: FinAbGroup.cyclic(2)}
 CALL_CASES = {
-    "group-true": (FinAbGroup.from_json_dict, {"rank": True, "torsion": []},
+    "group-true": (lambda x: FinAbGroup(x, ()), True,
                    "rank must be an integer"),
-    "group-float": (FinAbGroup.from_json_dict, {"rank": 0, "torsion": [2.0]},
+    "group-float": (lambda x: FinAbGroup(0, (x,)), 2.0,
                     "torsion factor must be an integer"),
-    "group-string": (FinAbGroup.from_json_dict, {"rank": "2", "torsion": []},
+    "group-string": (lambda x: FinAbGroup(x, ()), "2",
                      "rank must be an integer"),
-    "group-missing-key": (FinAbGroup.from_json_dict, {"rank": 0},
-                          "'torsion' list"),
-    "group-non-list": (FinAbGroup.from_json_dict, {"rank": 0, "torsion": 2},
-                       "'torsion' list"),
-    "group-non-object": (FinAbGroup.from_json_dict, [0, [2]], "'rank'"),
 }
 for name, bad in (("true", True), ("float", 2.0), ("string", "2")):
     CALL_CASES[f"sigma-q-order-{name}"] = (
@@ -158,8 +153,7 @@ JSON_VALUES = st.recursive(
 def test_any_json_value_is_a_value_or_one_line(value):
     """Both loaders' parsers, on any JSON value, return or raise one
     ValueError line; no other exception gets through."""
-    for parse in (class_from_json_dict, _coker_j_entries,
-                  FinAbGroup.from_json_dict):
+    for parse in (class_from_json_dict, _coker_j_entries):
         try:
             parse(value)
         except ValueError as exc:

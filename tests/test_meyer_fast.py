@@ -14,10 +14,10 @@ from operator import matmul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdmcg.cocycles import (AffineSurfaceClass, _kernel_columns, _meyer_form,
-                            _tau, meyer_tau, random_affine_class,
-                            random_surface_class, random_symplectic,
-                            signature_of_class, surface_two_cycle)
+from hdmcg.cocycles import (_kernel_columns, _meyer_form, _tau, meyer_tau,
+                            random_affine_class, random_surface_class,
+                            random_symplectic, signature_of_class,
+                            surface_two_cycle)
 from hdmcg.linalg import (IntMatrix, exact_signature, hstack, kernel_basis,
                           snf)
 from hdmcg.symplectic import (GroupFamily, is_member, j_matrix, sp_inverse,
@@ -58,7 +58,7 @@ def reference_tau(a: IntMatrix, b: IntMatrix, g: int) -> int:
     ident = IntMatrix.identity(n)
     v = kernel_basis(hstack(old_sp_inverse(a, g) - ident, b - ident))
     jib = j_matrix(g, -1) @ (ident - b)
-    cols = v.columns()
+    cols = list(zip(*v.data))
     # beta(u1, u2) = (x1 + y1)^T . J(1 - B) . y2
     z = [[u[i] + u[n + i] for i in range(n)] for u in cols]
     w = [jib.mult_vec(u[n:]) for u in cols]
@@ -210,8 +210,9 @@ def test_class_signature_matches_reference_sum():
         gens = standard_generators(GroupFamily.SP, g)
         for h in (1, 2, 3):
             cls = random_surface_class(g, h, rng, gens)
-            want = sum(c * reference_tau(a, b, g)
-                       for a, b, c in surface_two_cycle(cls).terms)
+            t = cls.table
+            want = sum(c * reference_tau(t[i], t[j], g)
+                       for i, j, c in surface_two_cycle(cls))
             assert signature_of_class(cls) == want
 
 
@@ -334,12 +335,12 @@ def test_rational_kernel(m):
     assert rows == m.to_lists()  # the rows themselves are not changed
     k = IntMatrix.from_columns(cols, rows=m.cols)
     assert k.rows == m.cols
-    for v in k.columns():
+    for v in zip(*k.data):
         assert not any(m.mult_vec(v))
     rank = sum(1 for d in snf(m).diagonal() if d)
     assert k.cols == m.cols - rank
     assert sum(1 for d in snf(k).diagonal() if d) == k.cols  # independent
-    assert all(gcd(*v) == 1 for v in k.columns())  # primitive
+    assert all(gcd(*v) == 1 for v in zip(*k.data))  # primitive
 
 
 def test_sp_inverse_is_the_old_formula():
@@ -379,7 +380,7 @@ def test_is_member_matches_the_product_definition():
         in_sp = a.transpose() @ j @ a == j
         in_spq = in_sp and all(
             sum(c[k] * c[g + k] for k in range(g)) % 2 == 0
-            for c in a.columns())
+            for c in zip(*a.data))
         assert is_member(GroupFamily.SP, a, g) == in_sp, a
         assert is_member(GroupFamily.SPQ, a, g) == in_spq, a
         seen[in_sp] += 1
@@ -425,29 +426,26 @@ def _terms_from_pairs(g, pairs, translations=None):
     return tuple(terms)
 
 
+def _terms_on_table(cls, affine):
+    """The 2-cycle's chains [x | y] read off the class's table: matrices,
+    or (vector, matrix) pairs."""
+    el = tuple(zip(cls.vectors, cls.table)) if affine else cls.table
+    return tuple((el[i], el[j], c) for i, j, c in surface_two_cycle(cls))
+
+
 def test_two_cycle_terms_come_from_the_pairs():
     rng = random.Random(12)
     for g in (1, 2, 3):
         gens = standard_generators(GroupFamily.SP, g)
         for h in (1, 2, 3, 5):
             cls = random_surface_class(g, h, rng, gens)
-            assert surface_two_cycle(cls).terms == _terms_from_pairs(g,
-                                                                     cls.pairs)
+            assert _terms_on_table(cls, False) == _terms_from_pairs(g,
+                                                                    cls.pairs)
             aff = random_affine_class(g, h, rng, gens)
-            assert surface_two_cycle(aff).terms == _terms_from_pairs(
+            assert _terms_on_table(aff, True) == _terms_from_pairs(
                 g, aff.pairs, aff.translations)
-            assert surface_two_cycle(aff.matrix_class()).terms == \
-                _terms_from_pairs(g, aff.pairs)
-
-
-def test_affine_class_keeps_its_validated_matrix_class():
-    rng = random.Random(13)
-    gens = standard_generators(GroupFamily.SP, 2)
-    aff = random_affine_class(2, 3, rng, gens)
-    assert aff.matrix_class() is aff.matrix_class()
-    assert aff.matrix_class() == type(aff.matrix_class())(2, aff.pairs)
-    again = AffineSurfaceClass(2, aff.pairs, aff.translations)
-    assert again == aff and hash(again) == hash(aff)
+            assert _terms_on_table(aff, False) == _terms_from_pairs(g,
+                                                                    aff.pairs)
 
 
 def test_memoised_constants_are_shared_and_checks_still_raise():

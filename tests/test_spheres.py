@@ -47,6 +47,23 @@ def test_bp_orders():
         bp_order(4)
 
 
+@pytest.mark.parametrize("call, arg", [(bp_order, 260), (bernoulli, 65)],
+                         ids=["bp_order", "bernoulli"])
+def test_bernoulli_recurrence_is_bounded_at_every_entry(call, arg):
+    """bernoulli refuses a degree 4k-1 past ``MAX_SPHERE_DEGREE`` = 255, and
+    so bp_order does, in one line and before the recurrence grows its
+    cache; degree 255 itself still answers."""
+    from hdmcg import spheres
+
+    assert bp_order(256) % 2 ** 126 == 0  # 2^(2k-2) divides it, k = 64
+    size = len(spheres._bernoulli_cache)
+    with pytest.raises(UnsupportedDimension) as exc:
+        call(arg)
+    assert str(exc.value) == ("sphere degree 4k-1 = 259 is past the limit 255 "
+                              "(k <= 64); coker J is known only to stem 90")
+    assert len(spheres._bernoulli_cache) == size
+
+
 def test_coker_j_builtin_and_error():
     assert coker_j(7).is_trivial
     assert coker_j(15) == FinAbGroup.cyclic(2)
