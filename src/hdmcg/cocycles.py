@@ -33,13 +33,19 @@ if B = A^{-1} then x + y is fixed by A on V, and A-invariance of J gives
 Each remaining term costs one inverse, one pass over int lists and one
 signature.  A^{-1} serves both the B = A^{-1} test and the rows
 [A^{-1} - 1 | B - 1]; their elimination, the kernel columns, w over the
-nonzero y_k and the Gram matrix of beta stay int lists, and only the Gram
-becomes an ``IntMatrix``, for ``exact_signature`` (in four rounds of the
-benchmark's cocycle sweep, 1,848 of 4,056 terms get this far, at about
-0.1 ms each at its reference host speed).  A class walks its relator word
-once, on construction, and keeps one table: the letters, the prefix
-products and the identity (and, with translations, the matching vectors:
-the letter moves, the prefix shifts and 0).  The canonical 2-cycle is a
+nonzero y_k and the Gram matrix of beta stay int lists.  The Gram is taken
+on V modulo the kernel columns in its radical, those with w = 0: every
+free x column, and y in Fix B.  Dropping them is exact, because A- and
+B-invariance of J make Fix A orthogonal to Im(1 - A^{-1}) and Fix B to
+Im(B - 1), so their rows vanish as well as their columns; those rows are
+still computed and checked, so the symmetry check covers all of V.  Only
+the reduced Gram becomes an ``IntMatrix``, for ``exact_signature`` (in
+four rounds of the benchmark's cocycle sweep, 1,848 of 4,056 terms get this
+far, and the mean dimension of their Gram matrices is 3.50, where it was
+5.75 on all of V).  A class walks its relator word once, on construction,
+and keeps one table: the letters, the prefix products and the identity
+(and, with translations, the matching vectors: the letter moves, the
+prefix shifts and 0).  The canonical 2-cycle is a
 list of (i, j, coeff) over indices into that table; it depends only on h,
 so it is built, and its boundary checked on free-group words, once per h.
 Both pairings read the table through it, and neither forms a product.
@@ -49,9 +55,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import gcd, lcm
-from operator import add, matmul, mul
+from operator import add, matmul, mul, neg
 from typing import Sequence
 
 from .cases import divided
@@ -83,8 +89,8 @@ def _walk(g: int, pairs, translations) -> tuple:
         return table, None
     moves: list[Vector] = []
     for (v, w), ainv, binv in zip(translations, letters[2::4], letters[3::4]):
-        moves += [v, w, tuple(-t for t in ainv.mult_vec(v)),
-                  tuple(-t for t in binv.mult_vec(w))]
+        moves += [v, w, tuple(map(neg, ainv.mult_vec(v))),
+                  tuple(map(neg, binv.mult_vec(w)))]
     shifts = [moves[0]]
     for p, u in zip(prefixes, moves[1:]):
         shifts.append(tuple(map(add, shifts[-1], p.mult_vec(u))))
@@ -279,10 +285,20 @@ def _kernel_columns(a: list[list[int]], nc: int) -> list[list[int]]:
 
 
 def _meyer_form(ainv: IntMatrix, b: IntMatrix, g: int) -> IntMatrix:
-    """Matrix of beta on a rational basis of V = ker [A^-1 - 1 | B - 1], in
-    one pass over int lists: the rows, their kernel columns (x, y), then
-    (B - 1) y = -w over the nonzero y_k only (one, when every pivot falls in
-    the x block), and beta(u_i, u_j) = (x_i + y_i) . J w_j, J w = (w_f, -w_e).
+    """Matrix of beta on V = ker [A^-1 - 1 | B - 1] modulo the kernel
+    columns that lie in its radical, in one pass over int lists: the rows,
+    their kernel columns (x, y), then (B - 1) y = -w over the nonzero y_k
+    only, and beta(u_i, u_j) = (x_i + y_i) . J w_j, J w = (w_f, -w_e).
+
+    A column with w = 0 (every free x column, and y in Fix B) is a zero
+    column of the Gram matrix, so it is dropped.  Its row is zero too when
+    A and B are symplectic: such a column has x in Fix A and y in Fix B,
+    and A-invariance of J makes Fix A orthogonal to Im(1 - A^-1), and
+    Fix B to Im(B - 1), while (B - 1) y_j = (1 - A^-1) x_j for every j.
+    The full Gram is then the kept block plus zero rows and columns, with
+    the same signature.  Each dropped row is still computed: a nonzero one
+    is kept, after the rest and against a zero column, so the form is
+    asymmetric exactly when beta is asymmetric on all of V.
     """
     n = 2 * g
     rows = [[*ra, *rb] for ra, rb in zip(ainv.data, b.data)]
@@ -298,8 +314,18 @@ def _meyer_form(ainv: IntMatrix, b: IntMatrix, g: int) -> IntMatrix:
             if c:
                 u = [t + c * r[k] for t, r in zip(u, rows)]
         jw.append([-t for t in u[g:]] + u[:g])
-    return IntMatrix._of(tuple(tuple([sum(map(mul, z, t)) for t in jw])
-                               for z in zs), len(zs))
+    flags = list(map(any, jw))
+    live = list(compress(jw, flags))
+    kept, stray = [], []
+    for z, f in zip(zs, flags):
+        r = tuple([sum(map(mul, z, t)) for t in live])
+        if f:
+            kept.append(r)
+        elif any(r):
+            stray = [r]
+    if stray:  # asymmetric on V: one nonzero dropped row, zero column
+        kept = [r + (0,) for r in kept + stray]
+    return IntMatrix._of(tuple(kept), len(kept))
 
 
 def _tau(a: IntMatrix, b: IntMatrix, g: int) -> int:
@@ -314,7 +340,8 @@ def _tau(a: IntMatrix, b: IntMatrix, g: int) -> int:
 
 
 def beta_is_symmetric_on_kernel(a: IntMatrix, b: IntMatrix, g: int) -> bool:
-    """Convention self-check: the Meyer form restricted to V is symmetric."""
+    """Convention self-check: the Meyer form restricted to all of V is
+    symmetric (the dropped radical rows included, see ``_meyer_form``)."""
     form = _meyer_form(sp_inverse(a, g), b, g)
     return form - form.transpose() == IntMatrix.zeros(form.rows, form.cols)
 
@@ -345,7 +372,7 @@ def chi2_of_class(cls: SurfaceClass) -> int:
     total = 0
     for i, k, c in surface_two_cycle(cls):
         ju = j.mult_vec(t[i].mult_vec(u[k]))
-        total += c * sum(x * y for x, y in zip(u[i], ju))
+        total += c * sum(map(mul, u[i], ju))
     return total
 
 

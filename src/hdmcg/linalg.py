@@ -41,7 +41,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Iterable[Iterable[int]], cols: int | None = None):
-        self.data = tuple(tuple(int(x) for x in row) for row in data)
+        self.data = tuple([tuple(map(int, row)) for row in data])
         self.rows = len(self.data)
         if self.rows:
             widths = {len(r) for r in self.data}
@@ -116,8 +116,8 @@ class IntMatrix:
         if self.cols == 0:
             return IntMatrix.zeros(self.rows, other.cols)
         ot = tuple(zip(*other.data))
-        return IntMatrix._of(tuple(tuple(sum(map(mul, row, col)) for col in ot)
-                                   for row in self.data), other.cols)
+        return IntMatrix._of(tuple([tuple([sum(map(mul, r, c)) for c in ot])
+                                    for r in self.data]), other.cols)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
@@ -155,7 +155,7 @@ class IntMatrix:
     def mult_vec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * x for a, x in zip(row, v)) for row in self.data)
+        return tuple([sum(map(mul, row, v)) for row in self.data])
 
     @property
     def is_square(self) -> bool:

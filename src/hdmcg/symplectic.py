@@ -66,7 +66,7 @@ def is_member(family: GroupFamily, a: IntMatrix, g: int) -> bool:
         j = j_matrix(g, 1)
         return a.transpose() @ j @ a == j
     cols = tuple(zip(*a.data))
-    jcols = [c[g:] + tuple(-x for x in c[:g]) for c in cols]
+    jcols = [c[g:] + tuple(map(neg, c[:g])) for c in cols]
     for i in range(n - 1):
         ci = cols[i]
         partner = i + g
@@ -91,9 +91,9 @@ def sp_inverse(a: IntMatrix, g: int) -> IntMatrix:
     if a.rows != n or a.cols != n:
         raise ValueError(f"matrix must be {n}x{n}")
     t = tuple(zip(*a.data))  # A^T = [[a^T, c^T], [b^T, d^T]]
-    top = tuple(r[g:] + tuple(map(neg, r[:g])) for r in t[g:])
-    bottom = tuple(tuple(map(neg, r[g:])) + r[:g] for r in t[:g])
-    return IntMatrix._of(top + bottom, n)
+    top = [r[g:] + tuple(map(neg, r[:g])) for r in t[g:]]
+    bottom = [tuple(map(neg, r[g:])) + r[:g] for r in t[:g]]
+    return IntMatrix._of(tuple(top + bottom), n)
 
 
 def _embed_2x2(m2: list[list[int]], g: int, block: int = 0) -> IntMatrix:

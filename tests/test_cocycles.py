@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hdmcg.cocycles import (SurfaceClass, _fills_relator,
+from hdmcg.cocycles import (SurfaceClass, _fills_relator, _tau,
                             beta_is_symmetric_on_kernel, chi2_of_class,
                             class_from_json_dict, divided_eval, load_class_file,
                             meyer_tau, random_affine_class,
@@ -86,6 +86,17 @@ def test_meyer_form_symmetric_on_kernel():
         a = random_symplectic(2, rng, SP2)
         b = random_symplectic(2, rng, SP2)
         assert beta_is_symmetric_on_kernel(a, b, 2)
+
+
+def test_meyer_form_asymmetric_on_the_radical_only():
+    """A non-symplectic B = diag(1, 0) fixes e_1, so u_1 = (0, e_1) spans a
+    kernel column with w = 0; yet beta(u_1, u_2) = 1 for u_2 = (x, e_2),
+    while beta(u_2, u_1) = 0.  The check on all of V reports it."""
+    a = IntMatrix([[2, 1], [-1, 1]])
+    b = IntMatrix([[1, 0], [0, 0]])
+    assert not beta_is_symmetric_on_kernel(a, b, 1)
+    with pytest.raises(ValueError, match="symmetric"):
+        _tau(a, b, 1)
 
 
 def test_commuting_torus_classes_vanish():

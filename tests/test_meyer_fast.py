@@ -53,17 +53,36 @@ def old_sp_inverse(a: IntMatrix, g: int) -> IntMatrix:
     return -j @ a.transpose() @ j
 
 
-def reference_tau(a: IntMatrix, b: IntMatrix, g: int) -> int:
+def meyer_rows(a: IntMatrix, b: IntMatrix, g: int) -> IntMatrix:
+    """[A^-1 - 1 | B - 1], with A^-1 by the product formula."""
+    ident = IntMatrix.identity(2 * g)
+    return hstack(old_sp_inverse(a, g) - ident, b - ident)
+
+
+def gram_on(cols, b: IntMatrix, g: int) -> tuple[list, list]:
+    """The Gram matrix of beta(u1, u2) = (x1 + y1)^T . J(1 - B) . y2 on the
+    kernel vectors ``cols``, and each one's J(1 - B) y."""
     n = 2 * g
-    ident = IntMatrix.identity(n)
-    v = kernel_basis(hstack(old_sp_inverse(a, g) - ident, b - ident))
-    jib = j_matrix(g, -1) @ (ident - b)
-    cols = list(zip(*v.data))
-    # beta(u1, u2) = (x1 + y1)^T . J(1 - B) . y2
+    jib = j_matrix(g, -1) @ (IntMatrix.identity(n) - b)
     z = [[u[i] + u[n + i] for i in range(n)] for u in cols]
     w = [jib.mult_vec(u[n:]) for u in cols]
-    beta = [[sum(p * q for p, q in zip(zi, wj)) for wj in w] for zi in z]
-    k = len(cols)
+    return [[sum(p * q for p, q in zip(zi, wj)) for wj in w] for zi in z], w
+
+
+def reference_gram(a: IntMatrix, b: IntMatrix, g: int) -> list[list[int]]:
+    """beta on all of V, over an integral kernel basis from the Smith form;
+    not symmetrised, so it is asymmetric wherever beta is."""
+    cols = list(zip(*kernel_basis(meyer_rows(a, b, g)).data))
+    return gram_on(cols, b, g)[0]
+
+
+def is_symmetric(m) -> bool:
+    return all(m[i][j] == m[j][i] for i in range(len(m)) for j in range(i))
+
+
+def reference_tau(a: IntMatrix, b: IntMatrix, g: int) -> int:
+    beta = reference_gram(a, b, g)
+    k = len(beta)
     return fraction_signature([[beta[i][j] + beta[j][i] for j in range(k)]
                                for i in range(k)])
 
@@ -189,11 +208,16 @@ def degenerate_sample() -> tuple:
 
 
 def test_degenerate_meyer_terms():
-    """Terms whose form has dimension > 2g, against both oracles."""
+    """Terms with dim V > 2g, against both oracles.  The form drops only
+    kernel columns in the radical, which lie in ker(A - 1) + ker(B - 1)."""
     degenerate, nonzero, genera = 0, 0, set()
     for a, b, g in degenerate_sample():
-        dim = _meyer_form(sp_inverse(a, g), b, g).rows
+        dim = kernel_basis(meyer_rows(a, b, g)).cols
         assert dim >= 2 * g
+        ident = IntMatrix.identity(2 * g)
+        fixed = kernel_basis(a - ident).cols + kernel_basis(b - ident).cols
+        form = _meyer_form(sp_inverse(a, g), b, g)
+        assert dim - fixed <= form.rows <= dim, (g, a, b)
         want = reference_tau(a, b, g)
         assert _tau(a, b, g) == want == kashiwara_tau(a, b, g), (g, a, b)
         if dim > 2 * g:
@@ -317,9 +341,52 @@ def test_signature_matches_the_descartes_oracle(m):
 
 
 def test_degenerate_forms_match_the_descartes_oracle():
+    """On the full-V Gram, so the degenerate zero rows reach the signature."""
     for a, b, g in degenerate_sample():
-        form = _meyer_form(sp_inverse(a, g), b, g)
-        assert exact_signature(form) == descartes_signature(form.data)
+        beta = reference_gram(a, b, g)
+        form = IntMatrix(beta, cols=len(beta))
+        assert exact_signature(form) == descartes_signature(beta)
+
+
+def near_identity(rng, g: int) -> IntMatrix:
+    """1 + u v^T for random u, v in {-1, 0, 1}^2g, with one entry moved
+    half the time: seldom symplectic, and with large fixed spaces."""
+    n = 2 * g
+    u = [rng.randint(-1, 1) for _ in range(n)]
+    v = [rng.randint(-1, 1) for _ in range(n)]
+    rows = [[int(i == j) + u[i] * v[j] for j in range(n)] for i in range(n)]
+    if rng.random() < 0.5:
+        rows[rng.randrange(n)][rng.randrange(n)] += rng.choice((-1, 1))
+    return IntMatrix(rows)
+
+
+def test_tau_keeps_the_symmetry_check_on_all_of_v():
+    """Past meyer_tau's validation, on non-symplectic pairs, _tau raises
+    exactly when beta is asymmetric on all of V, and otherwise gives the
+    signature of the full-V Gram.  Some of these pairs are symmetric on the
+    kernel columns with w != 0, so only the dropped radical rows show it."""
+    rng = random.Random(2028)
+    agreed = asymmetric = radical_only = 0
+    for i in range(4000):
+        g = 1 + i % 2
+        a, b = near_identity(rng, g), near_identity(rng, g)
+        if IntMatrix.identity(2 * g) in (a, b) or b == sp_inverse(a, g):
+            continue  # skipped before any form is built
+        beta = reference_gram(a, b, g)
+        if is_symmetric(beta):
+            agreed += 1
+            assert _tau(a, b, g) == fraction_signature(beta), (g, a, b)
+            continue
+        asymmetric += 1
+        with pytest.raises(ValueError, match="symmetric"):
+            _tau(a, b, g)
+        cols = _kernel_columns(meyer_rows(a, b, g).to_lists(), 4 * g)
+        gram, w = gram_on(cols, b, g)
+        live = [k for k, t in enumerate(w) if any(t)]
+        radical_only += is_symmetric([[gram[p][q] for q in live]
+                                      for p in live])
+    assert agreed >= 2000 and asymmetric >= 800, (agreed, asymmetric)
+    assert radical_only >= 500, radical_only
 
 
 @settings(max_examples=100, deadline=None)
