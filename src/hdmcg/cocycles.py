@@ -451,8 +451,7 @@ def sp_power(a: IntMatrix, k: int, g: int) -> IntMatrix:
 
 
 def random_surface_class(g: int, h: int, rng,
-                         generators: Sequence[IntMatrix],
-                         max_length: int = 5) -> SurfaceClass:
+                         generators: Sequence[IntMatrix]) -> SurfaceClass:
     """Random valid class built from seeds with identically trivial relator.
 
     Blocks of genus 2 use the pair-and-swapped-pair seed ((A,B),(B,A)),
@@ -463,9 +462,9 @@ def random_surface_class(g: int, h: int, rng,
     pairs: list[tuple[IntMatrix, IntMatrix]] = []
     remaining = h
     while remaining:
-        a = random_symplectic(g, rng, generators, max_length)
+        a = random_symplectic(g, rng, generators, 5)
         if remaining >= 2 and rng.random() < 0.7:
-            b = random_symplectic(g, rng, generators, max_length)
+            b = random_symplectic(g, rng, generators, 5)
             pairs += [(a, b), (b, a)]
             remaining -= 2
         else:
@@ -473,26 +472,24 @@ def random_surface_class(g: int, h: int, rng,
             remaining -= 1
     cls = SurfaceClass(g, tuple(pairs))
     if rng.random() < 0.5:
-        cls = cls.conjugated(random_symplectic(g, rng, generators, max_length))
+        cls = cls.conjugated(random_symplectic(g, rng, generators, 5))
     return cls
 
 
 def random_affine_class(g: int, h: int, rng,
-                        generators: Sequence[IntMatrix],
-                        span: int = 3, even_translations: bool = False
-                        ) -> SurfaceClass:
+                        generators: Sequence[IntMatrix]) -> SurfaceClass:
     """Random valid class with translations.
 
     Torus blocks (identity holonomies) admit arbitrary translations; other
     blocks get principal translations u(x) = (rho(x) - 1) m for a random m,
-    which satisfy any relator.  ``even_translations`` doubles everything,
-    staying in the index-2 lattice convention used for the n = 3, 7
-    functional.
+    which satisfy any relator.  Translation entries lie in [-3, 3]; for
+    the index-2 lattice convention of the n = 3, 7 functional, take
+    ``.scaled_translations(2)`` of the result.
     """
     n = 2 * g
 
     def rand_vec():
-        return tuple(rng.randint(-span, span) for _ in range(n))
+        return tuple(rng.randint(-3, 3) for _ in range(n))
 
     pairs: list[tuple[IntMatrix, IntMatrix]] = []
     translations: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
@@ -512,7 +509,4 @@ def random_affine_class(g: int, h: int, rng,
             pairs += [(a, b), (b, a)]
             translations += [(va, vb), (vb, va)]
             remaining -= 2
-    cls = SurfaceClass(g, tuple(pairs), tuple(translations))
-    if even_translations:
-        cls = cls.scaled_translations(2)
-    return cls
+    return SurfaceClass(g, tuple(pairs), tuple(translations))

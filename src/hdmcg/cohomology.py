@@ -2,12 +2,13 @@
 and (co)invariants of matrix-group actions.
 
 Coefficient rings are Z (modulus 0) and Z/m.  H^1 of a presented group
-with a module action is computed as Z^1/B^1, where Z^1 is the joint
-kernel of the Fox-derivative matrices of the relators and B^1 the image
-of m |-> ((rho(x_i) - 1) m).  Over Z/m both are taken as lattices in Z^n:
-Z^1 is the preimage lattice ``kernel_basis(F, m)`` and B^1 gains m Z^n,
-so every (co)homology group here is one ``linalg.subquotient`` of
-lattices, or one cokernel.
+with a module action is computed as Z^1/B^1, where Z^1 is the kernel of
+the stacked Fox rows of the relators and B^1 the image of
+m |-> ((rho(x_i) - 1) m).  One walk over a relator gives both its Fox row
+and its action, which ``h1`` checks is trivial.  Over Z/m both are taken
+as lattices in Z^n: Z^1 is the preimage lattice ``kernel_basis(F, m)`` and
+B^1 gains m Z^n, so every (co)homology group here is one
+``linalg.subquotient`` of lattices, or one cokernel.
 """
 
 from __future__ import annotations
@@ -69,30 +70,27 @@ class GModule:
             else self.inverses[-letter - 1]
         return self.reduce(a)
 
-    def word_action(self, word) -> IntMatrix:
-        m = IntMatrix.identity(self.dimension)
-        for letter in word:
-            m = self.reduce(m @ self.action(letter))
-        return m
 
+def fox_derivative(word, module: GModule) -> tuple[IntMatrix, IntMatrix]:
+    """The Fox row of a word through the module, and the word's action, from
+    one walk over its letters.
 
-def fox_derivative(word, generator_index: int, module: GModule) -> IntMatrix:
-    """Fox derivative of a word with respect to generator ``generator_index``
-    (1-based), evaluated through the module action.
-
-    Satisfies d(uv) = d(u) + rho(u) d(v), d(x)/dx = I and
-    d(x^-1)/dx = -rho(x^-1).
+    For a module of dimension d on k generators, returns ``(row, action)``:
+    ``row`` is the d x kd matrix [dw/dx_1 | ... | dw/dx_k] evaluated through
+    rho, and ``action`` is rho(w).  By d(uv) = d(u) + rho(u) d(v), a letter x_i after the prefix u
+    adds rho(u) to block i, and a letter x_i^-1 subtracts rho(u x_i^-1).
     """
-    d = module.dimension
-    total = IntMatrix.zeros(d, d)
-    prefix = IntMatrix.identity(d)
+    blocks = [IntMatrix.zeros(module.dimension, module.dimension)] \
+        * len(module.actions)
+    prefix = IntMatrix.identity(module.dimension)
     for letter in word:
-        if letter == generator_index:
-            total = total + prefix
-        elif letter == -generator_index:
-            total = total - module.reduce(prefix @ module.action(letter))
+        i = abs(letter) - 1
+        if letter > 0:
+            blocks[i] = blocks[i] + prefix
         prefix = module.reduce(prefix @ module.action(letter))
-    return module.reduce(total)
+        if letter < 0:
+            blocks[i] = blocks[i] - prefix
+    return hstack(*[module.reduce(b) for b in blocks]), prefix
 
 
 def abelianization(p: Presentation) -> FinAbGroup:
@@ -122,20 +120,15 @@ def h1(p: Presentation, module: GModule) -> FinAbGroup:
     """
     if len(module.actions) != p.num_generators:
         raise ValueError("one action matrix per generator is required")
-    d = module.dimension
+    d, k = module.dimension, p.num_generators
     ident = IntMatrix.identity(d)
+    rows = []
     for word in p.relators:
-        if module.word_action(word) != module.reduce(ident):
+        row, action = fox_derivative(word, module)
+        if action != module.reduce(ident):
             raise ValueError(f"action does not satisfy the relator {word}")
-    k = p.num_generators
-    if p.relators:
-        blocks = []
-        for word in p.relators:
-            row = [fox_derivative(word, i + 1, module) for i in range(k)]
-            blocks.append(hstack(*row))
-        f = vstack(*blocks)
-    else:
-        f = IntMatrix.zeros(0, k * d)
+        rows.append(row)
+    f = vstack(*rows) if rows else IntMatrix.zeros(0, k * d)
     principal = vstack(*[module.reduce(a - ident) for a in module.actions]) \
         if k else IntMatrix.zeros(0, d)
     return subquotient(kernel_basis(f, module.modulus),

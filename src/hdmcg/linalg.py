@@ -28,11 +28,11 @@ from .inputs import json_int
 class IntMatrix:
     """Immutable integer matrix, stored row-major as nested tuples.
 
-    Instances are hashable so they can serve as group elements in the
-    bar-complex chains of :mod:`hdmcg.cocycles`.  The public constructor,
-    ``from_columns`` and ``diagonal`` coerce every entry with ``int()``;
-    every other operation builds its result through ``_of``, and ``scaled``
-    and ``mod`` check their one scalar with ``json_int``.
+    Instances are hashable, so a frozen dataclass that holds them, such as
+    :class:`hdmcg.cocycles.SurfaceClass`, hashes its pairs.  The public
+    constructor, ``from_columns`` and ``diagonal`` coerce every entry with
+    ``int()``; every other operation builds its result through ``_of``, and
+    ``scaled`` and ``mod`` check their one scalar with ``json_int``.
     Immutability is load-bearing: ``identity`` and ``symplectic.j_matrix``
     hand out one shared instance per size, so no operation may ever write
     to ``data``.

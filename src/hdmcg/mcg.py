@@ -313,31 +313,23 @@ class HautReport:
                 "j_image_order": self.j_image_order}
 
 
-def haut_report(g: int, n: int,
-                spi_2n_sn: FinAbGroup | None = None) -> HautReport:
+def haut_report(g: int, n: int) -> HautReport:
     """Splitting of the homotopy-equivalence extension and its abelianisation.
 
     The kernel of restriction to the arithmetic group is the coinvariants
     of H(g) tensor (the suspension image in pi_2n of the n-sphere), which
     vanish for g >= 2 or n = 3, 7 and equal that homotopy group mod 2
     otherwise.  Outside n = 3, 7 the homotopy group is not built in, so the
-    extra summand stays symbolic unless the caller supplies the group.
+    extra summand stays symbolic.
     """
     _check_paper_range(g, n)
     d_n = {3: 12, 7: 120}.get(n)
-    if hopf(n):
-        spi = FinAbGroup.cyclic(d_n) if spi_2n_sn is None else spi_2n_sn
-        splits = Decision("yes" if g == 1 else "no", "CorE-i")
-    else:
-        spi = spi_2n_sn
-        splits = Decision("yes", "CorE-i")
     base = h1_Gg(g, n)
-    if g >= 2 or hopf(n):
-        return HautReport(g, n, splits, base, None, spi, d_n)
-    if spi is not None:
-        return HautReport(g, n, splits, direct_sum([base, mod_two_quotient(spi)]),
-                          None, spi, d_n)
-    return HautReport(g, n, splits, base, f"Spi{2 * n}S{n}/2", None, d_n)
+    if hopf(n):
+        return HautReport(g, n, Decision("yes" if g == 1 else "no", "CorE-i"),
+                          base, None, FinAbGroup.cyclic(d_n), d_n)
+    extra = None if g >= 2 else f"Spi{2 * n}S{n}/2"
+    return HautReport(g, n, Decision("yes", "CorE-i"), base, extra, None, d_n)
 
 
 def reproduce_table3() -> tuple[str, bool, list[str]]:

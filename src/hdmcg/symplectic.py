@@ -96,15 +96,14 @@ def sp_inverse(a: IntMatrix, g: int) -> IntMatrix:
     return IntMatrix._of(tuple(top + bottom), n)
 
 
-def _embed_2x2(m2: list[list[int]], g: int, block: int = 0) -> IntMatrix:
-    """Put a 2x2 matrix on the (e_block, f_block) coordinates."""
+def _embed_2x2(m2: list[list[int]], g: int) -> IntMatrix:
+    """Put a 2x2 matrix on the (e_1, f_1) coordinates."""
     n = 2 * g
     data = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    i, k = block, g + block
-    data[i][i] = m2[0][0]
-    data[i][k] = m2[0][1]
-    data[k][i] = m2[1][0]
-    data[k][k] = m2[1][1]
+    data[0][0] = m2[0][0]
+    data[0][g] = m2[0][1]
+    data[g][0] = m2[1][0]
+    data[g][g] = m2[1][1]
     return IntMatrix(data)
 
 

@@ -188,8 +188,7 @@ def suite_spheres() -> list[Check]:
     return checks
 
 
-def suite_cocycles(seed: int = 0, triples: int = 250, classes: int = 60,
-                   conjugations: int = 12, affine: int = 40) -> list[Check]:
+def suite_cocycles(seed: int = 0) -> list[Check]:
     import random
 
     from .cocycles import (SurfaceClass, beta_is_symmetric_on_kernel,
@@ -206,7 +205,7 @@ def suite_cocycles(seed: int = 0, triples: int = 250, classes: int = 60,
     for g in (2, 3):
         gens = standard_generators(GroupFamily.SP, g)
         ident = IntMatrix.identity(2 * g)
-        for _ in range(triples):
+        for _ in range(250):
             a = random_symplectic(g, rng, gens)
             b = random_symplectic(g, rng, gens)
             c = random_symplectic(g, rng, gens)
@@ -231,7 +230,7 @@ def suite_cocycles(seed: int = 0, triples: int = 250, classes: int = 60,
 
     bad = []
     qgens = standard_generators(GroupFamily.SPQ, g)
-    for i in range(classes):
+    for _ in range(60):
         cls = random_surface_class(g, rng.choice([1, 2, 3]), rng, gens)
         s = signature_of_class(cls)
         if s % 4:
@@ -246,7 +245,7 @@ def suite_cocycles(seed: int = 0, triples: int = 250, classes: int = 60,
     checks.append(_check("class-signature-divisibility", not bad, "; ".join(bad)))
 
     bad = []
-    for _ in range(conjugations):
+    for _ in range(12):
         cls = random_surface_class(g, 2, rng, gens)
         p = random_symplectic(g, rng, gens)
         if signature_of_class(cls) != signature_of_class(cls.conjugated(p)):
@@ -274,7 +273,7 @@ def suite_cocycles(seed: int = 0, triples: int = 250, classes: int = 60,
     checks.append(_check("chi2-torus-generator", abs(val) == 2, f"value {val}"))
 
     bad = []
-    for _ in range(affine):
+    for _ in range(40):
         cls = random_affine_class(g, rng.choice([1, 2, 3]), rng, gens)
         base = chi2_of_class(cls)
         t = rng.choice([2, 3, -2])
@@ -287,9 +286,8 @@ def suite_cocycles(seed: int = 0, triples: int = 250, classes: int = 60,
     ok = abs(half) == 1
     bad = [] if ok else [f"chi2/2 torus value {half}"]
     for _ in range(15):
-        cls = random_affine_class(1, 2, rng,
-                                  standard_generators(GroupFamily.SP, 1),
-                                  even_translations=True)
+        cls = random_affine_class(1, 2, rng, standard_generators(
+            GroupFamily.SP, 1)).scaled_translations(2)
         try:
             divided_eval("(chi2-sgn)/8", cls)
         except ValueError as exc:

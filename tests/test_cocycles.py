@@ -190,7 +190,7 @@ def test_divided_eval_doubled_genus_one_classes():
     rng = random.Random(9)
     gens = standard_generators(GroupFamily.SP, 1)
     for _ in range(25):
-        cls = random_affine_class(1, 2, rng, gens, even_translations=True)
+        cls = random_affine_class(1, 2, rng, gens).scaled_translations(2)
         value = divided_eval("(chi2-sgn)/8", cls)
         assert 8 * value == chi2_of_class(cls) - signature_of_class(cls)
 

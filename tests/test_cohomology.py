@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 
 import pytest
@@ -8,8 +9,9 @@ from hdmcg.cohomology import (GModule, Presentation, abelianization,
                               coinvariants, fox_derivative, h1,
                               h1_free_product_of_cyclics, invariants)
 import hdmcg.linalg
+from hdmcg.cocycles import random_surface_class
 from hdmcg.linalg import (IntMatrix, cokernel_presentation, column_basis,
-                          kernel_basis, solve_exact, vstack)
+                          hstack, kernel_basis, solve_exact, vstack)
 from hdmcg.symplectic import GroupFamily, standard_generators
 from hdmcg.verify import (PSP2_PRESENTATION, PSP2Q_PRESENTATION,
                           SP2_PRESENTATION, SP2Q_PRESENTATION, sp2_module,
@@ -27,13 +29,70 @@ def test_presentation_validation():
 
 def test_fox_derivative_basics():
     m = GModule(2, 0, (_S, _T))
-    ident = IntMatrix.identity(2)
-    assert fox_derivative((1,), 1, m) == ident
-    assert fox_derivative((1, 1), 1, m) == ident + _S
+    ident, zero = IntMatrix.identity(2), IntMatrix.zeros(2, 2)
+    assert fox_derivative((1,), m) == (hstack(ident, zero), _S)
+    assert fox_derivative((1, 1), m) == (hstack(ident + _S, zero), _S @ _S)
+    # d(x^-1)/dx = -rho(x^-1)
+    t_inv = m.action(-2)
+    assert fox_derivative((-2,), m) == (hstack(zero, -t_inv), t_inv)
     # commutator with trivial action differentiates to zero
     triv = GModule(2, 0, (ident, ident))
-    assert fox_derivative((1, 2, -1, -2), 1, triv) == IntMatrix.zeros(2, 2)
-    assert fox_derivative((1, 2, -1, -2), 2, triv) == IntMatrix.zeros(2, 2)
+    assert fox_derivative((1, 2, -1, -2), triv) == (IntMatrix.zeros(2, 4),
+                                                    ident)
+    assert fox_derivative((), m) == (IntMatrix.zeros(2, 4), ident)
+
+
+def per_generator_fox(word, generator_index, module):
+    """dw/dx_i alone, by its own walk over the word: the per-generator
+    route, kept here as the oracle for the one-walk Fox row."""
+    d = module.dimension
+    total = IntMatrix.zeros(d, d)
+    prefix = IntMatrix.identity(d)
+    for letter in word:
+        if letter == generator_index:
+            total = total + prefix
+        elif letter == -generator_index:
+            total = total - module.reduce(prefix @ module.action(letter))
+        prefix = module.reduce(prefix @ module.action(letter))
+    return module.reduce(total)
+
+
+def random_module(rng, modulus):
+    """A module of dimension 1-3 on 1-3 generators, each action L D U with
+    L, U unitriangular and D a diagonal of signs, so invertible over Z."""
+    k, d = rng.randint(1, 3), rng.randint(1, 3)
+
+    def unitriangular(lower):
+        return IntMatrix([[1 if i == j else rng.randint(-2, 2)
+                           if (i > j) == lower else 0
+                           for j in range(d)] for i in range(d)])
+
+    return GModule(d, modulus, [
+        unitriangular(True)
+        @ IntMatrix.diagonal([rng.choice((1, -1)) for _ in range(d)])
+        @ unitriangular(False) for _ in range(k)])
+
+
+def test_fox_row_matches_the_per_generator_walk():
+    rng = random.Random(20)
+    inverse_letters = empty_words = 0
+    for modulus in (0, 2, 3, 4):
+        for case in range(100):
+            module = random_module(rng, modulus)
+            k = len(module.actions)
+            word = () if case % 10 == 0 else tuple(
+                rng.choice((1, -1)) * rng.randint(1, k)
+                for _ in range(rng.randint(1, 8)))
+            inverse_letters += sum(1 for x in word if x < 0)
+            empty_words += not word
+            row, action = fox_derivative(word, module)
+            assert row == hstack(*[per_generator_fox(word, i, module)
+                                   for i in range(1, k + 1)])
+            walked = IntMatrix.identity(module.dimension)
+            for letter in word:
+                walked = module.reduce(walked @ module.action(letter))
+            assert action == walked, (modulus, word)
+    assert empty_words == 40 and inverse_letters > 500
 
 
 def test_abelianization_examples():
@@ -44,9 +103,16 @@ def test_abelianization_examples():
 
 def test_module_checks_relators():
     bad = GModule(2, 0, (_T, _R))  # T does not have order 4
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "action does not satisfy the relator (1, 1, 1, 1)")):
         h1(SP2Q_PRESENTATION, bad)
-    with pytest.raises(ValueError):
+    # x^4 = 1 holds, but x^2 = diag(-1, -1, 1) does not commute with y
+    x = IntMatrix([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
+    y = IntMatrix([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(ValueError, match=re.escape(
+            "action does not satisfy the relator (1, 1, 2, -1, -1, -2)")):
+        h1(SP2Q_PRESENTATION, GModule(3, 0, (x, y)))
+    with pytest.raises(ValueError, match="one action matrix per generator"):
         h1(SP2Q_PRESENTATION, GModule(2, 0, (_S,)))
 
 
@@ -62,6 +128,34 @@ def test_h1_free_group():
     p = Presentation(1, ())
     m = GModule(2, 0, (IntMatrix.identity(2),))
     assert h1(p, m) == FinAbGroup.free(2)
+
+
+def surface_relator(h):
+    """a1 b1 a1^-1 b1^-1 ... ah bh ah^-1 bh^-1 on generators 1..2h."""
+    return tuple(x for j in range(1, 2 * h, 2) for x in (j, j + 1, -j, -j - 1))
+
+
+def test_h1_of_surface_groups_has_the_euler_characteristic_rank():
+    """Over Q, dim H^1 = -chi(Sigma_h) dim M + dim H^0 + dim H^2, and
+    H^2 = H_0 has the dimension of the invariants by duality, as the
+    module is symplectic: rank = 2g(2h - 2) + 2 rank(invariants)."""
+    rng = random.Random(21)
+    for g in (1, 2):
+        for family in (GroupFamily.SP, GroupFamily.SPQ):
+            gens = standard_generators(family, g)
+            for _ in range(8):
+                h = rng.randint(1, 3)
+                cls = random_surface_class(g, h, rng, gens)
+                holonomies = [x for pair in cls.pairs for x in pair]
+                got = h1(Presentation(2 * h, (surface_relator(h),)),
+                         GModule(2 * g, 0, holonomies))
+                assert got.rank == 2 * g * (2 * h - 2) \
+                    + 2 * invariants(holonomies).rank, (g, h)
+        for h in (1, 2, 3):
+            trivial = [IntMatrix.identity(2 * g)] * (2 * h)
+            got = h1(Presentation(2 * h, (surface_relator(h),)),
+                     GModule(2 * g, 0, trivial))
+            assert got == FinAbGroup.free(4 * g * h)
 
 
 def test_h1_integral_values():

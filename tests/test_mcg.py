@@ -142,9 +142,6 @@ def test_haut_report():
     assert r.splits.value == "yes"
     assert r.h1_concrete == FinAbGroup(1, (4,))
     assert r.h1_symbolic_extra == "Spi18S9/2"
-    r = haut_report(1, 9, spi_2n_sn=FinAbGroup(0, (2, 4)))
-    assert r.h1_symbolic_extra is None
-    assert r.h1_concrete == FinAbGroup(1, (2, 2, 4))
 
 
 def test_full_report_and_provenance():
