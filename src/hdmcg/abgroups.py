@@ -8,11 +8,10 @@ followed by one per torsion factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
-from .inputs import json_int
+from .inputs import Record, json_int
 from .linalg import IntMatrix, cokernel_presentation, hstack, subquotient
 
 # the most torsion factors ``tensor_with_free`` builds: the CLI answer
@@ -56,18 +55,23 @@ def _normalize_chain(factors: Iterable[int]) -> tuple[int, ...]:
                 mult.pop(d, None)
 
 
-@dataclass(frozen=True)
-class FinAbGroup:
+class FinAbGroup(Record):
     """Z^rank plus cyclic factors Z/d1 + ... with d1 | d2 | ..., di >= 2."""
 
-    rank: int
-    torsion: tuple[int, ...] = ()
+    _fields = ("rank", "torsion")
+
+    def __init__(self, rank: int, torsion: tuple[int, ...] = ()):
+        state = self.__dict__
+        state["rank"] = rank
+        state["torsion"] = torsion
+        self.__post_init__()
 
     def __post_init__(self):
+        """Checks the fields and makes the torsion a tuple; kept apart from
+        ``__init__`` so that a caller can count groups by wrapping it."""
         if json_int(self.rank, "the rank") < 0:
             raise ValueError("rank must be nonnegative")
-        tor = tuple(self.torsion)
-        object.__setattr__(self, "torsion", tor)
+        tor = self.__dict__["torsion"] = tuple(self.torsion)
         for d in tor:
             if json_int(d, "a torsion factor") < 2:
                 raise ValueError("torsion factors must be >= 2")
@@ -145,21 +149,20 @@ class FinAbGroup:
         return {"rank": self.rank, "torsion": list(self.torsion)}
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Record):
     """An element of a FinAbGroup; torsion coordinates are kept reduced."""
 
-    owner: FinAbGroup
-    coords: tuple[int, ...]
+    _fields = ("owner", "coords")
 
-    def __post_init__(self):
-        g = self.owner
-        if len(self.coords) != g.num_coords:
+    def __init__(self, owner: FinAbGroup, coords: tuple[int, ...]):
+        if len(coords) != owner.num_coords:
             raise ValueError("coordinate count does not match the group")
-        red = list(self.coords[:g.rank])
-        for d, c in zip(g.torsion, self.coords[g.rank:]):
+        red = list(coords[:owner.rank])
+        for d, c in zip(owner.torsion, coords[owner.rank:]):
             red.append(c % d)
-        object.__setattr__(self, "coords", tuple(int(x) for x in red))
+        state = self.__dict__
+        state["owner"] = owner
+        state["coords"] = tuple(int(x) for x in red)
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         self._check(other)

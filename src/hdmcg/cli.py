@@ -17,6 +17,8 @@ Each handler imports the modules its verb uses when it runs, so a process
 pays only for those: ``theta`` and ``boundary`` load ``spheres`` and its
 dependencies, ``signature`` and ``chi2`` load ``cocycles`` and its
 dependencies, and only the verbs that need ``mcg`` or ``verify`` load them.
+The value classes derive from ``inputs.Record``, which generates no code,
+so no verb loads ``inspect``, ``ast`` or ``dis``.
 """
 
 from __future__ import annotations

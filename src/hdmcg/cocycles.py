@@ -53,21 +53,19 @@ Both pairings read the table through it, and neither forms a product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from itertools import accumulate, compress
 from math import gcd, lcm
 from operator import add, matmul, mul, neg
 from typing import Sequence
 
 from .cases import divided
-from .inputs import json_int, json_pairs, json_vector, read_json
+from .inputs import Record, json_int, json_pairs, json_vector, read_json
 from .linalg import IntMatrix, exact_signature
 from .symplectic import GroupFamily, is_member, j_matrix, sp_inverse
 
 Vector = tuple[int, ...]
 _FIELDS = ("g", "pairs", "translations", "table", "vectors")
-_walked = partial(field, init=False, repr=False, compare=False)
 
 
 def _relator_walk(pairs, inverse, product) -> tuple[list, list]:
@@ -97,22 +95,25 @@ def _walk(g: int, pairs, translations) -> tuple:
     return table, (*moves, *shifts, (0,) * 2 * g)
 
 
-@dataclass(frozen=True)
-class SurfaceClass:
+class SurfaceClass(Record):
     """Genus-h tuple of symplectic matrix pairs with trivial total relator,
     optionally with translations (v_i, w_i) such that the pairs
     ((v_i, A_i), (w_i, B_i)) satisfy the relator in Z^2g x| Sp_2g(Z).
 
-    Validation walks the relator once and keeps the result (see ``_walk``).
+    Validation walks the relator once and keeps the result (see ``_walk``)
+    as ``table`` and ``vectors``, which equality, hash and repr leave out.
     """
 
-    g: int
-    pairs: tuple[tuple[IntMatrix, IntMatrix], ...]
-    translations: tuple[tuple[Vector, Vector], ...] | None = None
-    table: tuple[IntMatrix, ...] = _walked()
-    vectors: tuple[Vector, ...] | None = _walked()
+    _fields = _FIELDS[:3]
+
+    def __init__(self, g: int, pairs: tuple[tuple[IntMatrix, IntMatrix], ...],
+                 translations: tuple[tuple[Vector, Vector], ...] | None = None):
+        self.__dict__.update(g=g, pairs=pairs, translations=translations)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Checks and walks the class; kept apart from ``__init__`` so that
+        a caller can count or time validations by wrapping it."""
         if not self.pairs:
             raise ValueError("a surface class needs genus h >= 1")
         pairs = tuple(tuple(p) for p in self.pairs)
@@ -128,7 +129,7 @@ class SurfaceClass:
             if len(tr) != len(pairs):
                 raise ValueError("one translation pair per matrix pair")
         walk = _walk(self.g, pairs, tr)
-        self.__dict__.update(zip(_FIELDS[1:], (pairs, tr, *walk)))  # frozen
+        self.__dict__.update(zip(_FIELDS[1:], (pairs, tr, *walk)))
         if self.table[-2] != self.table[-1]:
             raise ValueError("commutator relator does not close up")
         if tr is not None and any(self.vectors[-2]):

@@ -13,53 +13,48 @@ B^1 gains m Z^n, so every (co)homology group here is one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .abgroups import FinAbGroup
-from .inputs import json_int, json_vector
+from .inputs import Record, json_int, json_vector
 from .linalg import (IntMatrix, cokernel_presentation, hstack, inverse_mod,
                      kernel_basis, subquotient, vstack)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """Relators are words over signed 1-based generator indices, each a
     list or tuple of integers; anything else is refused, never truncated."""
 
-    num_generators: int
-    relators: tuple[tuple[int, ...], ...]
+    _fields = ("num_generators", "relators")
 
-    def __post_init__(self):
-        if json_int(self.num_generators, "the generator count") < 0:
+    def __init__(self, num_generators: int,
+                 relators: tuple[tuple[int, ...], ...]):
+        if json_int(num_generators, "the generator count") < 0:
             raise ValueError("generator count must be nonnegative")
-        rel = tuple(json_vector(w, None, "a relator") for w in self.relators)
-        object.__setattr__(self, "relators", rel)
+        rel = tuple(json_vector(w, None, "a relator") for w in relators)
         for word in rel:
             for letter in word:
-                if letter == 0 or abs(letter) > self.num_generators:
+                if letter == 0 or abs(letter) > num_generators:
                     raise ValueError(f"letter {letter} out of range")
+        self.__dict__.update(num_generators=num_generators, relators=rel)
 
 
-@dataclass(frozen=True)
-class GModule:
+class GModule(Record):
     """A module over Z or Z/m with one invertible action matrix per generator;
-    the inverses, which check invertibility, are kept for negative letters."""
+    the inverses, which check invertibility, are kept for negative letters
+    (derived, so left out of equality, hash and repr)."""
 
-    dimension: int
-    modulus: int
-    actions: tuple[IntMatrix, ...]
-    inverses: tuple[IntMatrix, ...] = field(init=False, repr=False,
-                                            compare=False)
+    _fields = ("dimension", "modulus", "actions")
 
-    def __post_init__(self):
-        object.__setattr__(self, "actions", tuple(self.actions))
-        if self.modulus < 0:
+    def __init__(self, dimension: int, modulus: int,
+                 actions: tuple[IntMatrix, ...]):
+        actions = tuple(actions)
+        if modulus < 0:
             raise ValueError("modulus must be 0 (= Z) or positive")
-        for a in self.actions:
-            if a.rows != self.dimension or a.cols != self.dimension:
+        for a in actions:
+            if a.rows != dimension or a.cols != dimension:
                 raise ValueError("action matrix has the wrong size")
-        object.__setattr__(self, "inverses", tuple(
-            inverse_mod(a, self.modulus) for a in self.actions))
+        self.__dict__.update(
+            dimension=dimension, modulus=modulus, actions=actions,
+            inverses=tuple(inverse_mod(a, modulus) for a in actions))
 
     def reduce(self, m: IntMatrix) -> IntMatrix:
         return m.mod(self.modulus) if self.modulus else m
@@ -77,12 +72,15 @@ def fox_derivative(word, module: GModule) -> tuple[IntMatrix, IntMatrix]:
 
     For a module of dimension d on k generators, returns ``(row, action)``:
     ``row`` is the d x kd matrix [dw/dx_1 | ... | dw/dx_k] evaluated through
-    rho, and ``action`` is rho(w).  By d(uv) = d(u) + rho(u) d(v), a letter x_i after the prefix u
-    adds rho(u) to block i, and a letter x_i^-1 subtracts rho(u x_i^-1).
+    rho, and ``action`` is rho(w).  By d(uv) = d(u) + rho(u) d(v), a letter
+    x_i after the prefix u adds rho(u) to block i, and a letter x_i^-1
+    subtracts rho(u x_i^-1).  The walk starts at the identity reduced into
+    the ring, so over Z/1, where every matrix is 0, every word acts
+    trivially.
     """
     blocks = [IntMatrix.zeros(module.dimension, module.dimension)] \
         * len(module.actions)
-    prefix = IntMatrix.identity(module.dimension)
+    prefix = module.reduce(IntMatrix.identity(module.dimension))
     for letter in word:
         i = abs(letter) - 1
         if letter > 0:

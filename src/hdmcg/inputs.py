@@ -1,12 +1,56 @@
 """The input boundary: one rule for an integer from outside (an ``int``
 that is not a ``bool``; ``2.0``, ``"2"`` and ``true`` are refused with a
-one-line ValueError, never truncated), and ``read_json``, through which
-both file loaders read.
+one-line ValueError, never truncated), ``read_json``, through which both
+file loaders read, and ``Record``, the immutable base of the value classes
+whose constructors check what they are given.
 """
 
 from __future__ import annotations
 
 import json
+from operator import attrgetter
+
+
+class Record:
+    """Immutable value: the base of every value class in the package.
+
+    A subclass names its compared fields, in order, in ``_fields``, and its
+    ``__init__`` stores them, and any derived attribute, in ``__dict__``.
+    Two records are equal when they have the same class and equal fields;
+    the hash is that of the field tuple; the repr is ``Name(field=value,
+    ...)`` over the fields; assigning or deleting an attribute raises
+    AttributeError.  It imports only ``operator`` and generates no code per
+    class, so a cold CLI process pays next to nothing for it.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls._fields)
+        # attrgetter of one name returns the value, not a 1-tuple
+        cls._values = get if len(cls._fields) > 1 \
+            else staticmethod(lambda obj: (get(obj),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}" for name, value
+                          in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _is_int(x) -> bool:

@@ -16,19 +16,18 @@ forms its kernels over Q, and ``exact_signature`` its signatures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
-from .inputs import json_int
+from .inputs import Record, json_int
 
 
 class IntMatrix:
     """Immutable integer matrix, stored row-major as nested tuples.
 
-    Instances are hashable, so a frozen dataclass that holds them, such as
+    Instances are hashable, so a value class that holds them, such as
     :class:`hdmcg.cocycles.SurfaceClass`, hashes its pairs.  The public
     constructor, ``from_columns`` and ``diagonal`` coerce every entry with
     ``int()``; every other operation builds its result through ``_of``, and
@@ -186,14 +185,17 @@ def vstack(*mats: IntMatrix) -> IntMatrix:
     return IntMatrix._of(tuple(r for m in mats for r in m.data), cols)
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(Record):
     """Smith normal form ``U @ M @ V == D`` with U, V unimodular and the
     diagonal of D a nonnegative divisibility chain d1 | d2 | ..."""
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
+    _fields = ("U", "D", "V")
+
+    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix):
+        state = self.__dict__
+        state["U"] = U
+        state["D"] = D
+        state["V"] = V
 
     def diagonal(self) -> list[int]:
         return [self.D.data[i][i] for i in range(min(self.D.rows, self.D.cols))]

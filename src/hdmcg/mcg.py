@@ -12,7 +12,6 @@ than returning either value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -20,6 +19,7 @@ from .abgroups import (FinAbGroup, direct_sum, quotient_by, subgroup_iso,
                        tensor_with_free, mod_two_quotient)
 from . import reference
 from .cases import hopf, signature_only, theorem_b
+from .inputs import Record
 
 # ``cohomology``, ``spheres`` and ``symplectic`` are imported where they are
 # used, so the table lookups (``h1_Gg``, ``splitting_decisions``) load none
@@ -33,14 +33,15 @@ class UnsupportedCase(ValueError):
     """A (g, n) regime the built-in data cannot answer."""
 
 
-@dataclass(frozen=True)
-class MCGParams:
+class MCGParams(Record):
     """Inputs for a full report: genus, dimension n, and the data knobs."""
 
-    g: int
-    n: int
-    sigma_q_order: int | None = None
-    coker_j_path: str | None = None
+    _fields = ("g", "n", "sigma_q_order", "coker_j_path")
+
+    def __init__(self, g: int, n: int, sigma_q_order: int | None = None,
+                 coker_j_path: str | None = None):
+        self.__dict__.update(g=g, n=n, sigma_q_order=sigma_q_order,
+                             coker_j_path=coker_j_path)
 
     def sphere_data(self) -> SphereData:
         """One ``theta_data`` call; reads the coker-J file at most once."""
@@ -55,16 +56,15 @@ def _check_paper_range(g: int, n: int) -> None:
         raise UnsupportedCase("need g >= 1 and odd n >= 3")
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(Record):
     """Tri-state answer with the citation id of the clause deciding it."""
 
-    value: str  # "yes" | "no" | "unknown"
-    citation: str
+    _fields = ("value", "citation")
 
-    def __post_init__(self):
-        if self.value not in ("yes", "no", "unknown"):
+    def __init__(self, value: str, citation: str):
+        if value not in ("yes", "no", "unknown"):
             raise ValueError("decision must be yes/no/unknown")
+        self.__dict__.update(value=value, citation=citation)
 
     def to_json_dict(self) -> dict:
         return {"value": self.value, "citation": self.citation}
@@ -225,17 +225,16 @@ def h1_half_mcg(g: int, n: int) -> FinAbGroup:
     return direct_sum([h1_Gg(g, n), coinvariants_closed(g, n)])
 
 
-@dataclass(frozen=True)
-class ExtensionDescriptor:
+class ExtensionDescriptor(Record):
     """Which divided class classifies the central extension by the sphere
     group, plus the image of the associated degree-2 differential."""
 
-    n: int
-    g: int
-    case: str
-    classes: tuple[str, ...]
-    d2_image_name: str
-    d2_image: FinAbGroup | None
+    _fields = ("n", "g", "case", "classes", "d2_image_name", "d2_image")
+
+    def __init__(self, n: int, g: int, case: str, classes: tuple[str, ...],
+                 d2_image_name: str, d2_image: FinAbGroup | None):
+        self.__dict__.update(n=n, g=g, case=case, classes=classes,
+                             d2_image_name=d2_image_name, d2_image=d2_image)
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "g": self.g, "case": self.case,
@@ -292,17 +291,20 @@ def splitting_decisions(g: int, n: int) -> dict[str, Decision]:
     return out
 
 
-@dataclass(frozen=True)
-class HautReport:
-    """Splitting and abelianisation data for the homotopy self-equivalences."""
+class HautReport(Record):
+    """Splitting and abelianisation data for the homotopy self-equivalences;
+    ``j_image_order`` is the d_n of the stable J in the n = 3, 7 cases."""
 
-    g: int
-    n: int
-    splits: Decision
-    h1_concrete: FinAbGroup
-    h1_symbolic_extra: str | None
-    spi_2n_sn: FinAbGroup | None
-    j_image_order: int | None  # the d_n of the stable J in the n = 3, 7 cases
+    _fields = ("g", "n", "splits", "h1_concrete", "h1_symbolic_extra",
+               "spi_2n_sn", "j_image_order")
+
+    def __init__(self, g: int, n: int, splits: Decision,
+                 h1_concrete: FinAbGroup, h1_symbolic_extra: str | None,
+                 spi_2n_sn: FinAbGroup | None, j_image_order: int | None):
+        self.__dict__.update(
+            g=g, n=n, splits=splits, h1_concrete=h1_concrete,
+            h1_symbolic_extra=h1_symbolic_extra, spi_2n_sn=spi_2n_sn,
+            j_image_order=j_image_order)
 
     def to_json_dict(self) -> dict:
         return {"g": self.g, "n": self.n, "splits": self.splits.to_json_dict(),
@@ -372,19 +374,23 @@ def reproduce_table3() -> tuple[str, bool, list[str]]:
     return "\n".join(lines), not mismatches, mismatches
 
 
-@dataclass(frozen=True)
-class MCGReport:
+class MCGReport(Record):
     """Everything the package can say about one pair (g, n)."""
 
-    params: MCGParams
-    h1_mcg: FinAbGroup
-    h1_torelli: FinAbGroup
-    h1_half_mcg: FinAbGroup
-    kg_description: str
-    extension: ExtensionDescriptor
-    splittings: dict[str, Decision]
-    haut: HautReport
-    provenance_flags: tuple[str, ...] = ()
+    _fields = ("params", "h1_mcg", "h1_torelli", "h1_half_mcg",
+               "kg_description", "extension", "splittings", "haut",
+               "provenance_flags")
+
+    def __init__(self, params: MCGParams, h1_mcg: FinAbGroup,
+                 h1_torelli: FinAbGroup, h1_half_mcg: FinAbGroup,
+                 kg_description: str, extension: ExtensionDescriptor,
+                 splittings: dict[str, Decision], haut: HautReport,
+                 provenance_flags: tuple[str, ...] = ()):
+        self.__dict__.update(
+            params=params, h1_mcg=h1_mcg, h1_torelli=h1_torelli,
+            h1_half_mcg=h1_half_mcg, kg_description=kg_description,
+            extension=extension, splittings=splittings, haut=haut,
+            provenance_flags=provenance_flags)
 
     def to_json_dict(self) -> dict:
         return {

@@ -20,7 +20,6 @@ settings a user names (a Sigma_Q order and a coker-J file path, as in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -28,7 +27,7 @@ from . import reference
 from .abgroups import (FinAbGroup, GroupElement, element_order, quotient_by,
                        quotient_with_projection)
 from .cases import divided, hopf, signature_only, theorem_b
-from .inputs import json_int, json_vector, read_json
+from .inputs import Record, json_int, json_vector, read_json
 from .linalg import IntMatrix, cokernel_presentation
 
 _BUILTIN_COKER_J: dict[int, FinAbGroup] = {
@@ -176,18 +175,21 @@ def coker_j(degree: int,
         f'[{{"degree": {degree}, "rank": 0, "torsion": [...]}}, ...].')
 
 
-@dataclass(frozen=True)
-class SphereData:
+class SphereData(Record):
     """The group of homotopy (2n+1)-spheres with its distinguished pieces."""
 
-    n: int
-    theta: FinAbGroup
-    sigma_p: GroupElement
-    sigma_q: GroupElement
-    ba_generators: tuple[GroupElement, ...]
-    coker_j_group: FinAbGroup
-    omega: FinAbGroup
-    sigma_q_order_assumed: bool
+    _fields = ("n", "theta", "sigma_p", "sigma_q", "ba_generators",
+               "coker_j_group", "omega", "sigma_q_order_assumed")
+
+    def __init__(self, n: int, theta: FinAbGroup, sigma_p: GroupElement,
+                 sigma_q: GroupElement,
+                 ba_generators: tuple[GroupElement, ...],
+                 coker_j_group: FinAbGroup, omega: FinAbGroup,
+                 sigma_q_order_assumed: bool):
+        self.__dict__.update(
+            n=n, theta=theta, sigma_p=sigma_p, sigma_q=sigma_q,
+            ba_generators=ba_generators, coker_j_group=coker_j_group,
+            omega=omega, sigma_q_order_assumed=sigma_q_order_assumed)
 
     def to_json_dict(self) -> dict:
         return {
@@ -202,13 +204,14 @@ class SphereData:
         }
 
 
-@dataclass(frozen=True)
-class AlmostClosedInvariants:
+class AlmostClosedInvariants(Record):
     """Signature and, in the dimensions where it exists, the framing
     obstruction number chi^2 of an almost closed highly connected manifold."""
 
-    sgn: int
-    chi2: int | None = None
+    _fields = ("sgn", "chi2")
+
+    def __init__(self, sgn: int, chi2: int | None = None):
+        self.__dict__.update(sgn=sgn, chi2=chi2)
 
 
 def theta_data(n: int, sigma_q_order: int | None = None,

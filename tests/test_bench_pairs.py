@@ -56,3 +56,48 @@ def test_compare_bounds_wins_and_resolution():
     # every change run below every parent run: resolved despite the spread
     assert bench_pairs.compare(wide, [0.1, 0.2, 0.3, 0.4, 0.5], "lower",
                                0.25)["resolved"]
+
+
+def _side(ops: float, digest: str = "d") -> dict:
+    metrics = {"ops_per_s": ops, "latency_p50_ms": 1000 / ops}
+    return {"results_digest": digest, "attempted": 10, "failed": 0,
+            "correct": True,
+            "metrics": {k: {"value": v} for k, v in metrics.items()}}
+
+
+def test_report_claims_every_workload_with_its_held_out_pair():
+    bench = {"run_seconds": 1,
+             "workloads": [{"name": "fast"}, {"name": "slow-cli"}],
+             "end_to_end": [{"name": "ops_per_s", "better": "higher",
+                             "bound": 0.2},
+                            {"name": "latency_p50_ms", "better": "lower",
+                             "bound": 0.2}]}
+    runs = {"fast": [{"parent": _side(p), "change": _side(p)}
+                     for p in PARENT],
+            "slow-cli": [{"parent": _side(p), "change": _side(c)}
+                         for p, c in zip(PARENT, CHANGE)]}
+    held = {"fast": {"parent": _side(100), "change": _side(99)},
+            "slow-cli": {"parent": _side(100), "change": _side(112, "e")}}
+    traced = {w: {"parent": _side(5), "change": _side(6)} for w in runs}
+    out = bench_pairs.report(bench, "abc", runs, held, traced, 411)
+    assert set(out["claim"]) == {"fast", "slow-cli"}
+    fast, cli = out["claim"]["fast"], out["claim"]["slow-cli"]
+    assert (fast["metric"], fast["change_wins"], fast["met"]) == \
+        ("ops_per_s", 0, False)
+    assert (cli["change_wins"], cli["met"]) == (9, True)
+    assert fast["held_out"] == {"seed": 411, "parent": 100, "change": 99,
+                                "ratio": 0.99, "change_better": False,
+                                "digests_match": True}
+    assert cli["held_out"]["change_better"]
+    assert not cli["held_out"]["digests_match"]
+    assert out["method"]["tool"] == "tools/bench_pairs.py --parent abc " \
+                                    "--held-out 411"
+    assert out["traced_fast_401"]["per_layer"]["ops_per_s"] == \
+        {"parent": 5, "change": 6}
+    assert "traced_slow_cli_401" in out
+    assert out["end_to_end"]["slow-cli"]["metrics"]["ops_per_s"][
+        "change_better_in_pairs"] == "9/10"
+    # without a held-out seed, no claim carries one
+    bare = bench_pairs.report(bench, "abc", runs, {}, traced, None)
+    assert not any("held_out" in c for c in bare["claim"].values())
+    assert bare["method"]["tool"] == "tools/bench_pairs.py --parent abc"

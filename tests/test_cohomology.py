@@ -116,6 +116,22 @@ def test_module_checks_relators():
         h1(SP2Q_PRESENTATION, GModule(2, 0, (_S,)))
 
 
+def test_every_relator_holds_over_z_mod_one():
+    """Over Z/1 every matrix is 0, the identity included, so the empty
+    relator holds as well as (1, -1), and H^1 is trivial."""
+    module = GModule(1, 1, (IntMatrix([[1]]),))
+    for relators in (((),), ((1, -1),)):
+        assert h1(Presentation(1, relators), module) == FinAbGroup.trivial()
+    assert fox_derivative((), module) == (IntMatrix.zeros(1, 1),
+                                          IntMatrix.zeros(1, 1))
+    # over Z and Z/m with m > 1 the empty word still acts as the identity
+    for modulus in (0, 2, 5):
+        module = GModule(1, modulus, (IntMatrix([[1]]),))
+        assert fox_derivative((), module)[1] == IntMatrix.identity(1)
+        assert h1(Presentation(1, ((),)), module) == \
+            (FinAbGroup.free(1) if modulus == 0 else FinAbGroup.cyclic(modulus))
+
+
 def test_module_rejects_singular_actions():
     with pytest.raises(ValueError):
         GModule(2, 0, (IntMatrix([[2, 0], [0, 1]]),))  # det 2, no Z-inverse

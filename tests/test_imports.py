@@ -25,10 +25,11 @@ def _fresh(*args) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=60)
 
 
-def imported(*argv) -> set[str]:
-    """Every module a fresh ``python -m hdmcg.cli`` imports."""
+def imported(*argv, code: int = 0) -> set[str]:
+    """Every module a fresh ``python -m hdmcg.cli`` imports; the process
+    must exit with ``code``."""
     proc = _fresh("-X", "importtime", "-m", "hdmcg.cli", *argv)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     names = {line.rsplit("|", 1)[1].strip()
              for line in proc.stderr.splitlines()
              if line.startswith("import time:") and "|" in line}
@@ -68,6 +69,49 @@ def test_pairing_verbs_load_no_rational_arithmetic(verb):
     names = imported(verb, "--file", "examples/class.json")
     assert "hdmcg.cocycles" in names
     assert not names & {"fractions", "decimal"}
+
+
+# the costly standard modules that no entry point may load: ``dataclasses``
+# imports ``inspect``, which imports ``ast``, ``dis`` and ``tokenize``
+HEAVY = {"dataclasses", "inspect", "ast", "dis"}
+NO_PAIRS, TOP_LIST = '{"g": 2, "h": 1}', '[{"g": 2, "h": 1}]'
+# the verbs of the benchmark's cold-CLI round, named as its operations, with
+# their exit codes; a file argument names one of the malformed files above
+COLD_VERBS = {
+    **{f"abelianization-{group}": (["abelianization", "--g", "2", "--n", "5",
+                                    "--group", group], 0)
+       for group in ("mcg", "torelli", "halfmcg", "gg")},
+    "splits": (["splits", "--g", "2", "--n", "5"], 0),
+    "theta": (["theta", "--n", "7", "--format", "json"], 0),
+    "table3": (["table3", "--format", "json"], 0),
+    "boundary": (["boundary", "--n", "7", "--sgn", "0", "--chi2", "8"], 0),
+    "boundary-invalid": (["boundary", "--n", "5", "--sgn", "4"], 1),
+    "signature": (["signature", "--file", "examples/class.json"], 0),
+    "chi2": (["chi2", "--file", "examples/class.json"], 0),
+    **{f"verify-{suite}": (["verify", "--suite", suite], 0)
+       for suite in ("tables", "appendix", "spheres")},
+    "malformed-file-signature": (["signature", "--file", NO_PAIRS], 1),
+    "malformed-file-chi2": (["chi2", "--file", TOP_LIST], 1),
+    "malformed-genus": (["abelianization", "--g", "-3", "--n", "5",
+                         "--group", "torelli"], 1),
+}
+
+
+@pytest.mark.parametrize("argv, code", COLD_VERBS.values(), ids=COLD_VERBS)
+def test_cold_verbs_load_no_heavy_standard_module(argv, code, tmp_path):
+    files = {NO_PAIRS: tmp_path / "no_pairs.json",
+             TOP_LIST: tmp_path / "top_list.json"}
+    for text, path in files.items():
+        path.write_text(text)
+    argv = [str(files.get(a, a)) for a in argv]
+    assert not imported(*argv, code=code) & HEAVY
+
+
+def test_package_modules_load_no_heavy_standard_module():
+    proc = _fresh("-c", "import sys, hdmcg.mcg, hdmcg.spheres, "
+                  "hdmcg.cocycles, hdmcg.cohomology, hdmcg.verify; "
+                  "print(*sorted(set(sys.modules) & %r))" % HEAVY)
+    assert (proc.returncode, proc.stdout.strip()) == (0, ""), proc.stderr
 
 
 def test_verify_spheres_skips_the_cocycle_path():

@@ -223,6 +223,37 @@ def test_example_file_is_the_built_class(cls):
     assert load_class_file(str(EXAMPLE)).pairs == cls.pairs
 
 
+def twisted(c: SurfaceClass, rng: random.Random, twists: int) -> SurfaceClass:
+    """c after random handle twists (A, B) -> (A, BA) and (A, B) -> (AB, B),
+    each of which keeps the commutator [A, B]: the action of Dehn twists on
+    Hom(pi_1 Sigma_h, Sp), which keeps the class in H_2."""
+    pairs = list(c.pairs)
+    for _ in range(twists):
+        i = rng.randrange(len(pairs))
+        a, b = pairs[i]
+        pairs[i] = (a, b @ a) if rng.random() < 0.5 else (a @ b, b)
+    return SurfaceClass(c.g, tuple(pairs))
+
+
+def test_handle_twists_keep_the_signature_of_the_example():
+    example = load_class_file(str(EXAMPLE))
+    rng = random.Random(21)
+    for twists in (1, 10, 40):
+        moved = twisted(example, rng, twists)
+        assert moved.pairs != example.pairs
+        assert signature_of_class(moved) == 4
+
+
+def test_reversal_negates_and_doubling_doubles_the_signature():
+    example = load_class_file(str(EXAMPLE))
+    # [B_h, A_h] ... [B_1, A_1] is the inverse of the relator: the class -c
+    reversed_class = SurfaceClass(example.g, tuple(
+        (b, a) for a, b in reversed(example.pairs)))
+    assert signature_of_class(reversed_class) == -4
+    doubled = SurfaceClass(example.g, example.pairs + example.pairs)
+    assert (doubled.h, signature_of_class(doubled)) == (120, 8)
+
+
 def test_the_theta_group_class_has_genus_84(theta_recipe, theta_cls):
     assert all(q_odd(3, c) for c in theta_recipe.chain)
     assert len(theta_recipe.w1) == len(theta_recipe.w2) == 84

@@ -10,10 +10,10 @@ side that runs first alternates from pair to pair.  The result is printed
 (and written to ``--out``) in the form of the committed ``BENCH_*.json``
 files: per-pair values, medians, interquartile ranges (inclusive
 quartiles), win counts and the bound of each end-to-end metric in
-``BENCHMARK.json``, and the metrics left unresolved; the claim on
-``ops_per_s`` of the first workload, checked again on the held-out seed;
-and one traced run of the first workload at seed 401 on each side.  Runs
-go one at a time, since ``run.py`` pins itself to one core.
+``BENCHMARK.json``, and the metrics left unresolved; the claim test on
+``ops_per_s`` of every workload, each checked again on the held-out seed;
+and one traced run of every workload at seed 401 on each side.  Runs go
+one at a time, since ``run.py`` pins itself to one core.
 """
 
 from __future__ import annotations
@@ -117,44 +117,29 @@ def digest_row(p: dict) -> dict:
     return row
 
 
+def held_out(p: dict, seed: int, direction: str) -> dict:
+    """The claim metric of one more pair, on a seed the claim did not see."""
+    parent, change = (p[s]["metrics"][CLAIM_METRIC]["value"]
+                      for s in ("parent", "change"))
+    return {"seed": seed, "parent": round(parent, 4),
+            "change": round(change, 4), "ratio": round(change / parent, 4),
+            "change_better": better(change, parent, direction),
+            "digests_match": digest_row(p)["digests_match"]}
+
+
 def values(pairs: list[dict], side: str, metric: str) -> list[float]:
     return [p[side]["metrics"][metric]["value"] for p in pairs]
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--parent", required=True, help="git revision")
-    ap.add_argument("--held-out", type=int, help="one more seed for the claim")
-    ap.add_argument("--out")
-    args = ap.parse_args(argv)
-
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+def report(bench: dict, rev: str, runs: dict, held: dict, traced: dict,
+           held_seed: int | None) -> dict:
+    """The ``BENCH_*.json`` object from the measured runs: ``runs`` maps each
+    workload to its pairs in seed order, ``held`` each workload to its
+    held-out pair (empty without one) and ``traced`` each workload to its
+    traced run on each side."""
     bounds = {m["name"]: m for m in bench["end_to_end"]}
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
-    rev = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT,
-                         capture_output=True, text=True,
-                         check=True).stdout.strip()
-    tmp = Path(tempfile.mkdtemp(prefix="bench-parent-"))
-    try:
-        archive = subprocess.run(["git", "archive", rev], cwd=ROOT,
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(tmp)], input=archive,
-                       check=True)
-        trees = {"parent": tmp, "change": ROOT}
-        runs: dict[str, list[dict]] = {w: [] for w in workloads}
-        index = 0
-        for seed in SEEDS:
-            for w in workloads:
-                runs[w].append(pair(trees, index, w, seed, seconds))
-                index += 1
-        held = (pair(trees, index, workloads[0], args.held_out, seconds)
-                if args.held_out is not None else None)
-        traced = {side: run(trees[side], workloads[0], TRACE_SEED, seconds, 1)
-                  for side in ("parent", "change")}
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-
     seeds = f"{SEEDS[0]}-{SEEDS[-1]}"
     out = {"what": "end-to-end metrics of perfbench/run.py, the parent "
                    "commit against the change, in alternated pairs",
@@ -167,10 +152,10 @@ def main(argv=None) -> int:
                "command": "python3 perfbench/run.py --workload W --seed S "
                           f"--seconds {seconds} --trace 0",
                "tool": f"tools/bench_pairs.py --parent {rev}"
-                       + (f" --held-out {args.held_out}"
-                          if held is not None else ""),
+                       + (f" --held-out {held_seed}" if held else ""),
                "order": f"per seed {seeds}, the workloads {workloads} in "
-                        "turn; the parent runs first on even pair indices",
+                        "turn, then the held-out seed the same way; the "
+                        "parent runs first on even pair indices",
                "statistics": "median and IQR (inclusive quartiles); runs in "
                              "seed order; resolved is false when either "
                              "side's IQR / median exceeds the bound, unless "
@@ -192,32 +177,72 @@ def main(argv=None) -> int:
             "correct": all(p[s]["correct"] for p in ps
                            for s in ("parent", "change"))}
     direction = bounds[CLAIM_METRIC]["better"]
-    ps = runs[workloads[0]]
-    out["claim"] = {"metric": CLAIM_METRIC, "workload": workloads[0],
-                    **claim(values(ps, "parent", CLAIM_METRIC),
-                            values(ps, "change", CLAIM_METRIC), direction)}
-    if held is not None:
-        p, c = (held[s]["metrics"][CLAIM_METRIC]["value"]
-                for s in ("parent", "change"))
-        out["claim"]["held_out"] = {
-            "seed": args.held_out, "parent": round(p, 4),
-            "change": round(c, 4), "ratio": round(c / p, 4),
-            "change_better": better(c, p, direction),
-            "digests_match": digest_row(held)["digests_match"]}
+    out["claim"] = {}
+    for w in workloads:
+        ps = runs[w]
+        out["claim"][w] = {"metric": CLAIM_METRIC,
+                           **claim(values(ps, "parent", CLAIM_METRIC),
+                                   values(ps, "change", CLAIM_METRIC),
+                                   direction)}
+        if w in held:
+            out["claim"][w]["held_out"] = held_out(held[w], held_seed,
+                                                   direction)
     out["unresolved"] = [f"{w}:{name}" for w, e in end_to_end.items()
                          for name, m in e["metrics"].items()
                          if not m["resolved"]]
     out["end_to_end"] = end_to_end
-    out[f"traced_{workloads[0].replace('-', '_')}_{TRACE_SEED}"] = {
-        "results_digest": {s: traced[s]["results_digest"] for s in traced},
-        "per_layer": {k: {s: round(traced[s]["metrics"][k]["value"], 4)
-                          for s in ("parent", "change")}
-                      for k in sorted(traced["parent"]["metrics"])}}
-    text = json.dumps(out, indent=2) + "\n"
+    for w, t in traced.items():
+        out[f"traced_{w.replace('-', '_')}_{TRACE_SEED}"] = {
+            "results_digest": {s: t[s]["results_digest"] for s in t},
+            "per_layer": {k: {s: round(t[s]["metrics"][k]["value"], 4)
+                              for s in ("parent", "change")}
+                          for k in sorted(t["parent"]["metrics"])}}
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="git revision")
+    ap.add_argument("--held-out", type=int, help="one more seed for the claim")
+    ap.add_argument("--out")
+    args = ap.parse_args(argv)
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
+    rev = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT,
+                         capture_output=True, text=True,
+                         check=True).stdout.strip()
+    tmp = Path(tempfile.mkdtemp(prefix="bench-parent-"))
+    try:
+        archive = subprocess.run(["git", "archive", rev], cwd=ROOT,
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(tmp)], input=archive,
+                       check=True)
+        trees = {"parent": tmp, "change": ROOT}
+        runs: dict[str, list[dict]] = {w: [] for w in workloads}
+        index = 0
+        for seed in SEEDS:
+            for w in workloads:
+                runs[w].append(pair(trees, index, w, seed, seconds))
+                index += 1
+        held = {}
+        if args.held_out is not None:
+            for w in workloads:
+                held[w] = pair(trees, index, w, args.held_out, seconds)
+                index += 1
+        traced = {w: {side: run(trees[side], w, TRACE_SEED, seconds, 1)
+                      for side in ("parent", "change")} for w in workloads}
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+    text = json.dumps(report(bench, rev, runs, held, traced, args.held_out),
+                      indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     print(text, end="")
     return 0
+
 
 if __name__ == "__main__":
     sys.exit(main())
