@@ -12,7 +12,8 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .inputs import Record, json_int
-from .linalg import IntMatrix, cokernel_presentation, hstack, subquotient
+from .linalg import (IntMatrix, cokernel_presentation, column_basis, hstack,
+                     subquotient)
 
 # the most torsion factors ``tensor_with_free`` builds: the CLI answer
 # (Z/2)^{2g} for the Torelli group at n = 1 mod 8 grows linearly, about
@@ -234,9 +235,11 @@ def quotient_by(g: FinAbGroup, gens: Sequence[GroupElement]) -> FinAbGroup:
 
 def subgroup_iso(g: FinAbGroup, gens: Sequence[GroupElement]) -> FinAbGroup:
     """Isomorphism type of the subgroup of g generated by gens: the lifts
-    of gens plus the relation lattice, modulo the relation lattice."""
+    of gens plus the relation lattice, modulo the relation lattice.  The
+    lifts and relations together may be dependent, so a ``column_basis``
+    of their span is taken for ``subquotient``."""
     lat = _presentation_lattice(g)
-    return subquotient(hstack(_lifts(g, gens), lat), lat)
+    return subquotient(column_basis(hstack(_lifts(g, gens), lat)), lat)
 
 
 def direct_sum(groups: Iterable[FinAbGroup]) -> FinAbGroup:

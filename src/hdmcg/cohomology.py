@@ -8,7 +8,8 @@ m |-> ((rho(x_i) - 1) m).  One walk over a relator gives both its Fox row
 and its action, which ``h1`` checks is trivial.  Over Z/m both are taken
 as lattices in Z^n: Z^1 is the preimage lattice ``kernel_basis(F, m)`` and
 B^1 gains m Z^n, so every (co)homology group here is one
-``linalg.subquotient`` of lattices, or one cokernel.
+``linalg.subquotient`` over the basis ``kernel_basis`` returns, or one
+cokernel.
 """
 
 from __future__ import annotations

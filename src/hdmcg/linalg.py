@@ -7,7 +7,10 @@ One Smith normal form, ``snf``, is the single lattice engine: kernels
 over Z and mod m, column bases, exact solving, inverses, subquotients and
 cokernel presentations all read their answer off its U, D and V, and
 every quotient group the other modules compute goes through it.  A
-kernel, over Z or mod m, is one Smith form of M itself.
+kernel, over Z or mod m, is one Smith form of M itself, and its columns
+are already a basis, so ``subquotient`` takes a basis and solves against
+it directly; only a spanning set that may be dependent needs
+``column_basis`` first.
 Pivoting picks the smallest nonzero entry in absolute value, which keeps
 entry growth manageable at the matrix sizes this package deals with (a
 few dozen rows at most).  The cocycle path needs no lattice: ``cocycles``
@@ -397,17 +400,18 @@ def cokernel_presentation(m: IntMatrix):
     return group, proj
 
 
-def subquotient(top: IntMatrix, bottom: IntMatrix):
-    """The group span(top) / span(bottom), a ``FinAbGroup``.
+def subquotient(basis: IntMatrix, bottom: IntMatrix):
+    """The group span(basis) / span(bottom), a ``FinAbGroup``.
 
-    The columns of ``bottom`` must lie in the lattice spanned by the
-    columns of ``top``.  The coordinates of ``bottom`` in a basis of that
-    lattice present the quotient.  When ``bottom`` spans 0 the quotient is
-    free on that basis, and no solve or cokernel is needed.
+    The columns of ``basis`` must be linearly independent, a basis of the
+    lattice they span (a ``kernel_basis`` or ``column_basis`` result is
+    one), and the columns of ``bottom`` must lie in that lattice.  The
+    coordinates of ``bottom`` in the basis, unique by independence,
+    present the quotient.  When ``bottom`` spans 0 the quotient is free on
+    the basis, and no solve or cokernel is needed.
     """
     from .abgroups import FinAbGroup
 
-    basis = column_basis(top)
     if basis.cols == 0 or not any(any(row) for row in bottom.data):
         return FinAbGroup.free(basis.cols)
     return cokernel_presentation(solve_exact(basis, bottom))[0]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .abgroups import (FinAbGroup, direct_sum, quotient_by, subgroup_iso,
+from .abgroups import (FinAbGroup, direct_sum, subgroup_iso,
                        tensor_with_free, mod_two_quotient)
 from . import reference
 from .cases import hopf, signature_only, theorem_b
@@ -175,7 +175,8 @@ def h1_torelli(g: int, n: int, data: SphereData | None = None) -> FinAbGroup:
     """Abelianisation of the Torelli group over the sphere data of n.
 
     Genus 0 gives the full homotopy-sphere group; otherwise the quotient
-    by Sigma_Q plus 2g copies of SpiSO(n).
+    by Sigma_Q, which the sphere data holds as ``theta_mod_sigma_q``, plus
+    2g copies of SpiSO(n).
     """
     from .spheres import sphere_data_for
 
@@ -185,7 +186,7 @@ def h1_torelli(g: int, n: int, data: SphereData | None = None) -> FinAbGroup:
     if g == 0:
         return data.theta
     free_part = tensor_with_free(s_pi_n_so(n), 2 * g)
-    return direct_sum([quotient_by(data.theta, [data.sigma_q]), free_part])
+    return direct_sum([data.theta_mod_sigma_q[0], free_part])
 
 
 def h1_mcg(g: int, n: int, data: SphereData | None = None) -> FinAbGroup:
@@ -194,8 +195,10 @@ def h1_mcg(g: int, n: int, data: SphereData | None = None) -> FinAbGroup:
     Genus 0 gives the full homotopy-sphere group; otherwise the quotient
     of the sphere group by K_g (generated by Sigma_Q for g = 1, by Sigma_P
     and Sigma_Q for g >= 2) plus the framing-quotient abelianisation.
+    Both quotients are read off the sphere data, and none is formed here.
 
-    For g >= 2 the quotient is ``data.omega``: <Sigma_P, Sigma_Q> = bA
+    For g = 1 the quotient is the group of ``data.theta_mod_sigma_q``.
+    For g >= 2 it is ``data.omega``: <Sigma_P, Sigma_Q> = bA
     whenever the check in ``theta_data``, Theta/bA = coker J/<Sigma_Q>,
     passes.  In case 2 (n = 3 mod 4, not 3, 7) this holds by definition.
     In cases 1 (bA = <Sigma_P>) and 3 (bA = <Sigma_Q>), Theta/<Sigma_P>
@@ -212,8 +215,7 @@ def h1_mcg(g: int, n: int, data: SphereData | None = None) -> FinAbGroup:
     data = sphere_data_for(n, data)
     if g == 0:
         return data.theta
-    kg_quotient = (quotient_by(data.theta, [data.sigma_q]) if g == 1
-                   else data.omega)
+    kg_quotient = data.theta_mod_sigma_q[0] if g == 1 else data.omega
     return direct_sum([kg_quotient, h1_half_mcg(g, n)])
 
 

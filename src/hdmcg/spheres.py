@@ -176,7 +176,14 @@ def coker_j(degree: int,
 
 
 class SphereData(Record):
-    """The group of homotopy (2n+1)-spheres with its distinguished pieces."""
+    """The group of homotopy (2n+1)-spheres with its distinguished pieces.
+
+    The constructor also forms ``theta_mod_sigma_q``, the pair (Theta /
+    <Sigma_Q>, coordinate map from Theta) of ``quotient_with_projection``,
+    once: H_1 of the Torelli group, H_1 of the mapping class group at
+    g = 1 and the minimal signature all read it.  It is derived, so
+    equality, hash, repr and ``to_json_dict`` leave it out.
+    """
 
     _fields = ("n", "theta", "sigma_p", "sigma_q", "ba_generators",
                "coker_j_group", "omega", "sigma_q_order_assumed")
@@ -189,7 +196,8 @@ class SphereData(Record):
         self.__dict__.update(
             n=n, theta=theta, sigma_p=sigma_p, sigma_q=sigma_q,
             ba_generators=ba_generators, coker_j_group=coker_j_group,
-            omega=omega, sigma_q_order_assumed=sigma_q_order_assumed)
+            omega=omega, sigma_q_order_assumed=sigma_q_order_assumed,
+            theta_mod_sigma_q=quotient_with_projection(theta, [sigma_q]))
 
     def to_json_dict(self) -> dict:
         return {
@@ -231,8 +239,10 @@ def theta_data(n: int, sigma_q_order: int | None = None,
     A degree 2n+1 past ``MAX_SPHERE_DEGREE`` is refused before any
     Bernoulli number is formed.
     Theta is presented straight from its diagonal relations (a zero adds
-    none), and the check that Theta/bA is omega = coker J/<Sigma_Q> is
-    what lets ``h1_mcg`` read Theta/<Sigma_P, Sigma_Q> off as omega.
+    none).  omega = coker J/<Sigma_Q> is coker J itself, with no Smith
+    form, whenever the coker-J coordinates of Sigma_Q are all 0, as in
+    every built-in placement.  The check that Theta/bA is omega is what
+    lets ``h1_mcg`` read Theta/<Sigma_P, Sigma_Q> off as omega.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
@@ -281,12 +291,7 @@ def theta_data(n: int, sigma_q_order: int | None = None,
         raise RuntimeError("Sigma_P does not have order |bP| in the assembly")
 
     # omega = coker J modulo the image of Sigma_Q, and theta/bA must agree
-    ck_proj_coords = list(amb[1:])
-    if ck.num_coords:
-        sq_in_ck = ck.element(ck_proj_coords)
-        omega = quotient_by(ck, [sq_in_ck])
-    else:
-        omega = ck
+    omega = quotient_by(ck, [ck.element(amb[1:])]) if any(amb[1:]) else ck
     if quotient_by(theta, list(ba)) != omega:
         raise RuntimeError("theta/bA disagrees with coker J/<Sigma_Q>")
 
@@ -367,11 +372,12 @@ def minimal_signature(n: int, data: SphereData | None = None) -> int:
     """Minimal positive signature of a closed smooth n-connected
     (2n+2)-manifold: 1 in the Hopf dimensions n = 1, 3, 7 (the projective
     planes over C, H and O), else 8 * |bA / <Sigma_Q>| over the sphere data
-    of n."""
+    of n, where |bA / <Sigma_Q>| is the order of the image of Sigma_P in
+    the sphere data's ``theta_mod_sigma_q``."""
     if hopf(n):
         return 1
     data = sphere_data_for(n, data)
-    quotient_group, proj = quotient_with_projection(data.theta, [data.sigma_q])
+    quotient_group, proj = data.theta_mod_sigma_q
     image = quotient_group.element(proj.mult_vec(list(data.sigma_p.coords)))
     order = element_order(image)
     if order is None:

@@ -165,6 +165,41 @@ def test_chi2_quadratic_scaling():
         assert chi2_of_class(cls.scaled_translations(t)) == t * t * base
 
 
+def affine_twisted(c: SurfaceClass, rng, twists: int) -> SurfaceClass:
+    """c after random affine handle twists, with (v, A)(w, B) = (v + A w,
+    AB): ((v, A), (w, B)) -> ((v, A), (w + B v, BA)) or -> ((v + A w, AB),
+    (w, B)).  Each keeps the commutator of the pair, as a Dehn twist of
+    the handle does, so it keeps the class and both of its pairings."""
+    pairs, translations = list(c.pairs), list(c.translations)
+    for _ in range(twists):
+        i = rng.randrange(len(pairs))
+        (a, b), (v, w) = pairs[i], translations[i]
+        if rng.random() < 0.5:
+            bv = b.mult_vec(v)
+            pairs[i] = (a, b @ a)
+            translations[i] = (v, tuple(x + y for x, y in zip(w, bv)))
+        else:
+            aw = a.mult_vec(w)
+            pairs[i] = (a @ b, b)
+            translations[i] = (tuple(x + y for x, y in zip(v, aw)), w)
+    return SurfaceClass(c.g, tuple(pairs), tuple(translations))
+
+
+def test_affine_handle_twists_keep_chi2_and_the_signature():
+    rng = random.Random(31)
+    gens = {g: standard_generators(GroupFamily.SP, g) for g in (1, 2)}
+    nonzero = 0
+    for k in range(60):
+        g = 1 + k % 2
+        cls = random_affine_class(g, rng.randint(1, 4), rng, gens[g])
+        chi2, sgn = chi2_of_class(cls), signature_of_class(cls)
+        moved = affine_twisted(cls, rng, 10)
+        assert (chi2_of_class(moved), signature_of_class(moved)) \
+            == (chi2, sgn), (k, cls)
+        nonzero += chi2 != 0
+    assert nonzero >= 40  # the witness is not read on zeros alone
+
+
 def test_divided_eval():
     ident = IntMatrix.identity(2)
     torus = SurfaceClass(1, ((ident, ident),), (((1, 0), (0, 1)),))

@@ -1,6 +1,8 @@
+import ast
 import random
 from itertools import combinations, product
 from math import gcd, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 from hdmcg import linalg
 from hdmcg.linalg import (IntMatrix, cokernel_presentation, column_basis,
                           exact_signature, hstack, inverse_mod, kernel_basis,
-                          snf, solve_exact)
+                          snf, solve_exact, subquotient)
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "hdmcg"
 
 
 def bareiss_det(m: IntMatrix) -> int:
@@ -277,6 +281,43 @@ def test_solve_and_column_basis():
         if cb.cols:
             coeff = solve_exact(cb, a)
             assert cb @ coeff == a
+
+
+@pytest.mark.parametrize("modulus", [0, 2, 4, 6])
+def test_subquotient_takes_the_kernel_basis_as_it_is(modulus):
+    """Oracle for ``subquotient`` on a ``kernel_basis`` result: solving
+    against that basis gives the group that solving against a
+    ``column_basis`` of it gives, for sublattices spanned by random
+    combinations of it (plus m Z^n mod m), and by nothing."""
+    rng = random.Random(700 + modulus)
+    for _ in range(25):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        k = kernel_basis(random_matrix(rng, rows, cols, span=4), modulus)
+        combos = random_matrix(rng, k.cols, rng.randint(0, 3), span=6)
+        bottoms = [k @ combos, IntMatrix.zeros(cols, 0)]
+        if modulus:
+            bottoms = [hstack(b, IntMatrix.identity(cols).scaled(modulus))
+                       for b in bottoms]
+        for bottom in bottoms:
+            want = cokernel_presentation(
+                solve_exact(column_basis(k), bottom))[0]
+            assert subquotient(k, bottom) == want, (k, bottom)
+
+
+def test_column_basis_has_one_caller():
+    """Every other ``subquotient`` caller passes a basis it already holds,
+    so ``column_basis`` is called in the package only by
+    ``abgroups.subgroup_iso``, whose generators may be dependent."""
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                callers += [(path.stem, fn.name) for call in ast.walk(fn)
+                            if isinstance(call, ast.Call)
+                            and getattr(call.func, "id", None)
+                            == "column_basis"]
+    assert callers == [("abgroups", "subgroup_iso")]
 
 
 def test_solve_exact_rejects():

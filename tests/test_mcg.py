@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from hdmcg import abgroups, linalg, spheres
+from hdmcg import abgroups, linalg, mcg, spheres
 from hdmcg.abgroups import MAX_TORSION_FACTORS, FinAbGroup
 from hdmcg.mcg import (Decision, MCGParams, UnsupportedCase,
                        coinvariants_closed, extension_descriptor, full_report,
@@ -204,16 +204,7 @@ def test_one_sphere_build_per_answer(monkeypatch, tmp_path):
     assert sorted(args[0] for args in builds) == [3, 5, 7, 9]
 
 
-def test_full_report_builds_fewer_groups_and_smith_forms(monkeypatch):
-    """Table 1 is a constant, Theta/K_g for g >= 2 is the sphere data's
-    omega, and Theta is presented straight from its relations.  Over the
-    64-report mix (g = 1..8, n = 3, 5, 7, 9, sigma_q_order None and 4),
-    with warm caches, a report builds fewer than 14 groups and runs fewer
-    than 7 SNFs; re-deriving those values cost 21 and 7.5."""
-    mix = [MCGParams(g, n, sigma_q_order=order) for g in range(1, 9)
-           for n in (3, 5, 7, 9) for order in (None, 4)]
-    for params in mix:
-        full_report(params)  # warms the coinvariants cache
+def _count_groups_and_smith_forms(monkeypatch):
     groups, smith_forms = [], []
     post_init, snf = FinAbGroup.__post_init__, linalg.snf
 
@@ -227,10 +218,42 @@ def test_full_report_builds_fewer_groups_and_smith_forms(monkeypatch):
 
     monkeypatch.setattr(FinAbGroup, "__post_init__", counted_post_init)
     monkeypatch.setattr(linalg, "snf", counted_snf)
+    return groups, smith_forms
+
+
+def test_full_report_builds_fewer_groups_and_smith_forms(monkeypatch):
+    """Table 1 is a constant, Theta/K_g is the sphere data's
+    Theta/<Sigma_Q> (g = 1) or omega (g >= 2), omega is coker J when
+    Sigma_Q has no coker-J part, and Theta is presented straight from its
+    relations.  Over the 64-report mix (g = 1..8, n = 3, 5, 7, 9,
+    sigma_q_order None and 4), with warm caches, a report builds at most
+    12.5 groups and runs at most 6 SNFs; re-deriving those values cost 21
+    and 7.5, and forming Theta/<Sigma_Q> once per answer 13.125 and
+    6.625."""
+    mix = [MCGParams(g, n, sigma_q_order=order) for g in range(1, 9)
+           for n in (3, 5, 7, 9) for order in (None, 4)]
+    for params in mix:
+        full_report(params)  # warms the coinvariants cache
+    groups, smith_forms = _count_groups_and_smith_forms(monkeypatch)
     for params in mix:
         full_report(params)
-    assert len(groups) < 14 * len(mix)
-    assert len(smith_forms) < 7 * len(mix)
+    assert len(groups) <= 12.5 * len(mix)
+    assert len(smith_forms) <= 6 * len(mix)
+
+
+def test_table3_runs_three_smith_forms_per_column(monkeypatch):
+    """Each of the four columns builds its sphere data once, and every
+    cell reads its quotient of Theta from it: 3 SNFs per column (Theta,
+    the Theta/bA check and Theta/<Sigma_Q>), where forming the quotient
+    per cell ran 30 in all."""
+    assert reproduce_table3()[1]  # warms the coinvariants cache
+    _, smith_forms = _count_groups_and_smith_forms(monkeypatch)
+    assert reproduce_table3()[1]
+    assert len(smith_forms) <= 12
+
+
+def test_mcg_forms_no_quotient_of_theta():
+    assert not {"quotient_by", "quotient_with_projection"} & set(vars(mcg))
 
 
 def _report_parts(params):

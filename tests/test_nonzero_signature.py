@@ -1,4 +1,5 @@
-"""Classes with nonzero signature, built by one recipe in two genera.
+"""Classes with nonzero signature, built by one recipe in two genera, and
+the same recipe's genus-1 classes, whose signature must be 0.
 
 The commutator trick of Endo, Korkmaz, Kotschick, Ozbagci and Stipsicz
 (Topology 41, 2002): two words W1 = x_1 ... x_m and W2 = y_1 ... y_m in
@@ -13,6 +14,9 @@ two words.
   so every transvection and conjugator lies in the theta group.
   W1 = (T1 T2)^42 and W2 = (T1 ... T7)^8 (T1 ... T6 T7^2 T6 ... T1)^2,
   84 letters each, signature 56 - 48 = 8, so sgn/8 = 1.
+- Genus 1, classes in Sp_2(Z): (T1 T2)^6 against (T1 T2 T1)^4, and
+  (T2 T1)^6 against (T2 T1 T2)^4, 12 letters each, signature 8 - 8 = 0,
+  as H_2(Sp_2(Z); Q) = 0 (Meyer 1973) requires.
 
 ``python tests/test_nonzero_signature.py`` rewrites
 ``examples/nonzero.json`` from the genus-2 builder.
@@ -235,23 +239,54 @@ def twisted(c: SurfaceClass, rng: random.Random, twists: int) -> SurfaceClass:
     return SurfaceClass(c.g, tuple(pairs))
 
 
-def test_handle_twists_keep_the_signature_of_the_example():
-    example = load_class_file(str(EXAMPLE))
+@pytest.fixture(scope="module")
+def example() -> SurfaceClass:
+    return load_class_file(str(EXAMPLE))
+
+
+def reversed_class(c: SurfaceClass) -> SurfaceClass:
+    """[B_h, A_h] ... [B_1, A_1], the inverse of the relator: the class -c."""
+    return SurfaceClass(c.g, tuple((b, a) for a, b in reversed(c.pairs)))
+
+
+def doubled(c: SurfaceClass) -> SurfaceClass:
+    return SurfaceClass(c.g, c.pairs + c.pairs)
+
+
+# the genus-2 example of signature 4 and the genus-3 theta-group class of 8
+BOTH_CLASSES = pytest.mark.parametrize("name, sgn", [("example", 4),
+                                                     ("theta_cls", 8)],
+                                       ids=["example", "theta_cls"])
+
+
+@BOTH_CLASSES
+def test_handle_twists_keep_the_signature(request, name, sgn):
+    c = request.getfixturevalue(name)
     rng = random.Random(21)
     for twists in (1, 10, 40):
-        moved = twisted(example, rng, twists)
-        assert moved.pairs != example.pairs
-        assert signature_of_class(moved) == 4
+        moved = twisted(c, rng, twists)
+        assert moved.pairs != c.pairs
+        assert signature_of_class(moved) == sgn
 
 
-def test_reversal_negates_and_doubling_doubles_the_signature():
-    example = load_class_file(str(EXAMPLE))
-    # [B_h, A_h] ... [B_1, A_1] is the inverse of the relator: the class -c
-    reversed_class = SurfaceClass(example.g, tuple(
-        (b, a) for a, b in reversed(example.pairs)))
-    assert signature_of_class(reversed_class) == -4
-    doubled = SurfaceClass(example.g, example.pairs + example.pairs)
-    assert (doubled.h, signature_of_class(doubled)) == (120, 8)
+@BOTH_CLASSES
+def test_reversal_negates_and_doubling_doubles_the_signature(request, name,
+                                                             sgn):
+    c = request.getfixturevalue(name)
+    assert signature_of_class(reversed_class(c)) == -sgn
+    twice = doubled(c)
+    assert (twice.h, signature_of_class(twice)) == (2 * c.h, 2 * sgn)
+
+
+def test_theta_group_class_moves_sgn_over_8_and_its_boundary(theta_cls):
+    """Twists keep sgn/8 = 1 and the boundary Sigma_P at n = 5; reversal
+    gives -1 and -Sigma_P, doubling 2 and 2 Sigma_P."""
+    sigma_p = theta_data(5).sigma_p
+    for moved, k in ((twisted(theta_cls, random.Random(22), 10), 1),
+                     (reversed_class(theta_cls), -1), (doubled(theta_cls), 2)):
+        assert divided_eval("sgn/8", moved) == k
+        inv = AlmostClosedInvariants(signature_of_class(moved))
+        assert boundary_of_plumbing(inv, 5) == k * sigma_p
 
 
 def test_the_theta_group_class_has_genus_84(theta_recipe, theta_cls):
@@ -278,6 +313,22 @@ def test_theta_group_class_gives_sgn_over_8_equal_1(theta_cls):
     assert divided_eval("sgn/8", theta_cls) == 1
     inv = AlmostClosedInvariants(signature_of_class(theta_cls))
     assert boundary_of_plumbing(inv, 5) == theta_data(5).sigma_p
+
+
+# H_2(Sp_2(Z); Q) = 0 (Meyer 1973), so every class in genus 1 has
+# signature 0: here from the relations (T1 T2)^6 = I against
+# (T1 T2 T1)^4 = I, and (T2 T1)^6 = I against (T2 T1 T2)^4 = I, in the
+# transvections of e1 and f1
+GENUS_1 = (Recipe(1, ((1, 0), (0, 1)), (0, 1) * 6, (0, 1, 0) * 4, 3),
+           Recipe(1, ((1, 0), (0, 1)), (1, 0) * 6, (1, 0, 1) * 4, 3))
+
+
+@pytest.mark.parametrize("recipe", GENUS_1, ids=["T1T2", "T2T1"])
+def test_genus_one_classes_have_signature_0(recipe):
+    c = build_class(recipe)
+    s1, s2 = meyer_sum(recipe, recipe.w1), meyer_sum(recipe, recipe.w2)
+    assert (c.g, c.h, s1, s2) == (1, 12, 8, 8)
+    assert signature_of_class(c) == 0
 
 
 if __name__ == "__main__":

@@ -175,6 +175,22 @@ def test_ba_is_generated_by_sigma_p_and_sigma_q(n, kwargs):
     assert both == data.omega
 
 
+@pytest.mark.parametrize("n, kwargs", [(n, {}) for n in (3, 5, 7, 9)] + [
+    (15, {"sigma_q_order": order,
+          "coker_j_table": {31: FinAbGroup.cyclic(2)}})
+    for order in (2, 4, 8)])
+def test_theta_mod_sigma_q_has_the_order_lagrange_gives(n, kwargs):
+    """Witness for the sphere data's Theta/<Sigma_Q>: by Lagrange its
+    order times ord(Sigma_Q), which is read off the coordinates with no
+    Smith form, is |Theta|; and its projection kills Sigma_Q."""
+    data = theta_data(n, **kwargs)
+    quotient, proj = data.theta_mod_sigma_q
+    assert quotient.order() * element_order(data.sigma_q) \
+        == data.theta.order()
+    assert quotient.element(proj.mult_vec(list(data.sigma_q.coords))).is_zero
+    assert "theta_mod_sigma_q" not in data.to_json_dict()
+
+
 def test_sigma_q_default_and_override():
     stub = {31: FinAbGroup.cyclic(2)}
     d = theta_data(15, coker_j_table=stub)

@@ -69,7 +69,7 @@ CASES = {
                  lambda: (1, 3, Decision("yes", "CorE-i"), Z4, None,
                           FinAbGroup.cyclic(12), 12), (), {}),
     MCGReport: (REPORT_FIELDS, _report_values, (), {"provenance_flags": ()}),
-    SphereData: (SPHERE_FIELDS, _sphere_values, (), {}),
+    SphereData: (SPHERE_FIELDS, _sphere_values, ("theta_mod_sigma_q",), {}),
     AlmostClosedInvariants: (("sgn", "chi2"), lambda: (8, 16), (),
                              {"chi2": None}),
 }
@@ -138,8 +138,8 @@ def test_repr_names_the_fields(case):
     assert repr(cls(*values)) == f"{cls.__name__}({shown})"
 
 
-@pytest.mark.parametrize("cls", [GModule, SurfaceClass],
-                         ids=["GModule", "SurfaceClass"])
+@pytest.mark.parametrize("cls", [GModule, SurfaceClass, SphereData],
+                         ids=["GModule", "SurfaceClass", "SphereData"])
 def test_derived_attributes_are_ignored(cls):
     _, make, derived, _ = CASES[cls]
     obj = cls(*make())
