@@ -11,20 +11,25 @@ the chosen group ignores, is a ``_UsageError`` that ``main`` catches, so
 ``main`` returns rather than raising ``SystemExit`` (``-h`` still exits 0
 through argparse).  ``abelianization``, ``theta`` and ``boundary`` share
 the sphere-data flags ``--sigma-q-order`` and ``--coker-j-table``,
-declared once on a parent parser and read by ``_sphere_data``.
+added by one helper of ``_build_parser`` and read by ``_sphere_data``.
 
-Each handler imports the modules its verb uses when it runs, so a process
-pays only for those: ``theta`` and ``boundary`` load ``spheres`` and its
-dependencies, ``signature`` and ``chi2`` load ``cocycles`` and its
-dependencies, and only the verbs that need ``mcg`` or ``verify`` load them.
-The value classes derive from ``inputs.Record``, which generates no code,
-so no verb loads ``inspect``, ``ast`` or ``dis``.
+A process pays only for what its verb uses.  When the first argument
+names a verb, ``_build_parser`` builds that verb's parser alone; ``-h``,
+an unknown verb and no argument at all get every verb's, and either way
+the help, the usage errors and the exit codes read the same.  Each handler
+imports the modules its verb uses when it runs: ``theta`` and ``boundary``
+load ``spheres`` and its dependencies, ``signature`` and ``chi2`` load
+``cocycles`` and its dependencies, and only the verbs that need ``mcg`` or
+``verify`` load them.  ``json`` is imported only to write a JSON answer or
+to read a file; the Bernoulli numbers behind bP come from integer tangent
+numbers, so no verb but ``verify`` loads ``fractions``.  The value classes
+derive from ``inputs.Record``, which generates no code, so no verb loads
+``inspect``, ``ast`` or ``dis``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 # the names of ``verify.SUITES``, kept here so that parsing the arguments
@@ -46,67 +51,76 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(obj, as_json: bool, text: str) -> None:
     if as_json:
+        import json  # here, so that a text answer skips it
+
         print(json.dumps(obj, sort_keys=True))
     else:
         print(text)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every verb, or of ``verb`` alone when it names one;
+    either parses that verb's arguments alike, in the same words."""
     p = _Parser(
         prog="hdmcg",
         description="Exact invariants of mapping class groups of g-fold "
                     "connected sums of S^n x S^n (n odd).")
     sub = p.add_subparsers(dest="verb", required=True)
 
+    def add(name, what):
+        """``name``'s parser, or None when another verb is named."""
+        return sub.add_parser(name, help=what) if verb in (None, name) \
+            else None
+
     def add_format(sp):
         sp.add_argument("--format", choices=("json", "text"), default="text")
 
-    # the sphere-data flags, declared once for the verbs that read them
-    sphere = argparse.ArgumentParser(add_help=False)
-    sphere.add_argument("--sigma-q-order", type=int, default=None)
-    sphere.add_argument("--coker-j-table", type=str, default=None,
+    def add_sphere_flags(sp):  # the flags ``_sphere_data`` reads
+        sp.add_argument("--sigma-q-order", type=int, default=None)
+        sp.add_argument("--coker-j-table", type=str, default=None,
                         help="path to a JSON coker-J extension table")
 
-    sp = sub.add_parser("abelianization", parents=[sphere],
-                        help="first homology of one of the groups")
-    sp.add_argument("--g", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--group", choices=("mcg", "torelli", "halfmcg", "gg"),
-                    default="mcg")
-    add_format(sp)
-
-    sp = sub.add_parser("splits", help="splitting decisions for (g, n)")
-    sp.add_argument("--g", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    add_format(sp)
-
-    sp = sub.add_parser("boundary", parents=[sphere],
-                        help="boundary sphere of an almost closed manifold "
-                             "with the given invariants")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--sgn", type=int, required=True)
-    sp.add_argument("--chi2", type=int, default=None)
-    add_format(sp)
-
-    for verb, what in (("signature", "signature"),
-                       ("chi2", "chi^2 (needs translations)")):
-        sp = sub.add_parser(verb, help=f"{what} pairing of a class file")
-        sp.add_argument("--file", type=str, required=True)
+    if sp := add("abelianization", "first homology of one of the groups"):
+        add_sphere_flags(sp)
+        sp.add_argument("--g", type=int, required=True)
+        sp.add_argument("--n", type=int, required=True)
+        sp.add_argument("--group",
+                        choices=("mcg", "torelli", "halfmcg", "gg"),
+                        default="mcg")
         add_format(sp)
 
-    sp = sub.add_parser("theta", parents=[sphere],
-                        help="homotopy-sphere data for odd n")
-    sp.add_argument("--n", type=int, required=True)
-    add_format(sp)
+    if sp := add("splits", "splitting decisions for (g, n)"):
+        sp.add_argument("--g", type=int, required=True)
+        sp.add_argument("--n", type=int, required=True)
+        add_format(sp)
 
-    sp = sub.add_parser("table3", help="recompute the example table and diff")
-    add_format(sp)
+    if sp := add("boundary", "boundary sphere of an almost closed manifold "
+                             "with the given invariants"):
+        add_sphere_flags(sp)
+        sp.add_argument("--n", type=int, required=True)
+        sp.add_argument("--sgn", type=int, required=True)
+        sp.add_argument("--chi2", type=int, default=None)
+        add_format(sp)
 
-    sp = sub.add_parser("verify", help="run an embedded verification suite")
-    sp.add_argument("--suite", choices=SUITE_NAMES + ("all",),
-                    default="all")
-    sp.add_argument("--seed", type=int, default=0)
-    add_format(sp)
+    for name, what in (("signature", "signature"),
+                       ("chi2", "chi^2 (needs translations)")):
+        if sp := add(name, f"{what} pairing of a class file"):
+            sp.add_argument("--file", type=str, required=True)
+            add_format(sp)
+
+    if sp := add("theta", "homotopy-sphere data for odd n"):
+        add_sphere_flags(sp)
+        sp.add_argument("--n", type=int, required=True)
+        add_format(sp)
+
+    if sp := add("table3", "recompute the example table and diff"):
+        add_format(sp)
+
+    if sp := add("verify", "run an embedded verification suite"):
+        sp.add_argument("--suite", choices=SUITE_NAMES + ("all",),
+                        default="all")
+        sp.add_argument("--seed", type=int, default=0)
+        add_format(sp)
     return p
 
 
@@ -223,8 +237,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # a verb named first needs its own parser alone; -h, an unknown verb
+    # and no argument at all get every verb's
+    verb = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(verb).parse_args(argv)
         return _COMMANDS[args.verb](args)
     except (_UsageError, ValueError, OSError, RuntimeError) as exc:
         # a line break inside the message (a stray argument or a file path

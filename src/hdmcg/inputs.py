@@ -7,7 +7,6 @@ whose constructors check what they are given.
 
 from __future__ import annotations
 
-import json
 from operator import attrgetter
 
 
@@ -86,6 +85,8 @@ def read_json(path: str, kind: str, parse):
     every ValueError from ``parse`` become one line that starts with
     ``<kind> <path>:``.  A file that cannot be opened raises OSError.
     """
+    import json  # here, so that a process that reads no file skips it
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             value = json.load(fh)

@@ -511,3 +511,44 @@ def test_cli_fuzz_exits_0_1_or_2_with_one_error_line(fuzz_files, drawn):
         assert not out.getvalue(), argv
     if not code:
         assert out.getvalue() and not err.getvalue(), argv
+
+
+def _parse(parser, argv):
+    """What ``parser`` makes of ``argv``: the namespace, the usage error
+    line, or the exit code and the help text of ``-h``."""
+    out = io.StringIO()
+    try:
+        with redirect_stdout(out):
+            return vars(parser.parse_args(argv))
+    except cli._UsageError as exc:
+        return str(exc)
+    except SystemExit as exc:
+        return exc.code, out.getvalue()
+
+
+VERB_ARGVS = [
+    *(argv for argv, _ in USAGE_ERRORS if argv and argv[0] in cli._COMMANDS),
+    *([verb, "-h"] for verb in cli._COMMANDS),
+    ["abelianization", "--g", "2", "--n", "5", "--group", "torelli",
+     "--sigma-q-order", "4", "--coker-j-table", "t.json", "--format", "json"],
+    ["abelianization", "--g", "1", "--n", "5", "--group", "spin"],
+    ["splits", "--n", "5", "--g", "2"],
+    ["boundary", "--n", "7", "--sgn", "0", "--chi2", "8"],
+    ["boundary", "--n", "7"],
+    ["signature", "--file", "c.json", "--format", "text"],
+    ["chi2", "--file"],
+    ["theta", "--n", "13", "--coker-j-table", "t.json"],
+    ["theta", "--n", "3", "--sgn", "1"],
+    ["table3", "--format", "xml"],
+    ["table3", "7"],
+    ["verify", "--suite", "cocycles", "--seed", "5"],
+    ["verify", "--suite", "none"],
+]
+
+
+@pytest.mark.parametrize("argv", VERB_ARGVS, ids=" ".join)
+def test_one_verbs_parser_reads_as_every_verbs_parser(argv):
+    """The parser ``main`` builds for a verb named first parses, refuses
+    and helps alike, word for word, to the parser of every verb."""
+    assert _parse(cli._build_parser(argv[0]), argv) \
+        == _parse(cli._build_parser(), argv)

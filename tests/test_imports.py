@@ -64,11 +64,33 @@ def test_verb_loads_only_its_modules(argv, allowed):
     assert loaded_modules(*argv) <= allowed
 
 
-@pytest.mark.parametrize("verb", ["signature", "chi2"])
-def test_pairing_verbs_load_no_rational_arithmetic(verb):
-    names = imported(verb, "--file", "examples/class.json")
-    assert "hdmcg.cocycles" in names
-    assert not names & {"fractions", "decimal"}
+@pytest.mark.parametrize("argv, module", [
+    (["signature", "--file", "examples/class.json"], "cocycles"),
+    (["chi2", "--file", "examples/class.json"], "cocycles"),
+    (["theta", "--n", "7"], "spheres"),
+    (["boundary", "--n", "7", "--sgn", "0", "--chi2", "8"], "spheres"),
+    (["abelianization", "--g", "2", "--n", "5", "--group", "mcg"], "spheres"),
+    (["abelianization", "--g", "2", "--n", "5", "--group", "torelli"],
+     "spheres"),
+    (["table3"], "spheres"),
+], ids=["signature", "chi2", "theta", "boundary", "mcg", "torelli", "table3"])
+def test_pairing_verbs_load_no_rational_arithmetic(argv, module):
+    """Neither the pairings nor the verbs that form bP (whose Bernoulli
+    numbers come from integer tangent numbers) load a rational type."""
+    names = imported(*argv)
+    assert f"hdmcg.{module}" in names
+    assert not names & {"fractions", "decimal", "numbers"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["splits", "--g", "2", "--n", "5"],
+    ["boundary", "--n", "7", "--sgn", "0", "--chi2", "8"],
+    ["verify", "--suite", "spheres"],
+], ids=["splits", "boundary", "verify-spheres"])
+def test_text_answers_load_no_json(argv):
+    """``json`` is loaded only to read a file or write a JSON answer."""
+    assert "json" not in imported(*argv)
+    assert "json" in imported(*argv, "--format", "json")
 
 
 # the costly standard modules that no entry point may load: ``dataclasses``

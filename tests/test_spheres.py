@@ -2,6 +2,7 @@ import ast
 import inspect
 import json
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -27,8 +28,28 @@ def test_bernoulli_values():
         bernoulli(0)
 
 
+def classical_bernoulli(count):
+    """B_0 .. B_{count-1} (B_1 = -1/2) by the binomial recurrence over
+    Fraction: sum_{j <= m} C(m+1, j) B_j = 0."""
+    b = [Fraction(1)]
+    for m in range(1, count):
+        b.append(-sum(comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b
+
+
+def test_bernoulli_matches_the_binomial_recurrence():
+    """Every k whose degree 4k-1 is within ``MAX_SPHERE_DEGREE``."""
+    from hdmcg.spheres import MAX_SPHERE_DEGREE
+
+    top = (MAX_SPHERE_DEGREE + 1) // 4
+    assert top == 64
+    b = classical_bernoulli(2 * top + 1)
+    assert [bernoulli(k) for k in range(1, top + 1)] \
+        == [abs(b[2 * k]) for k in range(1, top + 1)]
+
+
 def test_von_staudt_clausen():
-    for k in range(1, 13):
+    for k in range(1, 65):
         expected = 1
         for p in range(2, 2 * k + 2):
             if is_prime(p) and (2 * k) % (p - 1) == 0:
@@ -51,17 +72,17 @@ def test_bp_orders():
                          ids=["bp_order", "bernoulli"])
 def test_bernoulli_recurrence_is_bounded_at_every_entry(call, arg):
     """bernoulli refuses a degree 4k-1 past ``MAX_SPHERE_DEGREE`` = 255, and
-    so bp_order does, in one line and before the recurrence grows its
-    cache; degree 255 itself still answers."""
+    so bp_order does, in one line and before the tangent-number cache
+    grows; degree 255 itself still answers."""
     from hdmcg import spheres
 
     assert bp_order(256) % 2 ** 126 == 0  # 2^(2k-2) divides it, k = 64
-    size = len(spheres._bernoulli_cache)
+    size = len(spheres._tangent_cache)
     with pytest.raises(UnsupportedDimension) as exc:
         call(arg)
     assert str(exc.value) == ("sphere degree 4k-1 = 259 is past the limit 255 "
                               "(k <= 64); coker J is known only to stem 90")
-    assert len(spheres._bernoulli_cache) == size
+    assert len(spheres._tangent_cache) == size
 
 
 def test_coker_j_builtin_and_error():
