@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Sequence
 
-from .inputs import Record, json_int
+from .inputs import Record, json_int, json_vector
 from .linalg import (IntMatrix, cokernel_presentation, column_basis, hstack,
                      subquotient)
 
@@ -151,11 +151,16 @@ class FinAbGroup(Record):
 
 
 class GroupElement(Record):
-    """An element of a FinAbGroup; torsion coordinates are kept reduced."""
+    """An element of a FinAbGroup; torsion coordinates are kept reduced.
+
+    Coordinates and multipliers are integers by ``inputs.json_int``'s rule:
+    a float or a bool is refused with a ValueError, never truncated.
+    """
 
     _fields = ("owner", "coords")
 
     def __init__(self, owner: FinAbGroup, coords: tuple[int, ...]):
+        coords = json_vector(coords, None, "element coordinates")
         if len(coords) != owner.num_coords:
             raise ValueError("coordinate count does not match the group")
         red = list(coords[:owner.rank])
@@ -163,7 +168,7 @@ class GroupElement(Record):
             red.append(c % d)
         state = self.__dict__
         state["owner"] = owner
-        state["coords"] = tuple(int(x) for x in red)
+        state["coords"] = tuple(red)
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         self._check(other)
@@ -179,6 +184,7 @@ class GroupElement(Record):
         return GroupElement(self.owner, tuple(-a for a in self.coords))
 
     def __rmul__(self, k: int) -> "GroupElement":
+        json_int(k, "a multiplier")
         return GroupElement(self.owner, tuple(k * a for a in self.coords))
 
     def _check(self, other: "GroupElement") -> None:

@@ -6,11 +6,14 @@ floating point anywhere in this package.
 One Smith normal form, ``snf``, is the single lattice engine: kernels
 over Z and mod m, column bases, exact solving, inverses, subquotients and
 cokernel presentations all read their answer off its U, D and V, and
-every quotient group the other modules compute goes through it.  A
-kernel, over Z or mod m, is one Smith form of M itself, and its columns
-are already a basis, so ``subquotient`` takes a basis and solves against
-it directly; only a spanning set that may be dependent needs
-``column_basis`` first.
+every quotient group the other modules compute goes through it.  The
+elimination works on M alone and logs its row and column moves, and U
+and V are each replayed from their log the first time they are read: a
+cokernel builds only U, a kernel or column basis only V, and only
+``solve_exact`` and ``inverse_mod`` build both.  A kernel, over Z or mod
+m, is one Smith form of M itself, and its columns are already a basis, so
+``subquotient`` takes a basis and solves against it directly; only a
+spanning set that may be dependent needs ``column_basis`` first.
 Pivoting picks the smallest nonzero entry in absolute value, which keeps
 entry growth manageable at the matrix sizes this package deals with (a
 few dozen rows at most).  The cocycle path needs no lattice: ``cocycles``
@@ -19,7 +22,7 @@ forms its kernels over Q, and ``exact_signature`` its signatures.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, cached_property
 from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
@@ -190,7 +193,15 @@ def vstack(*mats: IntMatrix) -> IntMatrix:
 
 class SNFResult(Record):
     """Smith normal form ``U @ M @ V == D`` with U, V unimodular and the
-    diagonal of D a nonnegative divisibility chain d1 | d2 | ..."""
+    diagonal of D a nonnegative divisibility chain d1 | d2 | ...
+
+    ``snf`` stores D and the log of its elementary moves, and U and V are
+    each replayed from that log on an identity the first time they are
+    read, so a caller that reads one transform never builds the other.
+    The logs take no part in equality, hash or repr, which read U, D and
+    V.  The public constructor stores all three matrices, and a stored
+    matrix shadows its replay.
+    """
 
     _fields = ("U", "D", "V")
 
@@ -200,38 +211,58 @@ class SNFResult(Record):
         state["D"] = D
         state["V"] = V
 
+    @cached_property
+    def U(self) -> IntMatrix:
+        return _replay(self._row_moves, self.D.rows)
+
+    @cached_property
+    def V(self) -> IntMatrix:
+        return _replay(self._col_moves, self.D.cols).transpose()
+
     def diagonal(self) -> list[int]:
         return [self.D.data[i][i] for i in range(min(self.D.rows, self.D.cols))]
 
 
+def _replay(moves: list[tuple[int, int, int]], n: int) -> IntMatrix:
+    """The n x n identity after the row moves ``(i, k, q)``: row i -= q *
+    row k, or rows i and k swapped when q is 0."""
+    rows = list(IntMatrix.identity(n).data)
+    for i, k, q in moves:
+        if q:
+            rows[i] = tuple([x - q * y for x, y in zip(rows[i], rows[k])])
+        else:
+            rows[i], rows[k] = rows[k], rows[i]
+    return IntMatrix._of(tuple(rows), n)
+
+
 def snf(m: IntMatrix) -> SNFResult:
-    """Smith normal form with unimodular transforms, U @ M @ V == D."""
+    """Smith normal form with unimodular transforms, U @ M @ V == D.
+
+    Each row move on M is logged for U, and each column move, as the
+    same row move on V^T, for V; ``SNFResult`` replays a log when its
+    transform is first read.
+    """
     nr, nc = m.rows, m.cols
     a = [list(r) for r in m.data]
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+    row_moves, col_moves = [], []  # (i, k, q) for ``_replay``
 
     def row_sub(i, k, q):
-        # row i -= q * row k; left-multiplication, recorded in u
+        # row i -= q * row k; left-multiplication, logged for U
         ai, ak = a[i], a[k]
         for t in range(nc):
             ai[t] -= q * ak[t]
-        ui, uk = u[i], u[k]
-        for t in range(nr):
-            ui[t] -= q * uk[t]
+        row_moves.append((i, k, q))
 
     def col_sub(j, k, q):
-        # column j -= q * column k; right-multiplication, recorded in v
+        # column j -= q * column k; right-multiplication, logged for V
         for t in range(nr):
             a[t][j] -= q * a[t][k]
-        for t in range(nc):
-            v[t][j] -= q * v[t][k]
+        col_moves.append((j, k, q))
 
     def col_swap(j, k):
         for t in range(nr):
             a[t][j], a[t][k] = a[t][k], a[t][j]
-        for t in range(nc):
-            v[t][j], v[t][k] = v[t][k], v[t][j]
+        col_moves.append((j, k, 0))
 
     k = 0
     limit = min(nr, nc)
@@ -255,7 +286,7 @@ def snf(m: IntMatrix) -> SNFResult:
         i, j = piv
         if i != k:
             a[k], a[i] = a[i], a[k]
-            u[k], u[i] = u[i], u[k]
+            row_moves.append((k, i, 0))
         if j != k:
             col_swap(k, j)
         p = a[k][k]
@@ -294,11 +325,11 @@ def snf(m: IntMatrix) -> SNFResult:
     for i in range(limit):
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
-    trusted = IntMatrix._of
-    return SNFResult(U=trusted(tuple(map(tuple, u)), nr),
-                     D=trusted(tuple(map(tuple, a)), nc),
-                     V=trusted(tuple(map(tuple, v)), nc))
+            row_moves.append((i, i, 2))  # row i -= 2 row i
+    res = object.__new__(SNFResult)
+    res.__dict__.update(D=IntMatrix._of(tuple(map(tuple, a)), nc),
+                        _row_moves=row_moves, _col_moves=col_moves)
+    return res
 
 
 def kernel_basis(m: IntMatrix, modulus: int = 0) -> IntMatrix:

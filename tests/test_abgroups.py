@@ -106,6 +106,24 @@ def test_element_arithmetic():
         x + FinAbGroup.cyclic(7).element([1])
 
 
+def test_elements_refuse_what_is_not_an_integer():
+    """Floats and bools are refused, never truncated to (1, 2) or (1, 1)."""
+    g = FinAbGroup(1, (4,))
+    for coords in ([1.7, 2.9], [True, 5], (1, 2.0)):
+        with pytest.raises(ValueError, match="element coordinates must hold "
+                                             "integers"):
+            g.element(coords)
+    x = g.element([1, 1])
+    for k in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="a multiplier must be an "
+                                             "integer"):
+            k * x
+    with pytest.raises(ValueError,
+                       match="^coordinate count does not match the group$"):
+        g.element([1])
+    assert (3 * x).coords == (3, 3) and type((3 * x).coords[1]) is int
+
+
 def test_subgroup_iso():
     g = FinAbGroup(0, (2, 8128))
     assert subgroup_iso(g, [g.element([0, 1])]) == FinAbGroup.cyclic(8128)

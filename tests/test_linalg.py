@@ -386,3 +386,179 @@ def test_from_columns_coerces_and_refuses_ragged_columns():
     for ragged in ([[1, 2], [3]], [[1], [2, 3]]):
         with pytest.raises(ValueError, match="unequal length"):
             IntMatrix.from_columns(ragged)
+
+
+def eager_snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Reference: (U, D, V) from the same elimination as ``snf``, with U
+    and V updated next to the matrix on every move rather than replayed
+    from a log afterwards."""
+    nr, nc = m.rows, m.cols
+    a = [list(r) for r in m.data]
+    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+
+    def row_sub(i, k, q):
+        ai, ak = a[i], a[k]
+        for t in range(nc):
+            ai[t] -= q * ak[t]
+        ui, uk = u[i], u[k]
+        for t in range(nr):
+            ui[t] -= q * uk[t]
+
+    def col_sub(j, k, q):
+        for t in range(nr):
+            a[t][j] -= q * a[t][k]
+        for t in range(nc):
+            v[t][j] -= q * v[t][k]
+
+    def col_swap(j, k):
+        for t in range(nr):
+            a[t][j], a[t][k] = a[t][k], a[t][j]
+        for t in range(nc):
+            v[t][j], v[t][k] = v[t][k], v[t][j]
+
+    k = 0
+    limit = min(nr, nc)
+    while k < limit:
+        piv = None
+        best = None
+        for i in range(k, nr):
+            row = a[i]
+            for j in range(k, nc):
+                x = row[j]
+                if x and (best is None or abs(x) < best):
+                    best = abs(x)
+                    piv = (i, j)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        if piv is None:
+            break
+        i, j = piv
+        if i != k:
+            a[k], a[i] = a[i], a[k]
+            u[k], u[i] = u[i], u[k]
+        if j != k:
+            col_swap(k, j)
+        p = a[k][k]
+        dirty = False
+        for i in range(k + 1, nr):
+            if a[i][k]:
+                q = a[i][k] // p
+                if q:
+                    row_sub(i, k, q)
+                if a[i][k]:
+                    dirty = True
+        for j in range(k + 1, nc):
+            if a[k][j]:
+                q = a[k][j] // p
+                if q:
+                    col_sub(j, k, q)
+                if a[k][j]:
+                    dirty = True
+        if dirty:
+            continue
+        p = a[k][k]
+        culprit = None
+        for i in range(k + 1, nr):
+            row = a[i]
+            for j in range(k + 1, nc):
+                if row[j] % p:
+                    culprit = i
+                    break
+            if culprit is not None:
+                break
+        if culprit is not None:
+            row_sub(k, culprit, -1)
+            continue
+        k += 1
+    for i in range(limit):
+        if a[i][i] < 0:
+            a[i] = [-x for x in a[i]]
+            u[i] = [-x for x in u[i]]
+    return (IntMatrix(u, cols=nr), IntMatrix(a, cols=nc),
+            IntMatrix(v, cols=nc))
+
+
+def _same_as_eager(m: IntMatrix) -> None:
+    """U, D and V of ``snf`` equal the eager reference's, entry for entry,
+    as int tuples of the right shapes, whichever transform is read first."""
+    ref = eager_snf(m)
+    shapes = ((m.rows, m.rows), (m.rows, m.cols), (m.cols, m.cols))
+    for order in ((0, 1, 2), (2, 1, 0)):
+        res = snf(m)
+        got = {i: getattr(res, "UDV"[i]) for i in order}
+        for i, (rows, cols) in enumerate(shapes):
+            assert got[i] == ref[i], (m, i)
+            assert _is_int_rows(got[i], rows, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda r: st.integers(0, 6).flatmap(
+    lambda c: st.lists(st.lists(st.integers(-9, 9), min_size=c, max_size=c),
+                       min_size=r, max_size=r).map(lambda d: (r, c, d)))))
+def test_replayed_transforms_match_the_eager_reference(shape):
+    rows, cols, data = shape
+    _same_as_eager(IntMatrix(data, cols=cols))
+
+
+def test_replayed_transforms_match_on_wide_and_empty_shapes():
+    """Coinvariant-shaped n x 7n matrices (n <= 8, entries of g - 1 for a
+    few small g) and the empty shapes 0 x k, k x 0 and 0 x 0."""
+    rng = random.Random(24)
+    for n in range(1, 9):
+        for _ in range(3):
+            _same_as_eager(random_matrix(rng, n, 7 * n, span=2))
+    for k in range(4):
+        for m in (IntMatrix.zeros(0, k), IntMatrix.zeros(k, 0)):
+            _same_as_eager(m)
+
+
+def _kept_results(monkeypatch):
+    """Wrap ``linalg.snf`` so that it keeps every result it returns."""
+    kept = []
+
+    def keeping(x):
+        kept.append(snf(x))
+        return kept[-1]
+
+    monkeypatch.setattr(linalg, "snf", keeping)
+    return kept
+
+
+def test_each_caller_builds_only_the_transform_it_reads(monkeypatch):
+    rng = random.Random(7)
+    mats = [random_matrix(rng, r, c) for r, c in
+            ((3, 5), (5, 3), (4, 4), (2, 14), (0, 3), (3, 0))]
+    kept = _kept_results(monkeypatch)
+    for m in mats:
+        cokernel_presentation(m)
+    assert len(kept) == len(mats)
+    assert not any("V" in res.__dict__ for res in kept)
+    kept.clear()
+    for m in mats:
+        kernel_basis(m)
+        kernel_basis(m, 6)
+        column_basis(m)
+    assert len(kept) == 3 * len(mats)
+    assert not any("U" in res.__dict__ for res in kept)
+
+
+def test_solve_exact_and_inverse_mod_build_both_transforms(monkeypatch):
+    rng = random.Random(8)
+    kept = _kept_results(monkeypatch)
+    units_mod_10 = 0
+    for _ in range(10):
+        x = random_matrix(rng, 4, 2)
+        a = random_matrix(rng, 3, 4)
+        b = a @ x
+        assert a @ solve_exact(a, b) == b
+        unimodular = snf(random_matrix(rng, 4, 4)).U
+        assert inverse_mod(unimodular) @ unimodular == IntMatrix.identity(4)
+        s = random_matrix(rng, 3, 3)
+        if gcd(bareiss_det(s), 10) == 1:
+            units_mod_10 += 1
+            assert (inverse_mod(s, 10) @ s).mod(10) == IntMatrix.identity(3)
+    assert units_mod_10 and len(kept) == 20 + units_mod_10
+    assert all("U" in res.__dict__ and "V" in res.__dict__ for res in kept)

@@ -4,8 +4,9 @@ Each class is built positionally and by keyword from the same values.  Two
 instances are equal when they have the same class and equal fields, the
 hash is the hash of the field tuple, assignment and deletion raise
 AttributeError, and the repr is ``Name(field=value, ...)``.  Derived
-attributes (``GModule.inverses``, ``SurfaceClass.table`` and ``vectors``)
-take no part in equality, hash or repr.
+attributes (``GModule.inverses``, ``SurfaceClass.table`` and ``vectors``,
+and the move logs of an ``SNFResult`` from ``snf``) take no part in
+equality, hash or repr.
 """
 
 import pytest
@@ -14,7 +15,7 @@ from hdmcg.abgroups import FinAbGroup, GroupElement
 from hdmcg.cocycles import SurfaceClass
 from hdmcg.cohomology import GModule, Presentation
 from hdmcg.inputs import Record
-from hdmcg.linalg import IntMatrix, SNFResult
+from hdmcg.linalg import IntMatrix, SNFResult, snf
 from hdmcg.mcg import (Decision, ExtensionDescriptor, HautReport, MCGParams,
                        MCGReport, full_report)
 from hdmcg.spheres import AlmostClosedInvariants, SphereData, theta_data
@@ -147,3 +148,32 @@ def test_derived_attributes_are_ignored(cls):
     twin.__dict__.update(obj.__dict__)
     twin.__dict__.update(dict.fromkeys(derived, "changed"))
     assert twin == obj and hash(twin) == hash(obj) and repr(twin) == repr(obj)
+
+
+def test_a_smith_form_from_snf_is_the_value_of_its_matrices():
+    """``snf`` keeps move logs and builds U and V on first read; the result
+    still equals, hashes and shows as the explicit ``SNFResult`` of its
+    matrices, refuses assignment and deletion before and after the first
+    read, and its logs take no part in equality, hash or repr."""
+    m = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    for names in (("U", "D", "V"), ("V",), ("U",), ()):
+        res = snf(m)
+        for name in ("U", "D", "V", "_row_moves"):
+            with pytest.raises(AttributeError):
+                setattr(res, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(res, name)
+        for name in names:
+            getattr(res, name)
+        explicit = SNFResult(res.U, res.D, res.V)
+        assert res == explicit and explicit == res
+        assert hash(res) == hash(explicit) and repr(res) == repr(explicit)
+        twin = object.__new__(SNFResult)
+        twin.__dict__.update(res.__dict__, _row_moves=[], _col_moves=[])
+        assert twin == res and hash(twin) == hash(res)
+        assert repr(twin) == repr(res)
+        for name in ("U", "V"):
+            with pytest.raises(AttributeError):
+                setattr(res, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(res, name)
