@@ -146,9 +146,6 @@ class FinAbGroup(Record):
             i = j
         return " + ".join(parts) if parts else "0"
 
-    def to_json_dict(self) -> dict:
-        return {"rank": self.rank, "torsion": list(self.torsion)}
-
 
 class GroupElement(Record):
     """An element of a FinAbGroup; torsion coordinates are kept reduced.

@@ -7,11 +7,12 @@ byte-identically.  Exit codes: 0 success, 1 verification/computation
 failure, 2 usage error; a nonzero exit writes one line to stderr, which
 ``main`` alone writes, showing any line break inside the message as a
 visible ``\\n``.  A usage error, argparse's or the refusal of a flag
-the chosen group ignores, is a ``_UsageError`` that ``main`` catches, so
-``main`` returns rather than raising ``SystemExit`` (``-h`` still exits 0
-through argparse).  ``abelianization``, ``theta`` and ``boundary`` share
-the sphere-data flags ``--sigma-q-order`` and ``--coker-j-table``,
-added by one helper of ``_build_parser`` and read by ``_sphere_data``.
+the chosen group or dimension ignores, is a ``_UsageError`` that
+``main`` catches, so ``main`` returns rather than raising ``SystemExit``
+(``-h`` still exits 0 through argparse).  ``abelianization``, ``theta``
+and ``boundary`` share the sphere-data flags ``--sigma-q-order`` and
+``--coker-j-table``, added by one helper of ``_build_parser`` and read by
+``_sphere_data``.
 
 A process pays only for what its verb uses.  When the first argument
 names a verb, ``_build_parser`` builds that verb's parser alone; ``-h``,
@@ -125,10 +126,22 @@ def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
 
 
 def _sphere_data(args):
-    """The sphere data of ``args.n`` under the verb's sphere-data flags."""
+    """The sphere data of ``args.n`` under the verb's sphere-data flags.
+
+    Theorem B fixes Sigma_Q at n = 1 mod 4 and at n = 3, 7, so an order
+    given there would change nothing: once the library has accepted the
+    flags, that is a usage error.
+    """
+    from .cases import hopf, signature_only
     from .spheres import load_sphere_data
 
-    return load_sphere_data(args.n, args.sigma_q_order, args.coker_j_table)
+    data = load_sphere_data(args.n, args.sigma_q_order, args.coker_j_table)
+    fixed = [case.__name__ for case in (hopf, signature_only) if case(args.n)]
+    if args.sigma_q_order is not None and fixed:
+        raise _UsageError(f"{args.verb} does not take --sigma-q-order at "
+                          f"n = {args.n}: Sigma_Q is fixed there "
+                          f"(cases.{fixed[0]})")
+    return data
 
 
 def _cmd_abelianization(args) -> int:

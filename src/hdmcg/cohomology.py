@@ -1,15 +1,15 @@
 """Presentation-based (co)homology: abelianisations, H^1 via Fox calculus,
 and (co)invariants of matrix-group actions.
 
-Coefficient rings are Z (modulus 0) and Z/m.  H^1 of a presented group
-with a module action is computed as Z^1/B^1, where Z^1 is the kernel of
-the stacked Fox rows of the relators and B^1 the image of
-m |-> ((rho(x_i) - 1) m).  One walk over a relator gives both its Fox row
-and its action, which ``h1`` checks is trivial.  Over Z/m both are taken
-as lattices in Z^n: Z^1 is the preimage lattice ``kernel_basis(F, m)`` and
-B^1 gains m Z^n, so every (co)homology group here is one
-``linalg.subquotient`` over the basis ``kernel_basis`` returns, or one
-cokernel.
+Coefficient rings are Z (modulus 0) and Z/m, m > 0, by
+``linalg.ring_modulus``.  H^1 of a presented group with a module action
+is computed as Z^1/B^1, where Z^1 is the kernel of the stacked Fox rows
+of the relators and B^1 the image of m |-> ((rho(x_i) - 1) m).  One walk
+over a relator gives both its Fox row and its action, which ``h1``
+checks is trivial.  Over Z/m both are taken as lattices in Z^n: Z^1 is
+the preimage lattice ``kernel_basis(F, m)`` and B^1 gains m Z^n, so
+every (co)homology group here is one ``linalg.subquotient`` over the
+basis ``kernel_basis`` returns, or one cokernel.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from .abgroups import FinAbGroup
 from .inputs import Record, json_int, json_vector
 from .linalg import (IntMatrix, cokernel_presentation, hstack, inverse_mod,
-                     kernel_basis, subquotient, vstack)
+                     kernel_basis, ring_modulus, subquotient, vstack)
 
 
 class Presentation(Record):
@@ -48,8 +48,7 @@ class GModule(Record):
     def __init__(self, dimension: int, modulus: int,
                  actions: tuple[IntMatrix, ...]):
         actions = tuple(actions)
-        if modulus < 0:
-            raise ValueError("modulus must be 0 (= Z) or positive")
+        modulus = ring_modulus(modulus)
         for a in actions:
             if a.rows != dimension or a.cols != dimension:
                 raise ValueError("action matrix has the wrong size")
@@ -147,6 +146,7 @@ def _check_square_same(generators) -> int:
 
 def coinvariants(generators, modulus: int = 0) -> FinAbGroup:
     """Cokernel of the stacked (gamma - 1) over Z or Z/m."""
+    modulus = ring_modulus(modulus)
     gens = list(generators)
     n = _check_square_same(gens)
     ident = IntMatrix.identity(n)
@@ -187,6 +187,8 @@ def h1_free_product_of_cyclics(orders, actions, modulus: int) -> FinAbGroup:
     """
     if modulus <= 0:
         raise ValueError("cross-check formula is for finite coefficients")
+    if not actions or len(orders) != len(actions):
+        raise ValueError("need one order per action matrix, and at least one")
     mats = [m.mod(modulus) for m in actions]
     n = mats[0].rows
     ident = IntMatrix.identity(n)
@@ -203,9 +205,7 @@ def h1_free_product_of_cyclics(orders, actions, modulus: int) -> FinAbGroup:
 
     # crossed homs on the free product = product of the factors' cocycles;
     # principal ones are the diagonal image of M
-    z_blocks = []
-    for order, a in zip(orders, mats):
-        z_blocks.append(cyclic_z1(order, a))
+    z_blocks = [cyclic_z1(order, a) for order, a in zip(orders, mats)]
     s = len(mats)
     big = []
     for i, blk in enumerate(z_blocks):

@@ -1,8 +1,9 @@
-"""The input boundary: one rule for an integer from outside (an ``int``
-that is not a ``bool``; ``2.0``, ``"2"`` and ``true`` are refused with a
-one-line ValueError, never truncated), ``read_json``, through which both
-file loaders read, and ``Record``, the immutable base of the value classes
-whose constructors check what they are given.
+"""The input and output boundary: one rule for an integer from outside (an
+``int`` that is not a ``bool``; ``2.0``, ``"2"`` and ``true`` are refused
+with a one-line ValueError, never truncated), ``read_json``, through which
+both file loaders read, and ``Record``, the immutable base of the value
+classes whose constructors check what they are given, with the one rule
+for how a value becomes JSON (``Record.to_json_dict``).
 """
 
 from __future__ import annotations
@@ -20,6 +21,13 @@ class Record:
     ...)`` over the fields; assigning or deleting an attribute raises
     AttributeError.  It imports only ``operator`` and generates no code per
     class, so a cold CLI process pays next to nothing for it.
+
+    ``to_json_dict`` maps each field name to its value in JSON form: a
+    nested record becomes its own ``to_json_dict()``, a tuple or list a
+    list, a dict is converted value by value, and anything else (int, str,
+    bool, None) is kept.  ``SphereData`` and ``SurfaceClass`` override it,
+    as their JSON differs from their fields, and ``MCGReport`` renames and
+    drops some of the generic keys.
     """
 
     __slots__ = ()
@@ -45,11 +53,25 @@ class Record:
                           in zip(self._fields, self._values(self)))
         return f"{type(self).__qualname__}({shown})"
 
+    def to_json_dict(self) -> dict:
+        return {name: _to_json(value) for name, value
+                in zip(self._fields, self._values(self))}
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _to_json(value):
+    if isinstance(value, Record):
+        return value.to_json_dict()
+    if isinstance(value, (tuple, list)):
+        return [_to_json(x) for x in value]
+    if isinstance(value, dict):
+        return {k: _to_json(x) for k, x in value.items()}
+    return value
 
 
 def _is_int(x) -> bool:

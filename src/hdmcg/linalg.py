@@ -332,6 +332,14 @@ def snf(m: IntMatrix) -> SNFResult:
     return res
 
 
+def ring_modulus(modulus) -> int:
+    """The modulus of a coefficient ring, 0 for Z or m > 0 for Z/m: an
+    integer by ``inputs.json_int``'s rule, and never negative."""
+    if json_int(modulus, "the modulus") < 0:
+        raise ValueError("modulus must be 0 (= Z) or positive")
+    return modulus
+
+
 def kernel_basis(m: IntMatrix, modulus: int = 0) -> IntMatrix:
     """Lattice basis of {x in Z^n : M x = 0 mod modulus}; modulus 0 means
     M x = 0 over Z.
@@ -346,8 +354,7 @@ def kernel_basis(m: IntMatrix, modulus: int = 0) -> IntMatrix:
     preimage in Z^n of the solutions over Z/m, a full-rank lattice
     containing m Z^n.
     """
-    if modulus < 0:
-        raise ValueError("modulus must be 0 (= Z) or positive")
+    modulus = ring_modulus(modulus)
     res = snf(m)
     diag = res.diagonal()
     r = sum(1 for d in diag if d)
@@ -394,6 +401,7 @@ def inverse_mod(a: IntMatrix, modulus: int = 0) -> IntMatrix:
     Over Z the matrix must be unimodular; over Z/m its elementary divisors
     must be units mod m.
     """
+    modulus = ring_modulus(modulus)
     if not a.is_square:
         raise ValueError("only square matrices can be inverted")
     res = snf(a)
@@ -402,10 +410,7 @@ def inverse_mod(a: IntMatrix, modulus: int = 0) -> IntMatrix:
         if any(d != 1 for d in diag):
             raise ValueError("matrix is not invertible over the integers")
         return res.V @ res.U
-    inv_diag = []
-    for d in diag:
-        inv_diag.append(pow(d % modulus, -1, modulus))
-    middle = IntMatrix.diagonal(inv_diag)
+    middle = IntMatrix.diagonal([pow(d % modulus, -1, modulus) for d in diag])
     return (res.V @ middle @ res.U).mod(modulus)
 
 

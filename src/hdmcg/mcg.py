@@ -66,9 +66,6 @@ class Decision(Record):
             raise ValueError("decision must be yes/no/unknown")
         self.__dict__.update(value=value, citation=citation)
 
-    def to_json_dict(self) -> dict:
-        return {"value": self.value, "citation": self.citation}
-
 
 _S_PI_N_SO = {
     0: FinAbGroup(0, (2, 2)),
@@ -238,13 +235,6 @@ class ExtensionDescriptor(Record):
         self.__dict__.update(n=n, g=g, case=case, classes=classes,
                              d2_image_name=d2_image_name, d2_image=d2_image)
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "g": self.g, "case": self.case,
-                "classes": list(self.classes),
-                "d2_image_name": self.d2_image_name,
-                "d2_image": None if self.d2_image is None
-                else self.d2_image.to_json_dict()}
-
 
 def extension_descriptor(g: int, n: int,
                          data: SphereData | None = None) -> ExtensionDescriptor:
@@ -307,14 +297,6 @@ class HautReport(Record):
             g=g, n=n, splits=splits, h1_concrete=h1_concrete,
             h1_symbolic_extra=h1_symbolic_extra, spi_2n_sn=spi_2n_sn,
             j_image_order=j_image_order)
-
-    def to_json_dict(self) -> dict:
-        return {"g": self.g, "n": self.n, "splits": self.splits.to_json_dict(),
-                "h1_concrete": self.h1_concrete.to_json_dict(),
-                "h1_symbolic_extra": self.h1_symbolic_extra,
-                "spi_2n_sn": None if self.spi_2n_sn is None
-                else self.spi_2n_sn.to_json_dict(),
-                "j_image_order": self.j_image_order}
 
 
 def haut_report(g: int, n: int) -> HautReport:
@@ -395,18 +377,12 @@ class MCGReport(Record):
             provenance_flags=provenance_flags)
 
     def to_json_dict(self) -> dict:
-        return {
-            "g": self.params.g, "n": self.params.n,
-            "h1_mcg": self.h1_mcg.to_json_dict(),
-            "h1_torelli": self.h1_torelli.to_json_dict(),
-            "h1_half_mcg": self.h1_half_mcg.to_json_dict(),
-            "K_g": self.kg_description,
-            "extension": self.extension.to_json_dict(),
-            "splittings": {k: d.to_json_dict()
-                           for k, d in self.splittings.items()},
-            "haut": self.haut.to_json_dict(),
-            "provenance_flags": list(self.provenance_flags),
-        }
+        """The generic fields with ``params`` as ``g`` and ``n`` and
+        ``kg_description`` as ``K_g``, in field order."""
+        items = super().to_json_dict().items()
+        return {"g": self.params.g, "n": self.params.n,
+                **{"K_g" if k == "kg_description" else k: v
+                   for k, v in items if k != "params"}}
 
 
 def full_report(params: MCGParams) -> MCGReport:

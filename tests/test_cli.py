@@ -426,6 +426,39 @@ def test_sigma_q_order_below_1_is_refused_for_every_n(capsys, argv):
     assert (code, out, err) == (1, "", "sigma_q_order must be >= 1\n")
 
 
+@pytest.mark.parametrize("argv, case", [
+    (("abelianization", "--g", "1", "--n", "7"), "hopf"),
+    (("abelianization", "--g", "2", "--n", "3", "--group", "torelli"), "hopf"),
+    (("abelianization", "--g", "1", "--n", "5"), "signature_only"),
+    (("theta", "--n", "9"), "signature_only"),
+    (("theta", "--n", "3"), "hopf"),
+    (("boundary", "--n", "5", "--sgn", "8"), "signature_only"),
+    (("boundary", "--n", "7", "--sgn", "0", "--chi2", "8"), "hopf"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+@pytest.mark.parametrize("order", ["1", "2", "3"])
+def test_sigma_q_order_where_theorem_b_fixes_sigma_q_is_refused(
+        capsys, argv, case, order):
+    """At n = 1 mod 4 and n = 3, 7 the flag would change nothing, so it is
+    a usage error naming the case, as for the groups that read no sphere
+    data; without it the verb answers."""
+    n = argv[argv.index("--n") + 1]
+    code, out, err = run(capsys, *argv, "--sigma-q-order", order)
+    assert (code, out) == (2, "")
+    assert err == (f"{argv[0]} does not take --sigma-q-order at n = {n}: "
+                   f"Sigma_Q is fixed there (cases.{case})\n")
+    assert run(capsys, *argv)[0] == 0
+
+
+def test_abelianization_at_n7_ignores_no_flag(capsys):
+    """The flag once left ``Z/2 + Z/12`` unchanged at n = 7; now the answer
+    comes only without it, and an order below 1 keeps its exit 1."""
+    argv = ("abelianization", "--g", "1", "--n", "7")
+    assert run(capsys, *argv) == (0, "Z/2 + Z/12\n", "")
+    assert run(capsys, *argv, "--sigma-q-order", "3")[0] == 2
+    assert run(capsys, *argv, "--sigma-q-order", "0") \
+        == (1, "", "sigma_q_order must be >= 1\n")
+
+
 def test_readme_example_class_file(capsys):
     """The class file the README's CLI block runs."""
     from pathlib import Path

@@ -402,3 +402,46 @@ def test_invariants_over_z_skip_the_solve(monkeypatch):
                     assert len(calls) == 1
                     free_ranks.append(got.rank)
     assert max(free_ranks) > 0  # the kernel over Z is not always 0
+
+
+_REFUSED_MODULI = [(-2, "modulus must be 0 (= Z) or positive"),
+                   (-3, "modulus must be 0 (= Z) or positive"),
+                   (True, "the modulus must be an integer, got True"),
+                   (2.0, "the modulus must be an integer, got 2.0")]
+
+
+@pytest.mark.parametrize("modulus, message", _REFUSED_MODULI,
+                         ids=["-2", "-3", "True", "2.0"])
+def test_every_coefficient_ring_refuses_the_same_moduli(modulus, message):
+    """One rule for the coefficient ring: ``kernel_basis``, ``GModule``,
+    ``coinvariants`` and ``inverse_mod`` all refuse a negative modulus and
+    one that is not an integer, with the same line."""
+    for build in (lambda: kernel_basis(_S, modulus),
+                  lambda: GModule(2, modulus, (_S,)),
+                  lambda: coinvariants([_S], modulus=modulus),
+                  lambda: hdmcg.linalg.inverse_mod(_S, modulus)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+
+def test_the_positive_moduli_still_answer():
+    """``coinvariants`` once answered Z/2 at modulus -2 as here at 2, and
+    ``inverse_mod`` gave [[0, -2], [-1, 0]] mod -3 for this inverse."""
+    assert coinvariants([_S], modulus=2) == FinAbGroup.cyclic(2)
+    assert hdmcg.linalg.inverse_mod(_S, 3) == IntMatrix([[0, 1], [2, 0]])
+
+
+@pytest.mark.parametrize("orders, actions", [((), ()), ((2, 3), (_S,)),
+                                             ((2,), (_S, _T))],
+                         ids=["empty", "fewer-actions", "fewer-orders"])
+def test_free_product_oracle_refuses_malformed_input(orders, actions):
+    """No factor at all, or orders and matrices that do not pair up, is one
+    ValueError, not an IndexError or a silently dropped factor."""
+    with pytest.raises(ValueError, match="^need one order per action"):
+        h1_free_product_of_cyclics(orders, actions, 2)
+
+
+def test_free_product_oracle_keeps_finite_coefficients():
+    for modulus in (0, -2):
+        with pytest.raises(ValueError, match="finite coefficients"):
+            h1_free_product_of_cyclics((2, 3), (_S, _T), modulus)

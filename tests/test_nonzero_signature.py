@@ -33,7 +33,8 @@ from typing import NamedTuple
 import pytest
 
 from hdmcg.cocycles import (SurfaceClass, divided_eval, load_class_file,
-                            meyer_tau, random_symplectic, signature_of_class)
+                            meyer_tau, random_surface_class,
+                            random_symplectic, signature_of_class)
 from hdmcg.linalg import IntMatrix
 from hdmcg.spheres import (AlmostClosedInvariants, boundary_of_plumbing,
                            theta_data)
@@ -276,6 +277,34 @@ def test_reversal_negates_and_doubling_doubles_the_signature(request, name,
     assert signature_of_class(reversed_class(c)) == -sgn
     twice = doubled(c)
     assert (twice.h, signature_of_class(twice)) == (2 * c.h, 2 * sgn)
+
+
+def with_null_classes(c: SurfaceClass, family: GroupFamily, seed: int):
+    """c with a seeded random class of signature 0 (a product of blocks
+    that each factor through a free group) put before it, and another put
+    after it: the class c plus two null classes."""
+    rng = random.Random(seed)
+    gens = standard_generators(family, c.g)
+    before, after = (random_surface_class(c.g, h, rng, gens) for h in (2, 3))
+    assert signature_of_class(before) == signature_of_class(after) == 0
+    return (SurfaceClass(c.g, before.pairs + c.pairs),
+            SurfaceClass(c.g, c.pairs + after.pairs),
+            SurfaceClass(c.g, before.pairs + c.pairs + after.pairs))
+
+
+@pytest.mark.parametrize("seed", [31, 32])
+def test_concatenating_null_classes_keeps_the_signature(example, seed):
+    for joined in with_null_classes(example, GroupFamily.SP, seed):
+        assert signature_of_class(joined) == 4
+
+
+@pytest.mark.parametrize("seed", [33, 34])
+def test_theta_group_class_with_null_classes_keeps_sgn_over_8(theta_cls,
+                                                              seed):
+    for joined in with_null_classes(theta_cls, GroupFamily.SPQ, seed):
+        assert joined.all_in_theta_group()
+        assert signature_of_class(joined) == 8
+        assert divided_eval("sgn/8", joined) == 1
 
 
 def test_theta_group_class_moves_sgn_over_8_and_its_boundary(theta_cls):

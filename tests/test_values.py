@@ -7,17 +7,23 @@ AttributeError, and the repr is ``Name(field=value, ...)``.  Derived
 attributes (``GModule.inverses``, ``SurfaceClass.table`` and ``vectors``,
 and the move logs of an ``SNFResult`` from ``snf``) take no part in
 equality, hash or repr.
+
+The JSON of the report classes is pinned against the hand-written
+serialisers they had before ``Record.to_json_dict`` rendered their fields,
+key order included, and the CLI's JSON lines against their earlier bytes.
 """
 
 import pytest
 
 from hdmcg.abgroups import FinAbGroup, GroupElement
+from hdmcg.cli import main
 from hdmcg.cocycles import SurfaceClass
 from hdmcg.cohomology import GModule, Presentation
 from hdmcg.inputs import Record
 from hdmcg.linalg import IntMatrix, SNFResult, snf
 from hdmcg.mcg import (Decision, ExtensionDescriptor, HautReport, MCGParams,
-                       MCGReport, full_report)
+                       MCGReport, extension_descriptor, full_report,
+                       haut_report, splitting_decisions)
 from hdmcg.spheres import AlmostClosedInvariants, SphereData, theta_data
 
 SHEAR = IntMatrix([[1, 1], [0, 1]])
@@ -177,3 +183,122 @@ def test_a_smith_form_from_snf_is_the_value_of_its_matrices():
                 setattr(res, name, 0)
             with pytest.raises(AttributeError):
                 delattr(res, name)
+
+
+# The serialisers the five classes wrote out by hand, kept as the reference
+# for the generic rule.
+def _group_json(grp):
+    return {"rank": grp.rank, "torsion": list(grp.torsion)}
+
+
+def _decision_json(d):
+    return {"value": d.value, "citation": d.citation}
+
+
+def _extension_json(e):
+    return {"n": e.n, "g": e.g, "case": e.case, "classes": list(e.classes),
+            "d2_image_name": e.d2_image_name,
+            "d2_image": None if e.d2_image is None
+            else _group_json(e.d2_image)}
+
+
+def _haut_json(h):
+    return {"g": h.g, "n": h.n, "splits": _decision_json(h.splits),
+            "h1_concrete": _group_json(h.h1_concrete),
+            "h1_symbolic_extra": h.h1_symbolic_extra,
+            "spi_2n_sn": None if h.spi_2n_sn is None
+            else _group_json(h.spi_2n_sn),
+            "j_image_order": h.j_image_order}
+
+
+def _report_json(r):
+    return {
+        "g": r.params.g, "n": r.params.n,
+        "h1_mcg": _group_json(r.h1_mcg),
+        "h1_torelli": _group_json(r.h1_torelli),
+        "h1_half_mcg": _group_json(r.h1_half_mcg),
+        "K_g": r.kg_description,
+        "extension": _extension_json(r.extension),
+        "splittings": {k: _decision_json(d) for k, d in r.splittings.items()},
+        "haut": _haut_json(r.haut),
+        "provenance_flags": list(r.provenance_flags),
+    }
+
+
+def _same_json(got, want):
+    """Equal, and equal as text, so key order and list-for-tuple count."""
+    assert got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_report_json_matches_the_hand_written_serialisers(g, n):
+    rep = full_report(MCGParams(g, n))
+    _same_json(rep.to_json_dict(), _report_json(rep))
+    haut = haut_report(g, n)
+    _same_json(haut.to_json_dict(), _haut_json(haut))
+    ext = extension_descriptor(g, n)
+    _same_json(ext.to_json_dict(), _extension_json(ext))
+    for d in splitting_decisions(g, n).values():
+        _same_json(d.to_json_dict(), _decision_json(d))
+
+
+def test_extension_json_without_sphere_data():
+    """n = 11 has no built-in sphere data, so the d2 image is None."""
+    ext = extension_descriptor(2, 11)
+    assert ext.d2_image is None
+    _same_json(ext.to_json_dict(), _extension_json(ext))
+    assert ext.to_json_dict()["d2_image"] is None
+
+
+@pytest.mark.parametrize("grp", [FinAbGroup.trivial(), FinAbGroup.free(3),
+                                 FinAbGroup(0, (2, 2, 12)),
+                                 FinAbGroup(2, (4, 992))])
+def test_group_json_is_rank_and_torsion(grp):
+    _same_json(grp.to_json_dict(), _group_json(grp))
+
+
+def test_a_report_with_a_provenance_flag():
+    rep = MCGReport(*_report_values()[:-1], ("sigma_q_order_defaulted_to_2",))
+    _same_json(rep.to_json_dict(), _report_json(rep))
+    assert rep.to_json_dict()["provenance_flags"] \
+        == ["sigma_q_order_defaulted_to_2"]
+
+
+@pytest.mark.parametrize("argv, line", [
+    ("abelianization --g 1 --n 5", '{"rank": 1, "torsion": [4, 992]}'),
+    ("abelianization --g 2 --n 7 --group torelli",
+     '{"rank": 4, "torsion": [2]}'),
+    ("abelianization --g 3 --n 9 --group halfmcg",
+     '{"rank": 0, "torsion": [4]}'),
+    ("abelianization --g 1 --n 3 --group gg", '{"rank": 0, "torsion": [12]}'),
+    ("splits --g 1 --n 5",
+     '{"ext3": {"citation": "ThmB", "value": "yes"}, '
+     '"ext4": {"citation": "ThmA", "value": "yes"}, '
+     '"kreck1": {"citation": "CorC-i", "value": "yes"}, '
+     '"kreck2": {"citation": "CorC-ii", "value": "yes"}}'),
+    ("splits --g 2 --n 3",
+     '{"ext3": {"citation": "ThmB", "value": "no"}, '
+     '"ext4": {"citation": "ThmA", "value": "no"}, '
+     '"kreck1": {"citation": "CorC-i", "value": "no"}, '
+     '"kreck2": {"citation": "CorC-ii", "value": "no"}}'),
+    ("theta --n 7",
+     '{"bA_generators": [[0, 8127]], "coker_J": {"rank": 0, "torsion": [2]}, '
+     '"n": 7, "omega": {"rank": 0, "torsion": [2]}, "sigma_P": [0, 1], '
+     '"sigma_Q": [0, 8127], "sigma_q_order_assumed": false, '
+     '"theta": {"rank": 0, "torsion": [2, 8128]}}'),
+    ("theta --n 9",
+     '{"bA_generators": [[0, 1]], "coker_J": {"rank": 0, "torsion": [2]}, '
+     '"n": 9, "omega": {"rank": 0, "torsion": [2]}, "sigma_P": [0, 1], '
+     '"sigma_Q": [0, 0], "sigma_q_order_assumed": false, '
+     '"theta": {"rank": 0, "torsion": [2, 261632]}}'),
+])
+def test_cli_json_lines_are_unchanged(capsys, argv, line):
+    assert main([*argv.split(), "--format", "json"]) == 0
+    assert capsys.readouterr() == (line + "\n", "")
+
+
+def test_only_the_classes_whose_json_differs_override_the_rule():
+    own = {cls for cls in Record.__subclasses__()
+           if "to_json_dict" in vars(cls)}
+    assert own == {MCGReport, SphereData, SurfaceClass}
