@@ -5,12 +5,18 @@ the identity; it stands for a map from a genus-h surface into the
 classifying space of the symplectic group, recorded by its holonomies.
 One type, ``SurfaceClass``, holds it, with optional translation vectors
 that lift it to the affine group Z^2g x| Sp_2g(Z).  The signature pairing
-is evaluated through an integral 2-cocycle (Meyer's signature cocycle)
-against a canonical bar-complex 2-cycle filling the surface relator; the
-chi^2 pairing, which needs the translations, is the cup square of the
-translation 1-cocycle, paired with the symplectic form.
+is evaluated through an integral 2-cocycle against a canonical bar-complex
+2-cycle filling the surface relator; the chi^2 pairing, which needs the
+translations, is the cup square of the translation 1-cocycle, paired with
+the symplectic form.
 
-Meyer cocycle model used here: for A, B symplectic, put
+Two cocycles give the signature, and they differ by a coboundary, which
+pairs to 0 with a 2-cycle (Turaev 1984; Barge-Ghys 1992).  A class is
+evaluated through the Maslov cocycle m(A, B) = mu(L, A L, A B L) of the
+fixed Lagrangian L = span(e_1..e_g), mu being the Kashiwara index; Meyer's
+cocycle, ``meyer_tau``, is the second algorithm, which ``verify`` and the
+tests sum over the same 2-cycle.  Meyer cocycle model used here: for A, B
+symplectic, put
 
     V = {(x, y) : (A^{-1} - 1) x + (B - 1) y = 0},
     beta((x1, y1), (x2, y2)) = (x1 + y1)^T . J . (1 - B) . y2,
@@ -20,35 +26,40 @@ symmetric.  The sign and transpose conventions are pinned by the invariant
 suite (cocycle identity, vanishing on torus classes, divisibility by 4);
 ``exact_signature`` refuses an asymmetric matrix, so every term checks that
 beta is symmetric on V.  By Sylvester's law the signature depends only on
-V (x) Q, so V is taken from a rational kernel basis.
+V (x) Q, so V is taken from a rational kernel basis.  The Maslov route
+has the same sign on the classes of signature +-4 and +-8.
 
 Inputs are validated once, at the boundary: ``meyer_tau`` checks that
 both matrices are symplectic, and ``SurfaceClass`` checks every holonomy
 on construction, so ``signature_of_class`` evaluates its terms without
-re-checking them.  Terms that are zero by the formula are skipped: if
-B = I then 1 - B = 0; if A = I then every (x, y) in V has (B - 1) y = 0;
+re-checking them.  Meyer terms that are zero by the formula are skipped:
+if B = I then 1 - B = 0; if A = I then every (x, y) in V has (B - 1) y = 0;
 if B = A^{-1} then x + y is fixed by A on V, and A-invariance of J gives
 (x + y)^T J A^{-1} y2 = (A (x + y))^T J y2 = (x + y)^T J y2, so beta = 0.
 
-Each remaining term costs one inverse, one pass over int lists and one
-signature.  A^{-1} serves both the B = A^{-1} test and the rows
-[A^{-1} - 1 | B - 1]; their elimination, the kernel columns, w over the
-nonzero y_k and the Gram matrix of beta stay int lists.  The Gram is taken
-on V modulo the kernel columns in its radical, those with w = 0: every
-free x column, and y in Fix B.  Dropping them is exact, because A- and
-B-invariance of J make Fix A orthogonal to Im(1 - A^{-1}) and Fix B to
+Each remaining Meyer term costs one inverse, one pass over int lists and
+one signature.  A^{-1} serves both the B = A^{-1} test and the rows
+[A^{-1} - 1 | B - 1], 2g x 4g; their elimination, the kernel columns, w
+over the nonzero y_k and the Gram matrix of beta stay int lists.  The Gram
+is taken on V modulo the kernel columns in its radical, those with w = 0:
+every free x column, and y in Fix B.  Dropping them is exact, because A-
+and B-invariance of J make Fix A orthogonal to Im(1 - A^{-1}) and Fix B to
 Im(B - 1), so their rows vanish as well as their columns; those rows are
-still computed and checked, so the symmetry check covers all of V.  Only
-the reduced Gram becomes an ``IntMatrix``, for ``exact_signature`` (in
-four rounds of the benchmark's cocycle sweep, 1,848 of 4,056 terms get this
-far, and the mean dimension of their Gram matrices is 3.50, where it was
-5.75 on all of V).  A class walks its relator word once, on construction,
-and keeps one table: the letters, the prefix products and the identity
-(and, with translations, the matching vectors: the letter moves, the
-prefix shifts and 0).  The canonical 2-cycle is a
-list of (i, j, coeff) over indices into that table; it depends only on h,
-so it is built, and its boundary checked on free-group words, once per h.
-Both pairings read the table through it, and neither forms a product.
+still computed and checked, so the symmetry check covers all of V.
+
+A class's signature costs less: sum_k mu(L, P_{k-1} L, P_k L) over the
+prefix products P_k it already holds, each term one kernel of a g x 2g
+matrix and the signature of a Gram of dimension at least g, with no
+inverse (see ``signature_of_class``).  A term is skipped when P_{k-1},
+P_k or the letter X_k keeps L; the benchmark's generators move L only
+through the swap of e and f, so most of its terms are skipped.  A class
+walks its relator word once, on construction, and keeps one table: the
+letters, the prefix products and the identity (and, with translations,
+the matching vectors: the letter moves, the prefix shifts and 0).  The
+canonical 2-cycle is a list of (i, j, coeff) over indices into that
+table; it depends only on h, so it is built, and its boundary checked on
+free-group words, once per h.  Both pairings read the table, and neither
+forms a product.
 """
 
 from __future__ import annotations
@@ -178,12 +189,10 @@ class SurfaceClass(Record):
                                self.table, scale(self.vectors))
 
     def to_json_dict(self) -> dict:
-        d = {"g": self.g, "h": self.h,
-             "pairs": [[a.to_lists(), b.to_lists()] for a, b in self.pairs]}
-        if self.translations is not None:
-            d["translations"] = [[list(v), list(w)]
-                                 for v, w in self.translations]
-        return d
+        d = super().to_json_dict()
+        if self.translations is None:
+            del d["translations"]
+        return {"g": self.g, "h": self.h, **d}
 
 
 # the old name of a class with translations, which perfbench still names
@@ -347,16 +356,56 @@ def beta_is_symmetric_on_kernel(a: IntMatrix, b: IntMatrix, g: int) -> bool:
     return form - form.transpose() == IntMatrix.zeros(form.rows, form.cols)
 
 
-def signature_of_class(cls: SurfaceClass) -> int:
-    """Pairing of the signature cocycle with the canonical 2-cycle.
+def _maslov_term(m0: list, m1: list, g: int) -> int:
+    """mu(L, P0 L, P1 L) for L = span(e_1..e_g), from the first g columns
+    M0, M1 of P0 and P1, given as their 2g rows.
 
-    The class validated every holonomy on construction, and every term of
-    the 2-cycle is a product of holonomies and their inverses, so the terms
-    go to the unchecked evaluator.  Translations play no part.
+    K = {(t, u) : f0 t + f1 u = 0}, with f0, f1 the f-parts (the last g
+    rows) of M0 and M1, is the kernel of a g x 2g matrix, and on K the
+    Kashiwara form of the three Lagrangians is 3 omega(M0 t, M1 u); its
+    polar form, on a kernel basis, is the Gram t_i^T N u_j with
+    N = M0^T J M1, taken here as the pairing of the vectors M0 t_i and
+    J M1 u_j.  It is symmetric because all three spaces are isotropic, so
+    ``exact_signature`` refusing an asymmetric Gram checks that P0 L and
+    P1 L are isotropic on K.
     """
+    j = j_matrix(g, -1).data
+    ker = _kernel_columns([a + b for a, b in zip(m0[g:], m1[g:])], 2 * g)
+    xs = [[sum(map(mul, r, t)) for r in m0] for t in (v[:g] for v in ker)]
+    ys = [[sum(map(mul, r, u)) for r in m1] for u in (v[g:] for v in ker)]
+    jys = [[sum(map(mul, r, y)) for r in j] for y in ys]
+    gram = tuple([tuple([sum(map(mul, x, jy)) for jy in jys]) for x in xs])
+    return exact_signature(IntMatrix._of(gram, len(gram)))
+
+
+def signature_of_class(cls: SurfaceClass) -> int:
+    """Pairing of the signature cocycle with the canonical 2-cycle, through
+    the Maslov cocycle m(A, B) = mu(L, A L, A B L) of L = span(e_1..e_g).
+
+    Meyer's cocycle and m differ by a coboundary (Turaev 1984; Barge-Ghys
+    1992), which pairs to 0 with the 2-cycle, so the pairing is unchanged.
+    On the canonical filling m vanishes on every [x | x^-1] and [e | e]
+    term, and on [P_{k-1} | X_k] for k = 4h - 1 (there P_k = I), so the
+    signature is sum_{k=1..4h-2} mu(L, P_{k-1} L, P_k L) over the prefix
+    products the class already holds: no inverse and no identity test.  A
+    term is 0 when P_{k-1} or P_k keeps L (its f-part is 0), and when X_k
+    keeps L, as then P_k L = P_{k-1} L.  The sign of the term (the order of
+    the Lagrangians, and J against -J) is pinned by the classes of
+    signature +-4 and +-8, on which this route and Meyer's ``meyer_tau``
+    summed over ``surface_two_cycle`` agree.  Translations play no part.
+    """
+    g, h = cls.g, cls.h
     t = cls.table
-    return sum(c * _tau(t[i], t[j], cls.g)
-               for i, j, c in surface_two_cycle(cls))
+    total, prev = 0, None
+    for k in range(4 * h - 1):  # P_0 .. P_{4h-2}
+        m = [r[:g] for r in t[4 * h + k].data]
+        if not any(map(any, m[g:])):
+            prev = None
+            continue
+        if prev is not None and any(any(r[:g]) for r in t[k].data[g:]):
+            total += _maslov_term(prev, m, g)
+        prev = m
+    return total
 
 
 def chi2_of_class(cls: SurfaceClass) -> int:

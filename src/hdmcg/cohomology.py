@@ -137,6 +137,8 @@ def _check_square_same(generators) -> int:
     gens = list(generators)
     if not gens:
         raise ValueError("at least one generator matrix is required")
+    if not all(isinstance(g, IntMatrix) for g in gens):
+        raise ValueError("generators must be integer matrices")
     n = gens[0].rows
     for g in gens:
         if not g.is_square or g.rows != n:
@@ -184,14 +186,22 @@ def h1_free_product_of_cyclics(orders, actions, modulus: int) -> FinAbGroup:
     = 2.  Here the group itself is assembled from crossed homomorphisms:
     Z^1(G) is the product of the Z^1(A_i), and B^1(G) is the diagonal
     image of M.
+
+    Orders are integers by ``inputs.json_int``'s rule and never negative,
+    and a factor of order d > 0 needs A^d = I mod m; any other input is
+    one ValueError.
     """
-    if modulus <= 0:
+    if json_int(modulus, "the modulus") <= 0:
         raise ValueError("cross-check formula is for finite coefficients")
-    if not actions or len(orders) != len(actions):
+    orders = json_vector(orders, None, "the factor orders")
+    if any(d < 0 for d in orders):
+        raise ValueError("a factor's order must be 0 (infinite) or positive")
+    if not isinstance(actions, (list, tuple)) or not actions \
+            or len(orders) != len(actions):
         raise ValueError("need one order per action matrix, and at least one")
+    n = _check_square_same(actions)
     mats = [m.mod(modulus) for m in actions]
-    n = mats[0].rows
-    ident = IntMatrix.identity(n)
+    ident = IntMatrix.identity(n).mod(modulus)
 
     def cyclic_z1(order, a):
         if order == 0:
@@ -201,6 +211,9 @@ def h1_free_product_of_cyclics(orders, actions, modulus: int) -> FinAbGroup:
         for _ in range(order):
             norm = (norm + power).mod(modulus)
             power = (power @ a).mod(modulus)
+        if power != ident:
+            raise ValueError(f"a factor of order {order} needs its matrix "
+                             f"A to satisfy A^{order} = I mod {modulus}")
         return kernel_basis(norm, modulus)
 
     # crossed homs on the free product = product of the factors' cocycles;

@@ -24,10 +24,11 @@ class Record:
 
     ``to_json_dict`` maps each field name to its value in JSON form: a
     nested record becomes its own ``to_json_dict()``, a tuple or list a
-    list, a dict is converted value by value, and anything else (int, str,
-    bool, None) is kept.  ``SphereData`` and ``SurfaceClass`` override it,
-    as their JSON differs from their fields, and ``MCGReport`` renames and
-    drops some of the generic keys.
+    list, a dict is converted value by value, an ``IntMatrix`` becomes its
+    row lists, and anything else (int, str, bool, None) is kept.
+    ``SphereData`` and ``SurfaceClass`` override it, as their JSON differs
+    from their fields, and ``MCGReport`` renames and drops some of the
+    generic keys.
     """
 
     __slots__ = ()
@@ -67,6 +68,8 @@ class Record:
 def _to_json(value):
     if isinstance(value, Record):
         return value.to_json_dict()
+    if hasattr(value, "to_lists"):  # an IntMatrix, as its rows
+        return value.to_lists()
     if isinstance(value, (tuple, list)):
         return [_to_json(x) for x in value]
     if isinstance(value, dict):

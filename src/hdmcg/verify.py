@@ -194,7 +194,8 @@ def suite_cocycles(seed: int = 0) -> list[Check]:
     from .cocycles import (SurfaceClass, beta_is_symmetric_on_kernel,
                            chi2_of_class, divided_eval, meyer_tau,
                            random_affine_class, random_surface_class,
-                           random_symplectic, signature_of_class, sp_power)
+                           random_symplectic, signature_of_class, sp_power,
+                           surface_two_cycle)
     from .symplectic import GroupFamily, sp_inverse, standard_generators
 
     rng = random.Random(seed)
@@ -252,6 +253,25 @@ def suite_cocycles(seed: int = 0) -> list[Check]:
             bad.append("conjugation changes the signature")
             break
     checks.append(_check("class-signature-conjugation", not bad, "; ".join(bad)))
+
+    # the Maslov route of signature_of_class against Meyer's tau summed
+    # over the 2-cycle, which checks beta's symmetry on all of each V
+    bad = []
+    two = random.Random(seed)
+    for g2 in (2, 3):
+        for fam in (GroupFamily.SP, GroupFamily.SPQ):
+            fgens = standard_generators(fam, g2)
+            for _ in range(8):
+                cls = random_surface_class(g2, two.choice([1, 2, 3]), two,
+                                           fgens)
+                t = cls.table
+                meyer = sum(c * meyer_tau(t[i], t[j], g2)
+                            for i, j, c in surface_two_cycle(cls))
+                if signature_of_class(cls) != meyer:
+                    bad.append(f"Maslov and Meyer routes differ at g={g2}")
+                    break
+    checks.append(_check("class-signature-two-routes", not bad,
+                         "; ".join(bad)))
 
     # torus class with commuting holonomies
     bad = []

@@ -10,7 +10,8 @@ from hdmcg.cocycles import (SurfaceClass, _fills_relator, _tau,
                             random_surface_class, random_symplectic,
                             signature_of_class, surface_two_cycle)
 from hdmcg.linalg import IntMatrix
-from hdmcg.symplectic import GroupFamily, sp_inverse, standard_generators
+from hdmcg.symplectic import (GroupFamily, j_matrix, sp_inverse,
+                              standard_generators)
 
 
 SP2 = standard_generators(GroupFamily.SP, 2)
@@ -353,3 +354,29 @@ def test_word_level_check_rejects_a_broken_filling():
             assert not _fills_relator(h, terms[:k] + terms[k + 1:])
         i, j, c = terms[-1]
         assert not _fills_relator(h, terms[:-1] + ((i, j, c + 1),))
+
+
+def test_class_signature_routes_agree_on_seeded_classes():
+    """The Maslov route of ``signature_of_class`` against Meyer's tau summed
+    over the 2-cycle, at g = 1..4 in Sp and the theta group."""
+    rng = random.Random(2030)
+    for i in range(160):
+        g = 1 + i % 4
+        fam = (GroupFamily.SP, GroupFamily.SPQ)[(i // 4) % 2]
+        cls = random_surface_class(g, rng.choice([1, 2, 3]), rng,
+                                   standard_generators(fam, g))
+        t = cls.table
+        assert signature_of_class(cls) == sum(
+            c * meyer_tau(t[a], t[b], g) for a, b, c in surface_two_cycle(cls))
+
+
+def test_a_prefix_that_is_not_lagrangian_is_refused():
+    """Past the class's validation, a prefix whose first columns e1 + f1
+    and e2 + f1 pair to 1 makes the Gram of its term asymmetric."""
+    ident, j = IntMatrix.identity(4), j_matrix(2, -1)
+    p0 = IntMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 1, 0], [0, 0, 0, 1]])
+    cls = SurfaceClass._unchecked(2, ((j, j),), None,
+                                  (j, j, j, j, p0, j, ident, ident, ident),
+                                  None)
+    with pytest.raises(ValueError, match="symmetric"):
+        signature_of_class(cls)

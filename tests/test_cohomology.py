@@ -445,3 +445,38 @@ def test_free_product_oracle_keeps_finite_coefficients():
     for modulus in (0, -2):
         with pytest.raises(ValueError, match="finite coefficients"):
             h1_free_product_of_cyclics((2, 3), (_S, _T), modulus)
+
+
+@pytest.mark.parametrize("orders, message", [
+    ((-1,), "a factor's order must be 0 (infinite) or positive"),
+    ((1,), "a factor of order 1 needs its matrix A to satisfy A^1 = I mod 2"),
+    ((3,), "a factor of order 3 needs its matrix A to satisfy A^3 = I mod 2"),
+    ((2.5,), "the factor orders must hold integers, got (2.5,)"),
+    ((True,), "the factor orders must hold integers, got (True,)"),
+    (2, "the factor orders must hold integers, got 2"),
+], ids=["negative", "order-1", "order-3", "float", "bool", "not-a-list"])
+def test_free_product_oracle_checks_its_orders(orders, message):
+    """S has order 2 mod 2.  An order of -1 once answered Z/2, an order of
+    1 failed with an unrelated "no integral solution", and 2.5 raised
+    TypeError."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        h1_free_product_of_cyclics(orders, (_S,), 2)
+
+
+@pytest.mark.parametrize("actions, message", [
+    (([[0, 1], [1, 0]],), "generators must be integer matrices"),
+    ((IntMatrix([[1, 2, 3]]),), "generators must be square matrices of "
+                                "equal size"),
+    (_S, "need one order per action matrix, and at least one"),
+], ids=["list", "not-square", "not-a-tuple"])
+def test_free_product_oracle_checks_its_matrices(actions, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        h1_free_product_of_cyclics((2,), actions, 2)
+
+
+def test_free_product_oracle_answers_a_valid_order():
+    """S mod 2 swaps the two coordinates, so F_2^2 is the free module of
+    Z/2 and H^1 vanishes; over Z/1 every group is 0."""
+    assert h1_free_product_of_cyclics((2,), (_S,), 2) == FinAbGroup.trivial()
+    assert h1_free_product_of_cyclics((1, 0), (_S, _T), 1) \
+        == FinAbGroup.trivial()

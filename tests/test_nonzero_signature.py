@@ -19,7 +19,13 @@ two words.
   as H_2(Sp_2(Z); Q) = 0 (Meyer 1973) requires.
 
 ``python tests/test_nonzero_signature.py`` rewrites
-``examples/nonzero.json`` from the genus-2 builder.
+``examples/nonzero.json`` from the genus-2 builder and
+``examples/theta_nonzero.json`` from the genus-3 one.
+
+Each class is also a witness for the two routes to a signature: the
+Maslov route of ``signature_of_class`` and Meyer's tau summed over the
+canonical 2-cycle must agree, and their common sign is pinned by the
+classes of signature +-4 and +-8.
 """
 
 import json
@@ -32,16 +38,20 @@ from typing import NamedTuple
 
 import pytest
 
+from hdmcg import cocycles
 from hdmcg.cocycles import (SurfaceClass, divided_eval, load_class_file,
                             meyer_tau, random_surface_class,
-                            random_symplectic, signature_of_class)
+                            random_symplectic, signature_of_class,
+                            surface_two_cycle)
 from hdmcg.linalg import IntMatrix
 from hdmcg.spheres import (AlmostClosedInvariants, boundary_of_plumbing,
                            theta_data)
 from hdmcg.symplectic import (GroupFamily, j_matrix, sp_inverse,
                               standard_generators)
 
-EXAMPLE = Path(__file__).resolve().parents[1] / "examples" / "nonzero.json"
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
+EXAMPLE = EXAMPLES / "nonzero.json"
+THETA_EXAMPLE = EXAMPLES / "theta_nonzero.json"
 
 
 class Recipe(NamedTuple):
@@ -176,6 +186,28 @@ def stabilised(m: IntMatrix) -> IntMatrix:
     return IntMatrix(out)
 
 
+def stabilised_class(c: SurfaceClass) -> SurfaceClass:
+    """A genus-2 class carried to genus 3 by ``stabilised``."""
+    return SurfaceClass(3, tuple((stabilised(a), stabilised(b))
+                                 for a, b in c.pairs))
+
+
+@cache
+def genus_3_theta_recipe() -> Recipe:
+    return Recipe(3, q_odd_chain(3),
+                  w1=(0, 1) * 42,  # (T1 T2)^42
+                  # (T1 ... T7)^8 (T1 ... T6 T7^2 T6 ... T1)^2
+                  w2=(*UP, 6) * 8 + (*UP, 6, 6, *UP[::-1]) * 2,
+                  bound=2)
+
+
+def meyer_route(c: SurfaceClass) -> int:
+    """The signature as Meyer's tau summed over the canonical 2-cycle."""
+    t = c.table
+    return sum(k * meyer_tau(t[i], t[j], c.g)
+               for i, j, k in surface_two_cycle(c))
+
+
 @pytest.fixture(scope="module")
 def cls() -> SurfaceClass:
     return nonzero_class()
@@ -183,11 +215,7 @@ def cls() -> SurfaceClass:
 
 @pytest.fixture(scope="module")
 def theta_recipe() -> Recipe:
-    return Recipe(3, q_odd_chain(3),
-                  w1=(0, 1) * 42,  # (T1 T2)^42
-                  # (T1 ... T7)^8 (T1 ... T6 T7^2 T6 ... T1)^2
-                  w2=(*UP, 6) * 8 + (*UP, 6, 6, *UP[::-1]) * 2,
-                  bound=2)
+    return genus_3_theta_recipe()
 
 
 @pytest.fixture(scope="module")
@@ -213,9 +241,7 @@ def test_signature_survives_conjugation_and_stabilisation(cls):
     for _ in range(3):
         p = random_symplectic(G, rng, gens)
         assert signature_of_class(cls.conjugated(p)) == 4
-    big = SurfaceClass(3, tuple((stabilised(a), stabilised(b))
-                                for a, b in cls.pairs))
-    assert signature_of_class(big) == 4
+    assert signature_of_class(stabilised_class(cls)) == 4
 
 
 def test_boundary_refuses_signature_4_at_n_5(cls):
@@ -360,5 +386,45 @@ def test_genus_one_classes_have_signature_0(recipe):
     assert signature_of_class(c) == 0
 
 
+def test_theta_example_file_is_the_built_class(theta_cls):
+    c = load_class_file(str(THETA_EXAMPLE))
+    assert c.pairs == theta_cls.pairs
+    assert signature_of_class(c) == 8
+
+
+@BOTH_CLASSES
+def test_maslov_and_meyer_routes_agree_on_the_nonzero_classes(request, name,
+                                                              sgn):
+    """Both classes and their reversals; the genus-2 class also doubled,
+    twisted and stabilised to genus 3."""
+    c = request.getfixturevalue(name)
+    cases = [(c, sgn), (reversed_class(c), -sgn)]
+    if name == "example":
+        rng = random.Random(23)
+        cases += [(doubled(c), 2 * sgn), (stabilised_class(c), sgn),
+                  *((twisted(c, rng, k), sgn) for k in (5, 30))]
+    for moved, want in cases:
+        assert signature_of_class(moved) == meyer_route(moved) == want
+
+
+def test_flipping_j_in_the_maslov_term_flips_the_sign(example, monkeypatch):
+    """The mutation -J for J in each term: the sign is pinned."""
+    real = cocycles.j_matrix
+    monkeypatch.setattr(cocycles, "j_matrix", lambda g, eps: -real(g, eps))
+    assert signature_of_class(example) == -4
+
+
+def test_the_maslov_route_calls_neither_tau_nor_an_inverse(example,
+                                                           monkeypatch):
+    def refuse(*args):
+        raise AssertionError("called on the class-signature path")
+
+    monkeypatch.setattr(cocycles, "_tau", refuse)
+    monkeypatch.setattr(cocycles, "sp_inverse", refuse)
+    assert signature_of_class(example) == 4
+
+
 if __name__ == "__main__":
-    EXAMPLE.write_text(json.dumps(nonzero_class().to_json_dict()) + "\n")
+    for path, recipe in ((EXAMPLE, GENUS_2), (THETA_EXAMPLE,
+                                              genus_3_theta_recipe())):
+        path.write_text(json.dumps(build_class(recipe).to_json_dict()) + "\n")

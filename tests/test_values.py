@@ -11,7 +11,10 @@ equality, hash or repr.
 The JSON of the report classes is pinned against the hand-written
 serialisers they had before ``Record.to_json_dict`` rendered their fields,
 key order included, and the CLI's JSON lines against their earlier bytes.
+A field that holds an ``IntMatrix`` renders as its row lists.
 """
+
+import json
 
 import pytest
 
@@ -302,3 +305,13 @@ def test_only_the_classes_whose_json_differs_override_the_rule():
     own = {cls for cls in Record.__subclasses__()
            if "to_json_dict" in vars(cls)}
     assert own == {MCGReport, SphereData, SurfaceClass}
+
+
+def test_matrix_fields_render_as_row_lists():
+    s = IntMatrix([[0, -1], [1, 0]])
+    line = json.dumps(GModule(2, 3, (s,)).to_json_dict())
+    assert line == ('{"dimension": 2, "modulus": 3, '
+                    '"actions": [[[0, -1], [1, 0]]]}')
+    res = snf(IntMatrix([[2, 4], [6, 8]]))
+    assert json.loads(json.dumps(res.to_json_dict())) == {
+        "U": res.U.to_lists(), "D": [[2, 0], [0, 4]], "V": res.V.to_lists()}
