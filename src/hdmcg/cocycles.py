@@ -29,23 +29,28 @@ beta is symmetric on V.  By Sylvester's law the signature depends only on
 V (x) Q, so V is taken from a rational kernel basis.  The Maslov route
 has the same sign on the classes of signature +-4 and +-8.
 
-Inputs are validated once, at the boundary: ``meyer_tau`` checks that
-both matrices are symplectic, and ``SurfaceClass`` checks every holonomy
-on construction, so ``signature_of_class`` evaluates its terms without
-re-checking them.  Meyer terms that are zero by the formula are skipped:
-if B = I then 1 - B = 0; if A = I then every (x, y) in V has (B - 1) y = 0;
-if B = A^{-1} then x + y is fixed by A on V, and A-invariance of J gives
+Inputs are validated once per matrix value, at the boundary:
+``meyer_tau`` checks that both matrices are symplectic, and
+``SurfaceClass`` checks its genus and every holonomy on construction, so
+``signature_of_class`` evaluates its terms without re-checking them.  The
+membership verdict and the inverse come from the bounded memos of
+``symplectic``, so a matrix that ``meyer_tau``, a class, its walk or a
+conjugate meets again is checked and inverted once while it stays in
+them.  Meyer terms that are zero by the formula are skipped: if B = I
+then 1 - B = 0; if A = I then every (x, y) in V has (B - 1) y = 0; if
+B = A^{-1} then x + y is fixed by A on V, and A-invariance of J gives
 (x + y)^T J A^{-1} y2 = (A (x + y))^T J y2 = (x + y)^T J y2, so beta = 0.
 
-Each remaining Meyer term costs one inverse, one pass over int lists and
-one signature.  A^{-1} serves both the B = A^{-1} test and the rows
-[A^{-1} - 1 | B - 1], 2g x 4g; their elimination, the kernel columns, w
-over the nonzero y_k and the Gram matrix of beta stay int lists.  The Gram
-is taken on V modulo the kernel columns in its radical, those with w = 0:
-every free x column, and y in Fix B.  Dropping them is exact, because A-
-and B-invariance of J make Fix A orthogonal to Im(1 - A^{-1}) and Fix B to
-Im(B - 1), so their rows vanish as well as their columns; those rows are
-still computed and checked, so the symmetry check covers all of V.
+Each remaining Meyer term costs one inverse (once per matrix value), one
+pass over int lists and one signature.  A^{-1} serves both the B = A^{-1}
+test and the rows [A^{-1} - 1 | B - 1], 2g x 4g; their elimination, the
+kernel columns, w over the nonzero y_k and the Gram matrix of beta stay
+int lists.  The Gram is taken on V modulo the kernel columns in its
+radical, those with w = 0: every free x column, and y in Fix B.  Dropping
+them is exact, because A- and B-invariance of J make Fix A orthogonal to
+Im(1 - A^{-1}) and Fix B to Im(B - 1), so their rows vanish as well as
+their columns; those rows are still computed and checked, so the symmetry
+check covers all of V.
 
 A class's signature costs less: sum_k mu(L, P_{k-1} L, P_k L) over the
 prefix products P_k it already holds, each term one kernel of a g x 2g
@@ -106,6 +111,13 @@ def _walk(g: int, pairs, translations) -> tuple:
     return table, (*moves, *shifts, (0,) * 2 * g)
 
 
+def _genus(g) -> int:
+    """g, if it is an integer >= 1 by the ``json_int`` rule."""
+    if json_int(g, "g") < 1:
+        raise ValueError("genus g must be >= 1")
+    return g
+
+
 class SurfaceClass(Record):
     """Genus-h tuple of symplectic matrix pairs with trivial total relator,
     optionally with translations (v_i, w_i) such that the pairs
@@ -125,6 +137,7 @@ class SurfaceClass(Record):
     def __post_init__(self):
         """Checks and walks the class; kept apart from ``__init__`` so that
         a caller can count or time validations by wrapping it."""
+        _genus(self.g)
         if not self.pairs:
             raise ValueError("a surface class needs genus h >= 1")
         pairs = tuple(tuple(p) for p in self.pairs)
@@ -461,9 +474,7 @@ def class_from_json_dict(d: dict) -> SurfaceClass:
     for key in ("g", "pairs"):
         if key not in d:
             raise ValueError(f"class file has no {key!r} entry")
-    g = json_int(d["g"], "g")
-    if g < 1:
-        raise ValueError("genus g must be >= 1")
+    g = _genus(d["g"])
     n = 2 * g
     pairs = tuple((_json_matrix(a, n), _json_matrix(b, n))
                   for a, b in json_pairs(d["pairs"], "pairs", "A, B"))

@@ -8,16 +8,32 @@ The form has one model here: ``j_matrix`` for the pairing and ``_q2`` for
 q mod 2, the two things ``is_member`` tests.  Which family a dimension n
 gets (Theorem A) is ``mcg.automorphism_family``'s answer, read off
 ``cases.hopf``.
+
+The membership verdict and the Sp inverse are each served from one
+bounded memo (``MEMO_SIZE`` entries, least recently used first out), so a
+caller that meets the same holonomy again, as the letters and conjugates
+of a surface class do, pays for it once.  The verdict is keyed on the
+family, the row tuple ``a.data`` and g, the inverse on ``a.data`` and g;
+both check their arguments on every call, before the lookup.  Full, the
+two memos hold the rows of up to 2 * MEMO_SIZE matrices: measured with
+``tracemalloc`` on random products of the generators, about 0.26 MiB at
+g = 2, 0.54 MiB at g = 4 and 2.9 MiB at g = 12, plus about 32 bytes per
+entry of absolute value above 256.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import cache
+from functools import cache, lru_cache
 from itertools import product
 from operator import mul, neg
 
+from .inputs import json_int
 from .linalg import IntMatrix
+
+# entries of each memo: room for the distinct holonomies of an h = 84 class
+# and their inverses
+MEMO_SIZE = 256
 
 
 class GroupFamily(enum.Enum):
@@ -46,8 +62,24 @@ def _q2(g: int, x) -> int:
     return sum(x[i] * x[g + i] for i in range(g)) % 2
 
 
+def _check(a: IntMatrix, g: int) -> None:
+    """Refuse a genus that is not an integer >= 1 (by the ``json_int``
+    rule, so 1.0 and True are refused) and a matrix that is not a 2g x 2g
+    ``IntMatrix``, each with one ValueError."""
+    if json_int(g, "genus") < 1:
+        raise ValueError("genus must be >= 1")
+    n = 2 * g
+    if not isinstance(a, IntMatrix) or a.rows != n or a.cols != n:
+        raise ValueError(f"matrix must be a {n}x{n} IntMatrix")
+
+
 def is_member(family: GroupFamily, a: IntMatrix, g: int) -> bool:
     """Defining congruence of the family, with q checked on basis vectors.
+
+    The arguments are checked on every call (see ``_check``); the verdict
+    then comes from a memo of ``MEMO_SIZE`` entries keyed on
+    (family, a.data, g), so each distinct matrix is tested once while it
+    stays among the most recently used.
 
     For Sp and SpQ the pairing test is A^T J A = J with J = j_matrix(g, -1),
     read off the columns a_i of A: the (i, j) entry of A^T J A is
@@ -59,13 +91,18 @@ def is_member(family: GroupFamily, a: IntMatrix, g: int) -> bool:
     Checking q on the 2g standard basis vectors suffices for SpQ: when a
     matrix preserves the pairing, q(Ax) - q(x) is linear mod 2 in x.
     """
+    _check(a, g)
+    return _verdict(family, a.data, g)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _verdict(family: GroupFamily, rows: tuple, g: int) -> bool:
     n = 2 * g
-    if a.rows != n or a.cols != n:
-        raise ValueError(f"matrix must be {n}x{n}")
     if family is GroupFamily.OGG:
         j = j_matrix(g, 1)
+        a = IntMatrix._of(rows, n)
         return a.transpose() @ j @ a == j
-    cols = tuple(zip(*a.data))
+    cols = tuple(zip(*rows))
     jcols = [c[g:] + tuple(map(neg, c[:g])) for c in cols]
     for i in range(n - 1):
         ci = cols[i]
@@ -83,17 +120,21 @@ def sp_inverse(a: IntMatrix, g: int) -> IntMatrix:
     """Inverse inside Sp_2g(Z): A^{-1} = J^{-1} A^T J.
 
     For A = [[a, b], [c, d]] in g x g blocks this is the signed block
-    transpose [[d^T, -b^T], [-c^T, a^T]].
+    transpose [[d^T, -b^T], [-c^T, a^T]].  The arguments are checked on
+    every call (see ``_check``), and the inverse then comes from a memo of
+    ``MEMO_SIZE`` entries keyed on (a.data, g); the matrix handed out is
+    shared, which is safe because an ``IntMatrix`` is immutable.
     """
-    if g < 1:
-        raise ValueError("genus must be >= 1")
-    n = 2 * g
-    if a.rows != n or a.cols != n:
-        raise ValueError(f"matrix must be {n}x{n}")
-    t = tuple(zip(*a.data))  # A^T = [[a^T, c^T], [b^T, d^T]]
+    _check(a, g)
+    return _inverse(a.data, g)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _inverse(rows: tuple, g: int) -> IntMatrix:
+    t = tuple(zip(*rows))  # A^T = [[a^T, c^T], [b^T, d^T]]
     top = [r[g:] + tuple(map(neg, r[:g])) for r in t[g:]]
     bottom = [tuple(map(neg, r[g:])) + r[:g] for r in t[:g]]
-    return IntMatrix._of(tuple(top + bottom), n)
+    return IntMatrix._of(tuple(top + bottom), 2 * g)
 
 
 def _embed_2x2(m2: list[list[int]], g: int) -> IntMatrix:

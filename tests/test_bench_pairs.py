@@ -79,7 +79,9 @@ def test_report_claims_every_workload_with_its_held_out_pair():
     held = {"fast": {"parent": _side(100), "change": _side(99)},
             "slow-cli": {"parent": _side(100), "change": _side(112, "e")}}
     traced = {w: {"parent": _side(5), "change": _side(6)} for w in runs}
-    out = bench_pairs.report(bench, "abc", runs, held, traced, 411)
+    lines = {"parent": {"a.py": 10, "b.py": 5}, "change": {"a.py": 8,
+                                                            "b.py": 5}}
+    out = bench_pairs.report(bench, "abc", runs, held, traced, 411, lines)
     assert set(out["claim"]) == {"fast", "slow-cli"}
     fast, cli = out["claim"]["fast"], out["claim"]["slow-cli"]
     assert (fast["metric"], fast["change_wins"], fast["met"]) == \
@@ -98,6 +100,17 @@ def test_report_claims_every_workload_with_its_held_out_pair():
     assert out["end_to_end"]["slow-cli"]["metrics"]["ops_per_s"][
         "change_better_in_pairs"] == "9/10"
     # without a held-out seed, no claim carries one
-    bare = bench_pairs.report(bench, "abc", runs, {}, traced, None)
+    assert out["code_lines"] == {
+        "counter": "tools/code_lines.py src/hdmcg",
+        "parent": {"a.py": 10, "b.py": 5, "total": 15},
+        "change": {"a.py": 8, "b.py": 5, "total": 13}, "total_change": -2}
+    bare = bench_pairs.report(bench, "abc", runs, {}, traced, None, lines)
     assert not any("held_out" in c for c in bare["claim"].values())
     assert bare["method"]["tool"] == "tools/bench_pairs.py --parent abc"
+
+
+def test_module_lines_count_each_module_of_the_package():
+    lines = bench_pairs.module_lines(ROOT)
+    assert sorted(lines) == sorted(
+        path.name for path in (ROOT / "src" / "hdmcg").glob("*.py"))
+    assert all(n > 0 for n in lines.values())

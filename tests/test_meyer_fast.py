@@ -10,11 +10,14 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm
 from operator import matmul
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdmcg.cocycles import (_kernel_columns, _meyer_form, _tau, meyer_tau,
+from hdmcg import symplectic
+from hdmcg.cocycles import (_kernel_columns, _meyer_form, _tau,
+                            load_class_file, meyer_tau,
                             random_affine_class, random_surface_class,
                             random_symplectic, signature_of_class,
                             surface_two_cycle)
@@ -22,6 +25,8 @@ from hdmcg.linalg import (IntMatrix, exact_signature, hstack, kernel_basis,
                           snf)
 from hdmcg.symplectic import (GroupFamily, is_member, j_matrix, sp_inverse,
                               standard_generators)
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 
 def fraction_signature(rows) -> int:
@@ -141,6 +146,93 @@ def test_meyer_matches_the_kashiwara_index():
         assert _tau(a, b, g) == want, (g, a, b)
         nonzero += want != 0
     assert nonzero >= 20  # the sample is not all structural zeros
+
+
+def det_and_adjugate(m: IntMatrix) -> tuple[int, IntMatrix | None]:
+    """det(M) and the integer adjugate det(M) M^-1 of a square M, by
+    Fraction Gauss-Jordan on [M | 1]; (0, None) when M is singular."""
+    n = m.rows
+    a = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
+         for i, r in enumerate(m.data)]
+    det = Fraction(1)
+    for c in range(n):
+        p = next((r for r in range(c, n) if a[r][c]), None)
+        if p is None:
+            return 0, None
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        d = a[c][c]
+        det *= d
+        a[c] = [x / d for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    adj = [[det * x for x in r[n:]] for r in a]
+    assert det.denominator == 1
+    assert all(x.denominator == 1 for r in adj for x in r)
+    return int(det), IntMatrix(adj)
+
+
+def is_generic(a: IntMatrix, b: IntMatrix, g: int) -> bool:
+    """Whether A, B and AB all lack the eigenvalue 1."""
+    ident = IntMatrix.identity(2 * g)
+    return all(det_and_adjugate(x - ident)[0] for x in (a, b, a @ b))
+
+
+def cayley_tau(a: IntMatrix, b: IntMatrix, g: int) -> int:
+    """Meyer's tau on the generic locus (A, B and AB free of the eigenvalue
+    1): the signature of C_A + C_B, with C_X = J (X + 1) (X - 1)^-1 the
+    symmetric Cayley form of X.  It is scaled by |det(A - 1) det(B - 1)|
+    through the adjugates, so the matrix is integral; symmetry of the sum,
+    which holds because A and B are symplectic, is asserted, not forced.
+    """
+    ident = IntMatrix.identity(2 * g)
+    j = j_matrix(g, -1)
+    (da, adj_a), (db, adj_b) = (det_and_adjugate(x - ident) for x in (a, b))
+    sa, sb = (1 if d > 0 else -1 for d in (da, db))
+    form = ((j @ (a + ident) @ adj_a).scaled(sa * abs(db))
+            + (j @ (b + ident) @ adj_b).scaled(sb * abs(da)))
+    assert form == form.transpose()
+    return exact_signature(form)
+
+
+def test_meyer_matches_the_cayley_form_on_the_generic_locus():
+    """A second algorithm for tau, with no kernel: seeded generic pairs at
+    g = 1..4 in Sp and in the theta group."""
+    rng = random.Random(2031)
+    count = {g: [0, 0] for g in (1, 2, 3, 4)}  # generic, nonzero
+    for i in range(1600):
+        g = 1 + i % 4
+        fam = (GroupFamily.SP, GroupFamily.SPQ)[(i // 4) % 2]
+        gens = standard_generators(fam, g)
+        a = random_symplectic(g, rng, gens)
+        b = random_symplectic(g, rng, gens)
+        if not is_generic(a, b, g):
+            continue
+        want = cayley_tau(a, b, g)
+        assert _tau(a, b, g) == want, (g, a, b)
+        count[g][0] += 1
+        count[g][1] += want != 0
+    assert all(n >= 20 and nonzero >= 10 for n, nonzero in count.values()), \
+        count
+
+
+@pytest.mark.parametrize("name", ["nonzero.json", "theta_nonzero.json"])
+def test_meyer_matches_the_cayley_form_on_the_nonzero_classes(name):
+    """The generic Meyer terms of the two committed classes of nonzero
+    signature."""
+    cls = load_class_file(str(EXAMPLES / name))
+    t, g = cls.table, cls.g
+    terms = {(t[i], t[j]) for i, j, _ in surface_two_cycle(cls)}
+    generic = [(a, b) for a, b in terms if is_generic(a, b, g)]
+    nonzero = 0
+    for a, b in generic:
+        want = cayley_tau(a, b, g)
+        assert _tau(a, b, g) == want, (a, b)
+        nonzero += want != 0
+    assert len(generic) >= 10 and nonzero >= 5, (len(generic), nonzero)
 
 
 def transvection(v, k: int, g: int) -> IntMatrix:
@@ -419,6 +511,21 @@ def test_sp_inverse_is_the_old_formula():
             assert sp_inverse(a, g) == old_sp_inverse(a, g)
     with pytest.raises(ValueError):
         sp_inverse(IntMatrix.identity(3), 2)
+
+
+def test_a_warm_inverse_is_the_old_formula():
+    """Inverses answered from the memo, after a first round that fills it,
+    and the matrix they share is equal on every read."""
+    rng = random.Random(8)
+    mats = [(g, random_symplectic(g, rng, standard_generators(
+        GroupFamily.SP, g))) for g in (1, 2, 3, 4) for _ in range(10)]
+    symplectic._inverse.cache_clear()
+    cold = [sp_inverse(a, g) for g, a in mats]
+    hits = symplectic._inverse.cache_info().hits
+    for (g, a), first in zip(mats, cold):
+        warm = sp_inverse(a, g)
+        assert warm == old_sp_inverse(a, g) == first
+    assert symplectic._inverse.cache_info().hits == hits + len(mats)
 
 
 def test_is_member_still_rejects():

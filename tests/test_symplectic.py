@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from hdmcg.cocycles import random_symplectic
+from hdmcg import symplectic
+from hdmcg.cocycles import SurfaceClass, meyer_tau, random_symplectic
 from hdmcg.linalg import IntMatrix
 from hdmcg.mcg import automorphism_family
-from hdmcg.symplectic import (GroupFamily, is_member, j_matrix, sp_inverse,
-                              standard_generators, theta_index)
+from hdmcg.symplectic import (MEMO_SIZE, GroupFamily, _embed_2x2, is_member,
+                              j_matrix, sp_inverse, standard_generators,
+                              theta_index)
 
 
 def test_j_matrix_shape():
@@ -205,3 +207,104 @@ def test_theta_index_small():
         assert theta_index(g) == 2 ** (2 * g - 1) + 2 ** (g - 1)
     with pytest.raises(ValueError):
         theta_index(7)
+
+
+# ---------------------------------------------------------------------------
+# the memos behind is_member and sp_inverse
+
+def clear_memos():
+    symplectic._verdict.cache_clear()
+    symplectic._inverse.cache_clear()
+
+
+I2 = IntMatrix.identity(2)
+EMPTY = IntMatrix([], 0)
+# (call, what the ValueError says); 1.0 and True hash and compare equal to
+# 1, so a memo consulted before the checks would answer them from the
+# entries of the identity at g = 1
+REFUSED = [
+    (lambda: is_member(GroupFamily.SP, EMPTY, 0), "genus must be >= 1"),
+    (lambda: meyer_tau(EMPTY, EMPTY, 0), "genus must be >= 1"),
+    (lambda: sp_inverse(EMPTY, 0), "genus must be >= 1"),
+    (lambda: is_member(GroupFamily.SP, I2, -1), "genus must be >= 1"),
+    (lambda: is_member(GroupFamily.SPQ, I2, 1.0), "integer, got 1.0"),
+    (lambda: sp_inverse(I2, 1.0), "integer, got 1.0"),
+    (lambda: meyer_tau(I2, I2, 1.0), "integer, got 1.0"),
+    (lambda: SurfaceClass(1.0, ((I2, I2),)), "integer, got 1.0"),
+    (lambda: SurfaceClass(0, ((EMPTY, EMPTY),)), "genus g must be >= 1"),
+    (lambda: is_member(GroupFamily.SP, I2, True), "integer, got True"),
+    (lambda: sp_inverse(I2, True), "integer, got True"),
+    (lambda: meyer_tau(I2, I2, True), "integer, got True"),
+    (lambda: SurfaceClass(True, ((I2, I2),)), "integer, got True"),
+    (lambda: is_member(GroupFamily.SP, [[1, 0], [0, 1]], 1), "IntMatrix"),
+    (lambda: sp_inverse([[1, 0], [0, 1]], 1), "IntMatrix"),
+    (lambda: meyer_tau([[1, 0], [0, 1]], I2, 1), "IntMatrix"),
+    (lambda: is_member(GroupFamily.SP, IntMatrix.identity(3), 1),
+     "2x2 IntMatrix"),
+]
+
+
+@pytest.mark.parametrize("call, message", REFUSED,
+                         ids=[str(i) for i in range(len(REFUSED))])
+def test_arguments_are_refused_cold_and_warm(call, message):
+    """Each bad argument raises one ValueError with an empty memo, and again
+    once the memo holds the identity at g = 1 for every family."""
+    clear_memos()
+    with pytest.raises(ValueError, match=message):
+        call()
+    for fam in GroupFamily:
+        assert is_member(fam, I2, 1)
+    assert sp_inverse(I2, 1) == I2
+    assert meyer_tau(I2, I2, 1) == 0
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_the_verdict_is_kept_per_family():
+    """The transvection [[1, 1], [0, 1]] lies in Sp but not in the theta
+    group, whichever family is asked first."""
+    for g in (1, 2, 3):
+        t = _embed_2x2([[1, 1], [0, 1]], g)
+        for first, second in ((GroupFamily.SP, GroupFamily.SPQ),
+                              (GroupFamily.SPQ, GroupFamily.SP)):
+            clear_memos()
+            assert [is_member(fam, t, g) for fam in (first, second) * 2] \
+                == [fam is GroupFamily.SP for fam in (first, second) * 2]
+
+
+def test_a_matrix_outside_sp_is_refused_on_every_call():
+    a = IntMatrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]])
+    clear_memos()
+    for _ in range(3):
+        assert not is_member(GroupFamily.SP, a, 2)
+        assert not is_member(GroupFamily.SPQ, a, 2)
+        with pytest.raises(ValueError, match="symplectic matrices"):
+            meyer_tau(a, IntMatrix.identity(4), 2)
+        with pytest.raises(ValueError, match="not symplectic"):
+            SurfaceClass(2, ((a, IntMatrix.identity(4)),))
+
+
+def test_the_memos_stay_within_their_bound():
+    """A sweep over more distinct matrices than the bound leaves at most
+    MEMO_SIZE entries in each memo, and an evicted matrix is answered
+    again from scratch."""
+    rng = random.Random(3)
+    gens = standard_generators(GroupFamily.SP, 2)
+    clear_memos()
+    seen = {}
+    while len(seen) < 2 * MEMO_SIZE:
+        m = random_symplectic(2, rng, gens, max_length=10)
+        seen[m.data] = m
+        assert is_member(GroupFamily.SP, m, 2)
+        assert m @ sp_inverse(m, 2) == IntMatrix.identity(4)
+    for memo in (symplectic._verdict, symplectic._inverse):
+        info = memo.cache_info()
+        assert info.maxsize == MEMO_SIZE and info.currsize <= MEMO_SIZE
+    first = next(iter(seen.values()))  # the oldest entry, long evicted
+    misses = [m.cache_info().misses for m in (symplectic._verdict,
+                                              symplectic._inverse)]
+    assert is_member(GroupFamily.SP, first, 2)
+    assert first @ sp_inverse(first, 2) == IntMatrix.identity(4)
+    assert [m.cache_info().misses for m in (symplectic._verdict,
+                                            symplectic._inverse)] \
+        == [n + 1 for n in misses]

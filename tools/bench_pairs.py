@@ -12,13 +12,16 @@ files: per-pair values, medians, interquartile ranges (inclusive
 quartiles), win counts and the bound of each end-to-end metric in
 ``BENCHMARK.json``, and the metrics left unresolved; the claim test on
 ``ops_per_s`` of every workload, each checked again on the held-out seed;
-and one traced run of every workload at seed 401 on each side.  Runs go
-one at a time, since ``run.py`` pins itself to one core.
+one traced run of every workload at seed 401 on each side; and the code
+lines of ``src/hdmcg`` on each side, per module and in total, by the rule
+of ``tools/code_lines.py``.  Runs go one at a time, since ``run.py`` pins
+itself to one core.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -34,6 +37,17 @@ WIN_SHARE = 0.9  # a claim needs the change to read better in 9 of 10 pairs
 SEEDS = range(401, 411)
 TRACE_SEED = 401
 CLAIM_METRIC = "ops_per_s"
+
+
+def module_lines(tree: Path) -> dict[str, int]:
+    """The code lines of each module of ``src/hdmcg`` in ``tree``, by file
+    name."""
+    spec = importlib.util.spec_from_file_location(
+        "code_lines", ROOT / "tools" / "code_lines.py")
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    return {path.name: n for path, n
+            in code_lines.counts(tree / "src" / "hdmcg").items()}
 
 
 def median_iqr(values: list[float]) -> tuple[float, float]:
@@ -132,11 +146,12 @@ def values(pairs: list[dict], side: str, metric: str) -> list[float]:
 
 
 def report(bench: dict, rev: str, runs: dict, held: dict, traced: dict,
-           held_seed: int | None) -> dict:
+           held_seed: int | None, lines: dict) -> dict:
     """The ``BENCH_*.json`` object from the measured runs: ``runs`` maps each
     workload to its pairs in seed order, ``held`` each workload to its
-    held-out pair (empty without one) and ``traced`` each workload to its
-    traced run on each side."""
+    held-out pair (empty without one), ``traced`` each workload to its
+    traced run on each side, and ``lines`` each side to its code lines per
+    module (see ``module_lines``)."""
     bounds = {m["name"]: m for m in bench["end_to_end"]}
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
@@ -187,6 +202,11 @@ def report(bench: dict, rev: str, runs: dict, held: dict, traced: dict,
         if w in held:
             out["claim"][w]["held_out"] = held_out(held[w], held_seed,
                                                    direction)
+    totals = {side: sum(lines[side].values()) for side in lines}
+    out["code_lines"] = {
+        "counter": "tools/code_lines.py src/hdmcg",
+        **{side: {**lines[side], "total": totals[side]} for side in lines},
+        "total_change": totals["change"] - totals["parent"]}
     out["unresolved"] = [f"{w}:{name}" for w, e in end_to_end.items()
                          for name, m in e["metrics"].items()
                          if not m["resolved"]]
@@ -233,11 +253,12 @@ def main(argv=None) -> int:
                 index += 1
         traced = {w: {side: run(trees[side], w, TRACE_SEED, seconds, 1)
                       for side in ("parent", "change")} for w in workloads}
+        lines = {side: module_lines(tree) for side, tree in trees.items()}
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
-    text = json.dumps(report(bench, rev, runs, held, traced, args.held_out),
-                      indent=2) + "\n"
+    text = json.dumps(report(bench, rev, runs, held, traced, args.held_out,
+                             lines), indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     print(text, end="")

@@ -43,15 +43,18 @@ def code_lines(source: str) -> int:
     return len(touched - _docstring_lines(ast.parse(source)))
 
 
+def counts(root: Path) -> dict[Path, int]:
+    """The code lines of each module of ``root``, in path order."""
+    return {path: code_lines(path.read_text(encoding="utf-8"))
+            for path in sorted(root.glob("*.py"))}
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    root = Path(args[0] if args else "src/hdmcg")
-    total = 0
-    for path in sorted(root.glob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
+    per_module = counts(Path(args[0] if args else "src/hdmcg"))
+    for path, count in per_module.items():
         print(f"{count:6d} {path}")
-    print(f"{total:6d} total")
+    print(f"{sum(per_module.values()):6d} total")
     return 0
 
 
