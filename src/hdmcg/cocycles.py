@@ -76,7 +76,8 @@ from operator import add, matmul, mul, neg
 from typing import Sequence
 
 from .cases import divided
-from .inputs import Record, json_int, json_pairs, json_vector, read_json
+from .inputs import (Record, json_int, json_int_at_least, json_pairs,
+                     json_vector, read_json)
 from .linalg import IntMatrix, exact_signature
 from .symplectic import GroupFamily, is_member, j_matrix, sp_inverse
 
@@ -113,9 +114,7 @@ def _walk(g: int, pairs, translations) -> tuple:
 
 def _genus(g) -> int:
     """g, if it is an integer >= 1 by the ``json_int`` rule."""
-    if json_int(g, "g") < 1:
-        raise ValueError("genus g must be >= 1")
-    return g
+    return json_int_at_least(g, 1, "genus g")
 
 
 class SurfaceClass(Record):

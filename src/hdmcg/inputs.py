@@ -1,9 +1,11 @@
 """The input and output boundary: one rule for an integer from outside (an
 ``int`` that is not a ``bool``; ``2.0``, ``"2"`` and ``true`` are refused
-with a one-line ValueError, never truncated), ``read_json``, through which
-both file loaders read, and ``Record``, the immutable base of the value
-classes whose constructors check what they are given, with the one rule
-for how a value becomes JSON (``Record.to_json_dict``).
+with a one-line ValueError, never truncated), which ``json_int_at_least``
+pairs with a lower bound for the genus and dimension arguments;
+``read_json``, through which both file loaders read; and
+``Record``, the immutable base of the value classes whose constructors
+check what they are given, with the one rule for how a value becomes
+JSON (``Record.to_json_dict``).
 """
 
 from __future__ import annotations
@@ -84,6 +86,16 @@ def _is_int(x) -> bool:
 def json_int(x, what: str) -> int:
     if not _is_int(x):
         raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def json_int_at_least(x, least: int, what: str, message: str | None = None,
+                      error: type[ValueError] = ValueError) -> int:
+    """x, if it is an integer by the ``json_int`` rule and x >= least.  A
+    non-integer raises ValueError; an integer below ``least`` raises
+    ``error`` with ``message``, by default "<what> must be >= <least>"."""
+    if json_int(x, what) < least:
+        raise error(message or f"{what} must be >= {least}")
     return x
 
 

@@ -19,7 +19,7 @@ from .abgroups import (FinAbGroup, direct_sum, subgroup_iso,
                        tensor_with_free, mod_two_quotient)
 from . import reference
 from .cases import hopf, signature_only, theorem_b
-from .inputs import Record
+from .inputs import Record, json_int_at_least
 
 # ``cohomology``, ``spheres`` and ``symplectic`` are imported where they are
 # used, so the table lookups (``h1_Gg``, ``splitting_decisions``) load none
@@ -51,9 +51,14 @@ class MCGParams(Record):
 
 
 def _check_paper_range(g: int, n: int) -> None:
-    """Refuse (g, n) outside the paper's range, g >= 1 and odd n >= 3."""
-    if g < 1 or n < 3 or n % 2 == 0:
-        raise UnsupportedCase("need g >= 1 and odd n >= 3")
+    """Refuse (g, n) outside the paper's range, g >= 1 and odd n >= 3: a g
+    or n that is not an integer by the ``json_int`` rule with ValueError,
+    the other ones with UnsupportedCase."""
+    outside = "need g >= 1 and odd n >= 3"
+    json_int_at_least(g, 1, "genus", outside, UnsupportedCase)
+    json_int_at_least(n, 3, "n", outside, UnsupportedCase)
+    if n % 2 == 0:
+        raise UnsupportedCase(outside)
 
 
 class Decision(Record):
@@ -106,10 +111,8 @@ def automorphism_family(n: int) -> GroupFamily:
 def h1_Gg(g: int, n: int) -> FinAbGroup:
     """Abelianisation of the automorphism group of the middle-cohomology
     form, for n odd (table-backed)."""
-    if g < 1:
-        raise ValueError("genus must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    json_int_at_least(g, 1, "genus")
+    json_int_at_least(n, 1, "n")
     if n % 2 == 0:
         raise UnsupportedCase(
             "no abelianisation table for the even-dimensional orthogonal "
@@ -145,18 +148,18 @@ def _coinvariants_by_generators(g: int, n: int) -> FinAbGroup:
     return direct_sum(parts)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def coinvariants_closed(g: int, n: int) -> FinAbGroup:
     """Coinvariants of the middle-cohomology action on H(g) tensor SpiSO(n).
 
     Closed form: 0 for g >= 2 or in the Hopf dimensions n = 3, 7, where
     the group is Sp; otherwise SpiSO(n)/2.  For g <= 3 the value is
-    recomputed from generator matrices and a mismatch aborts.
+    recomputed from generator matrices and a mismatch aborts.  The memo is
+    typed, so 1.0 and True never meet the entries of 1, and reach the
+    checks.
     """
-    if g < 1:
-        raise ValueError("genus must be >= 1")
-    if n < 3:
-        raise ValueError("n must be >= 3")
+    json_int_at_least(g, 1, "genus")
+    json_int_at_least(n, 3, "n")
     closed = (FinAbGroup.trivial() if g >= 2 or hopf(n)
               else mod_two_quotient(s_pi_n_so(n)))
     if g <= 3:
@@ -177,8 +180,7 @@ def h1_torelli(g: int, n: int, data: SphereData | None = None) -> FinAbGroup:
     """
     from .spheres import sphere_data_for
 
-    if g < 0:
-        raise ValueError("genus must be >= 0")
+    json_int_at_least(g, 0, "genus")
     data = sphere_data_for(n, data)
     if g == 0:
         return data.theta
@@ -196,10 +198,13 @@ def h1_mcg(g: int, n: int, data: SphereData | None = None) -> FinAbGroup:
 
     For g = 1 the quotient is the group of ``data.theta_mod_sigma_q``.
     For g >= 2 it is ``data.omega``: <Sigma_P, Sigma_Q> = bA
-    whenever the check in ``theta_data``, Theta/bA = coker J/<Sigma_Q>,
-    passes.  In case 2 (n = 3 mod 4, not 3, 7) this holds by definition.
+    whenever Theta/bA = coker J/<Sigma_Q>.  That identity holds by
+    construction for every built-in placement of Sigma_Q, and
+    ``theta_data`` checks it for a Sigma_Q placed with
+    ``sigma_q_ambient``, refusing one that breaks it.  In case 2
+    (n = 3 mod 4, not 3, 7) bA = <Sigma_P, Sigma_Q> by definition.
     In cases 1 (bA = <Sigma_P>) and 3 (bA = <Sigma_Q>), Theta/<Sigma_P>
-    is coker J, so the check makes the surjection Theta/bA ->
+    is coker J, so the identity makes the surjection Theta/bA ->
     Theta/<Sigma_P, Sigma_Q> = coker J/<Sigma_Q> one between isomorphic
     groups.  Finitely generated abelian groups are Hopfian, so it is
     injective: Sigma_Q lies in <Sigma_P> in case 1, and Sigma_P in
@@ -207,8 +212,7 @@ def h1_mcg(g: int, n: int, data: SphereData | None = None) -> FinAbGroup:
     """
     from .spheres import sphere_data_for
 
-    if g < 0:
-        raise ValueError("genus must be >= 0")
+    json_int_at_least(g, 0, "genus")
     data = sphere_data_for(n, data)
     if g == 0:
         return data.theta
@@ -219,8 +223,7 @@ def h1_mcg(g: int, n: int, data: SphereData | None = None) -> FinAbGroup:
 def h1_half_mcg(g: int, n: int) -> FinAbGroup:
     """Abelianisation of the framing-quotient group: the automorphism-group
     abelianisation plus the coinvariants summand."""
-    if g < 1:
-        raise ValueError("genus must be >= 1")
+    json_int_at_least(g, 1, "genus")
     return direct_sum([h1_Gg(g, n), coinvariants_closed(g, n)])
 
 

@@ -27,7 +27,8 @@ from . import reference
 from .abgroups import (FinAbGroup, GroupElement, element_order, quotient_by,
                        quotient_with_projection)
 from .cases import divided, hopf, signature_only, theorem_b
-from .inputs import Record, json_int, json_vector, read_json
+from .inputs import (Record, json_int, json_int_at_least, json_vector,
+                     read_json)
 from .linalg import IntMatrix, cokernel_presentation
 
 _BUILTIN_COKER_J: dict[int, FinAbGroup] = {
@@ -251,14 +252,25 @@ def theta_data(n: int, sigma_q_order: int | None = None,
     arguments take integers only (``sigma_q_ambient`` a list or tuple).
     A degree 2n+1 past ``MAX_SPHERE_DEGREE`` is refused before any
     Bernoulli number is formed.
+    n takes integers only, by the ``json_int`` rule.
     Theta is presented straight from its diagonal relations (a zero adds
-    none).  omega = coker J/<Sigma_Q> is coker J itself, with no Smith
-    form, whenever the coker-J coordinates of Sigma_Q are all 0, as in
-    every built-in placement.  The check that Theta/bA is omega is what
-    lets ``h1_mcg`` read Theta/<Sigma_P, Sigma_Q> off as omega.
+    none), with Sigma_P the image of e_0, so Sigma_P has order |bP| by
+    construction.  omega = coker J/<Sigma_Q> is coker J itself, with no
+    Smith form, whenever the coker-J coordinates of Sigma_Q are all 0.
+    Every built-in placement of Sigma_Q (0, -Sigma_P or (|bP|/k) Sigma_P)
+    has them 0 and gives bA = <Sigma_P>, so Theta/bA = Theta/<Sigma_P> =
+    coker J = omega by construction, for any coker-J table, and it is not
+    re-checked here.  A ``sigma_q_ambient`` placement can break it
+    (2 Sigma_P at n = 7), so there Theta/bA is formed, and a placement
+    that makes it differ from omega is refused with a ValueError.
+    ``verify --suite spheres`` checks both identities on the built-in
+    data.  Theta/bA = omega is what lets ``h1_mcg`` read
+    Theta/<Sigma_P, Sigma_Q> off as omega.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError("n must be odd and >= 3")
+    odd = "n must be odd and >= 3"
+    json_int_at_least(n, 3, "n", odd)
+    if n % 2 == 0:
+        raise ValueError(odd)
     _check_degree("2n+1", 2 * n + 1, f"n <= {MAX_SPHERE_DEGREE // 2}")
     if sigma_q_order is not None and json_int(sigma_q_order,
                                               "sigma_q_order") < 1:
@@ -298,15 +310,17 @@ def theta_data(n: int, sigma_q_order: int | None = None,
         amb = tuple((bp // order) * x for x in e0)
     sigma_q = from_ambient(amb)
     named = {"Sigma_P": sigma_p, "Sigma_Q": sigma_q}
-    ba = tuple(named[gen] for _, gen in theorem_b(n)[2])
+    case, regime, rows = theorem_b(n)
+    ba = tuple(named[gen] for _, gen in rows)
 
-    if element_order(sigma_p) != bp:
-        raise RuntimeError("Sigma_P does not have order |bP| in the assembly")
-
-    # omega = coker J modulo the image of Sigma_Q, and theta/bA must agree
+    # omega = coker J modulo the image of Sigma_Q; theta/bA is omega by
+    # construction unless the caller placed Sigma_Q
     omega = quotient_by(ck, [ck.element(amb[1:])]) if any(amb[1:]) else ck
-    if quotient_by(theta, list(ba)) != omega:
-        raise RuntimeError("theta/bA disagrees with coker J/<Sigma_Q>")
+    if sigma_q_ambient is not None and quotient_by(theta, list(ba)) != omega:
+        raise ValueError(
+            f"sigma_q_ambient {list(amb)} makes Theta/bA differ from coker "
+            f"J/<Sigma_Q> = {omega.describe()}, where bA = "
+            f"<{', '.join(gen for _, gen in rows)}> ({case}, {regime})")
 
     return SphereData(n=n, theta=theta, sigma_p=sigma_p, sigma_q=sigma_q,
                       ba_generators=ba, coker_j_group=ck, omega=omega,

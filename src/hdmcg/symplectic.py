@@ -24,11 +24,11 @@ entry of absolute value above 256.
 from __future__ import annotations
 
 import enum
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import product
 from operator import mul, neg
 
-from .inputs import json_int
+from .inputs import json_int, json_int_at_least
 from .linalg import IntMatrix
 
 # entries of each memo: room for the distinct holonomies of an h = 84 class
@@ -42,13 +42,13 @@ class GroupFamily(enum.Enum):
     OGG = "Ogg"
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def j_matrix(g: int, epsilon: int) -> IntMatrix:
     """Block matrix [[0, I_g], [epsilon * I_g, 0]], one shared instance per
-    (g, epsilon); invalid arguments raise on every call."""
-    if g < 1:
-        raise ValueError("genus must be >= 1")
-    if epsilon not in (1, -1):
+    (g, epsilon).  Invalid arguments raise on every call: the memo is typed,
+    so 1.0 and True never meet the entries of 1, and reach the checks."""
+    json_int_at_least(g, 1, "genus")
+    if json_int(epsilon, "epsilon") not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
     n = 2 * g
     data = [[0] * n for _ in range(n)]
@@ -66,8 +66,7 @@ def _check(a: IntMatrix, g: int) -> None:
     """Refuse a genus that is not an integer >= 1 (by the ``json_int``
     rule, so 1.0 and True are refused) and a matrix that is not a 2g x 2g
     ``IntMatrix``, each with one ValueError."""
-    if json_int(g, "genus") < 1:
-        raise ValueError("genus must be >= 1")
+    json_int_at_least(g, 1, "genus")
     n = 2 * g
     if not isinstance(a, IntMatrix) or a.rows != n or a.cols != n:
         raise ValueError(f"matrix must be a {n}x{n} IntMatrix")
@@ -175,8 +174,7 @@ def standard_generators(family: GroupFamily, g: int) -> list[IntMatrix]:
     specific elements the coinvariant arguments run on (plus enough to
     stay inside the family), not a certified generating set.
     """
-    if g < 1:
-        raise ValueError("genus must be >= 1")
+    json_int_at_least(g, 1, "genus")
     if family is GroupFamily.OGG:
         if g == 1:
             return [IntMatrix([[-1, 0], [0, -1]]), IntMatrix([[0, 1], [1, 0]])]
@@ -211,8 +209,9 @@ def theta_index(g: int) -> int:
     with ``_q2(g, c) == 0``.  The result must match the closed form
     2^(2g-1) + 2^(g-1); a mismatch raises.
     """
-    if not 1 <= g <= 6:
-        raise ValueError("enumeration bound: 1 <= g <= 6")
+    bound = "enumeration bound: 1 <= g <= 6"
+    if json_int_at_least(g, 1, "genus", bound) > 6:
+        raise ValueError(bound)
     count = sum(1 for c in product((0, 1), repeat=2 * g) if _q2(g, c) == 0)
     expected = 2 ** (2 * g - 1) + 2 ** (g - 1)
     if count != expected:

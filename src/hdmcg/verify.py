@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import reference as ref
-from .abgroups import FinAbGroup, element_order
+from .abgroups import FinAbGroup, element_order, quotient_by
 from .cases import divided
 from .cohomology import Presentation, GModule, abelianization, h1, \
     h1_free_product_of_cyclics
@@ -150,6 +150,8 @@ def suite_spheres() -> list[Check]:
             bad.append(f"theta({n}) = {data.theta.describe()}")
         if element_order(data.sigma_p) != bp_order(2 * n + 2):
             bad.append(f"Sigma_P order wrong at n={n}")
+        if quotient_by(data.theta, list(data.ba_generators)) != data.omega:
+            bad.append(f"Theta/bA is not coker J/<Sigma_Q> at n={n}")
         if n in (3, 7) and data.sigma_q != -data.sigma_p:
             bad.append(f"Sigma_Q placement wrong at n={n}")
         if n % 4 == 1 and not data.sigma_q.is_zero:

@@ -12,17 +12,25 @@ environment.
 import ast
 import inspect
 import json
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hdmcg.inputs
+from hdmcg import symplectic
 from hdmcg.abgroups import FinAbGroup
 from hdmcg.cli import main
-from hdmcg.cocycles import class_from_json_dict, load_class_file
+from hdmcg.cocycles import SurfaceClass, class_from_json_dict, load_class_file
 from hdmcg.cohomology import Presentation
+from hdmcg.linalg import IntMatrix
+from hdmcg.mcg import (MCGParams, coinvariants_closed, extension_descriptor,
+                       full_report, h1_Gg, h1_half_mcg, h1_mcg, h1_torelli,
+                       haut_report, splitting_decisions)
 from hdmcg.spheres import _coker_j_entries, load_coker_j_file, theta_data
+from hdmcg.symplectic import (GroupFamily, is_member, j_matrix,
+                              standard_generators, theta_index)
 
 IDENT4 = [[int(i == j) for j in range(4)] for i in range(4)]
 NOT_UTF8 = b"\xff\xfe[]"
@@ -129,6 +137,95 @@ def test_malformed_value_is_one_line_naming_its_key(call, bad, message):
     with pytest.raises(ValueError, match=message) as err:
         call(bad)
     assert "\n" not in str(err.value)
+
+
+# every genus and dimension the library takes, by the JSON-integer rule:
+# (call of the one argument, a value it accepts); hdmcg.symplectic._check
+# is reached through is_member, hdmcg.cocycles._genus through SurfaceClass
+# and hdmcg.mcg._check_paper_range through the answers that call it
+I2 = [[1, 0], [0, 1]]
+GENUS_AND_DIMENSION = {
+    "j_matrix-g": (lambda x: j_matrix(x, -1), 1),
+    "standard_generators-g": (
+        lambda x: standard_generators(GroupFamily.SP, x), 1),
+    "theta_index-g": (theta_index, 1),
+    "is_member-g": (lambda x: is_member(GroupFamily.SP, IntMatrix(I2), x), 1),
+    "surface_class-g": (
+        lambda x: SurfaceClass(x, ((IntMatrix(I2), IntMatrix(I2)),)), 1),
+    "splitting_decisions-g": (lambda x: splitting_decisions(x, 5), 1),
+    "splitting_decisions-n": (lambda x: splitting_decisions(1, x), 5),
+    "extension_descriptor-g": (lambda x: extension_descriptor(x, 5), 1),
+    "haut_report-n": (lambda x: haut_report(1, x), 5),
+    "full_report-g": (lambda x: full_report(MCGParams(x, 5)), 1),
+    "full_report-n": (lambda x: full_report(MCGParams(1, x)), 5),
+    "h1_Gg-g": (lambda x: h1_Gg(x, 3), 1),
+    "h1_Gg-n": (lambda x: h1_Gg(1, x), 3),
+    "h1_half_mcg-g": (lambda x: h1_half_mcg(x, 5), 1),
+    "h1_torelli-g": (lambda x: h1_torelli(x, 5), 1),
+    "h1_mcg-g": (lambda x: h1_mcg(x, 5), 1),
+    "h1_mcg-n": (lambda x: h1_mcg(1, x), 5),
+    "coinvariants_closed-g": (lambda x: coinvariants_closed(x, 5), 1),
+    "coinvariants_closed-n": (lambda x: coinvariants_closed(1, x), 5),
+    "theta_data-n": (theta_data, 5),
+}
+
+
+def _clear_memos():
+    j_matrix.cache_clear()
+    coinvariants_closed.cache_clear()
+    symplectic._verdict.cache_clear()
+    symplectic._inverse.cache_clear()
+
+
+@pytest.mark.parametrize("call, good", GENUS_AND_DIMENSION.values(),
+                         ids=GENUS_AND_DIMENSION.keys())
+def test_genus_and_dimension_take_integers_cold_and_warm(call, good):
+    """1.0, True, 1.5 and "1" (or the same around another accepted value)
+    are refused with one ValueError, with every memo empty and again once
+    the accepted value has filled them: the memos of ``j_matrix`` and
+    ``coinvariants_closed`` are typed, so 1.0 and True never meet the
+    entries of 1."""
+    for bad in (float(good), True, good + 0.5, str(good)):
+        _clear_memos()
+        message = re.escape(f"must be an integer, got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            call(bad)
+        call(good)
+        with pytest.raises(ValueError, match=message) as err:
+            call(bad)
+        assert "\n" not in str(err.value)
+
+
+def test_a_warm_memo_answers_no_bad_genus():
+    """With ``j_matrix`` and ``coinvariants_closed`` memoised at genus 1,
+    1.0 and True are refused and leave no entry behind."""
+    _clear_memos()
+    j_matrix(1, -1)
+    coinvariants_closed(1, 5)
+    for bad in (1.0, True):
+        for call in (lambda: j_matrix(bad, -1),
+                     lambda: coinvariants_closed(bad, 5)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                call()
+    assert j_matrix.cache_info().currsize == 1
+    assert coinvariants_closed.cache_info().currsize == 1
+
+
+def test_the_lower_bound_keeps_each_callers_refusal():
+    """``json_int_at_least`` answers an integer at or above the bound, and
+    below it raises the caller's message and exception type."""
+    from hdmcg.inputs import json_int_at_least
+    from hdmcg.mcg import UnsupportedCase
+
+    assert json_int_at_least(3, 3, "n") == 3
+    with pytest.raises(ValueError, match="^genus must be >= 1$"):
+        json_int_at_least(0, 1, "genus")
+    with pytest.raises(UnsupportedCase, match="^need g >= 1"):
+        splitting_decisions(0, 5)
+    with pytest.raises(ValueError, match="^n must be odd and >= 3$"):
+        theta_data(1)
+    with pytest.raises(ValueError, match="^enumeration bound"):
+        theta_index(0)
 
 
 def test_deeply_nested_file_is_one_line(tmp_path):

@@ -236,6 +236,153 @@ def test_sigma_q_ambient_override_and_n11():
     assert d11.omega.is_trivial
 
 
+@pytest.mark.parametrize("n, ambient, table, ba", [
+    (7, (2, 0), {}, "bA = <Sigma_Q> (ThmB-case3, n = 7)"),
+    (13, (0, 1), {27: FinAbGroup.cyclic(2), 31: FinAbGroup.cyclic(2)},
+     "bA = <Sigma_P> (ThmB-case1, n = 1 mod 4)"),
+], ids=["n7-twice-sigma-p", "n13-coker-j"])
+def test_a_placed_sigma_q_that_breaks_theta_mod_ba_is_refused(
+        n, ambient, table, ba):
+    """A placed Sigma_Q with Theta/bA != coker J/<Sigma_Q> is a bad input:
+    one ValueError naming ``sigma_q_ambient`` and the Theorem B case."""
+    with pytest.raises(ValueError) as exc:
+        theta_data(n, sigma_q_ambient=ambient, coker_j_table=table)
+    assert type(exc.value) is ValueError
+    message = str(exc.value)
+    assert message.startswith(f"sigma_q_ambient {list(ambient)} makes "
+                              f"Theta/bA differ from coker J/<Sigma_Q>")
+    assert message.endswith(ba) and "\n" not in message
+
+
+# two accepted placements with their JSON and H_1 answers, pinned as they
+# were when every build formed Theta/bA
+PLACED = [
+    (7, (1, 0), {}, {
+        "n": 7, "theta": {"rank": 0, "torsion": [2, 8128]},
+        "sigma_P": [0, 1], "sigma_Q": [0, 1], "bA_generators": [[0, 1]],
+        "coker_J": {"rank": 0, "torsion": [2]},
+        "omega": {"rank": 0, "torsion": [2]},
+        "sigma_q_order_assumed": False},
+     ("Z/2 + Z/12", "Z^2 + Z/2", "(Z/2)^2", "Z^4 + Z/2")),
+    (15, (0, 1), {31: FinAbGroup.cyclic(2)}, {
+        "n": 15, "theta": {"rank": 0, "torsion": [2, 1941802827776]},
+        "sigma_P": [0, 1], "sigma_Q": [1, 0],
+        "bA_generators": [[0, 1], [1, 0]],
+        "coker_J": {"rank": 0, "torsion": [2]},
+        "omega": {"rank": 0, "torsion": []},
+        "sigma_q_order_assumed": False},
+     ("Z + Z/2 + Z/4 + Z/1941802827776", "Z^2 + Z/1941802827776",
+      "Z/2 + Z/4", "Z^4 + Z/1941802827776")),
+]
+
+
+@pytest.mark.parametrize("n, ambient, table, blob, h1s", PLACED,
+                         ids=["n7", "n15"])
+def test_a_placed_sigma_q_that_keeps_theta_mod_ba_is_accepted(
+        n, ambient, table, blob, h1s):
+    data = theta_data(n, sigma_q_ambient=ambient, coker_j_table=table)
+    assert data.to_json_dict() == blob
+    got = tuple(h1(g, n, data).describe()
+                for g in (1, 2) for h1 in (mcg.h1_mcg, mcg.h1_torelli))
+    assert got == h1s
+
+
+def test_theta_data_forms_theta_mod_ba_only_for_a_placed_sigma_q(
+        monkeypatch):
+    """A built-in placement forms no quotient of Theta and no element
+    order: both identities hold by construction there, and ``verify``
+    checks them.  A placed Sigma_Q forms Theta/bA once."""
+    from hdmcg import spheres
+
+    calls = []
+
+    def counted(name):
+        real = getattr(spheres, name)
+
+        def wrapper(*args):
+            calls.append((name, args[0]))
+            return real(*args)
+        return wrapper
+    for name in ("quotient_by", "element_order"):
+        monkeypatch.setattr(spheres, name, counted(name))
+    stub = {31: FinAbGroup.cyclic(2)}
+    for n, kwargs in [(3, {}), (5, {}), (7, {}), (9, {}),
+                      (15, {"coker_j_table": stub}),
+                      (15, {"sigma_q_order": 8, "coker_j_table": stub})]:
+        theta_data(n, **kwargs)
+        assert calls == [], n
+    data = theta_data(15, sigma_q_ambient=(1, 0), coker_j_table=stub)
+    assert calls == [("quotient_by", data.theta)]
+
+
+def _halved_sigma_p(monkeypatch):
+    """The projection onto Theta doubles the bP coordinate, so Sigma_P has
+    order |bP|/2 and spans half of bP."""
+    from hdmcg import spheres
+
+    real = spheres.cokernel_presentation
+
+    def doubled(relations):
+        group, proj = real(relations)
+        scale = [2] + [1] * (proj.cols - 1)
+        return group, proj @ spheres.IntMatrix.diagonal(scale)
+    monkeypatch.setattr(spheres, "cokernel_presentation", doubled)
+
+
+def _sigma_q_twice_sigma_p(monkeypatch):
+    """Sigma_Q at 2 Sigma_P, and bA = <Sigma_Q>, at n = 7."""
+    from hdmcg import verify
+    from hdmcg.spheres import SphereData
+
+    real = verify.theta_data
+
+    def placed(n, **kwargs):
+        data = real(n, **kwargs)
+        if n != 7:
+            return data
+        fields = dict(zip(SphereData._fields, SphereData._values(data)))
+        twice = 2 * data.sigma_p
+        return SphereData(**{**fields, "sigma_q": twice,
+                             "ba_generators": (twice,)})
+    monkeypatch.setattr(verify, "theta_data", placed)
+
+
+def _ba_without_sigma_p(monkeypatch):
+    """bA read off the Theorem B rows of n = 3, 7 (Sigma_Q alone) at n = 9,
+    where Sigma_Q is 0: only the Theta/bA check sees it."""
+    from hdmcg import spheres
+
+    monkeypatch.setattr(spheres, "theorem_b", lambda n: theorem_b(
+        7 if n == 9 else n))
+
+
+@pytest.mark.parametrize("mutate, details", [
+    (_halved_sigma_p, ["Sigma_P order wrong at n=7",
+                       "Theta/bA is not coker J/<Sigma_Q> at n=7"]),
+    (_sigma_q_twice_sigma_p, ["Theta/bA is not coker J/<Sigma_Q> at n=7",
+                              "Sigma_Q placement wrong at n=7"]),
+    (_ba_without_sigma_p, ["Theta/bA is not coker J/<Sigma_Q> at n=9"]),
+], ids=["halved-sigma-p", "sigma-q-twice-sigma-p", "ba-without-sigma-p"])
+def test_verify_catches_a_mutated_assembly(monkeypatch, capsys, mutate,
+                                           details):
+    """The checks ``theta_data`` no longer runs on each answer still run in
+    ``verify --suite spheres``: each mutated assembly fails its
+    theta-assembly check, with the listed details, and the verb exits 1."""
+    from hdmcg.cli import main
+    from hdmcg.verify import suite_spheres
+
+    mutate(monkeypatch)
+    (ok, detail), = [(ok, detail) for name, ok, detail in suite_spheres()
+                     if name == "theta-assembly"]
+    assert not ok
+    for item in details:
+        assert item in detail.split("; "), detail
+    assert main(["verify", "--suite", "spheres"]) == 1
+    assert "[FAIL] theta-assembly" in capsys.readouterr().out
+    monkeypatch.undo()
+    assert main(["verify", "--suite", "spheres"]) == 0
+
+
 @pytest.mark.parametrize("ambient", [(-1.7, 0.2), (True, 0), (1, 0.0),
                                      ("1", 0)])
 def test_non_integer_sigma_q_ambient_is_refused(ambient):
