@@ -56,6 +56,9 @@ def theorem_b(n: int) -> tuple[str, str, tuple[tuple[str, str], ...]]:
         n = 1 mod 4:            sgn/8 * Sigma_P
         n = 3 mod 4, not 3, 7:  sgn/8 * Sigma_P + chi2/2 * Sigma_Q
         n = 3, 7:               (chi2 - sgn)/8 * Sigma_Q
+
+    n is taken as given, since this module cannot import the integer rule;
+    ``spheres.theorem_b`` is the entry point that checks it first.
     """
     if signature_only(n):
         return "ThmB-case1", "n = 1 mod 4", (("sgn/8", "Sigma_P"),)

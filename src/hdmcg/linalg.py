@@ -18,13 +18,21 @@ Pivoting picks the smallest nonzero entry in absolute value, which keeps
 entry growth manageable at the matrix sizes this package deals with (a
 few dozen rows at most).  The cocycle path needs no lattice: ``cocycles``
 forms its kernels over Q, and ``exact_signature`` its signatures.
+
+A product is built one column at a time: a column of the right factor
+with at most half of its entries nonzero gives the ``combination`` of the
+few columns of the left factor that it names, and a denser one gives dot
+products.  The words in the symplectic generators that the cocycle path
+multiplies mostly have columns with one or two nonzero entries, and
+``symplectic.is_member`` forms A^T J A by the same rule.
 """
 
 from __future__ import annotations
 
 from functools import cache, cached_property
+from itertools import repeat
 from math import gcd
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .inputs import Record, json_int
@@ -115,14 +123,26 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.data]!r})"
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"cannot multiply {self.rows}x{self.cols} by "
+        """The product, built one column at a time.  A column c of
+        ``other`` with at most half of its entries nonzero gives
+        ``combination(columns of self, c)``, so a column with a single entry
+        1 is the column of self it names; a denser column gives the dot
+        products of c with the rows of self.  An empty shape gives the
+        zero matrix of the product's shape."""
+        n = self.cols
+        if n != other.rows:
+            raise ValueError(f"cannot multiply {self.rows}x{n} by "
                              f"{other.rows}x{other.cols}")
-        if self.cols == 0:
+        if not (self.rows and n and other.cols):
             return IntMatrix.zeros(self.rows, other.cols)
-        ot = tuple(zip(*other.data))
-        return IntMatrix._of(tuple([tuple([sum(map(mul, r, c)) for c in ot])
-                                    for r in self.data]), other.cols)
+        rows, columns, out = self.data, None, []
+        for c in zip(*other.data):
+            if 2 * (n - c.count(0)) > n:
+                out.append(tuple([sum(map(mul, r, c)) for r in rows]))
+            else:
+                columns = columns or tuple(zip(*rows))
+                out.append(combination(columns, c, self.rows))
+        return IntMatrix._of(tuple(zip(*out)), other.cols)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
@@ -168,6 +188,22 @@ class IntMatrix:
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.data]
+
+
+def combination(vectors: Sequence, coefficients: tuple, length: int) -> tuple:
+    """sum v * x over the pairs (x, v) of ``vectors`` and ``coefficients``
+    with v nonzero, each x a tuple of ``length`` ints.  A lone term with
+    v = 1 is x itself, and no nonzero coefficient gives the zero vector."""
+    if coefficients.count(0) == len(coefficients) - 1:  # v is their sum
+        v = sum(coefficients)
+        x = vectors[coefficients.index(v)]
+        return x if v == 1 else tuple(map(mul, x, repeat(v)))
+    total = None
+    for x, v in zip(vectors, coefficients):
+        if v:
+            term = x if v == 1 else map(mul, x, repeat(v))
+            total = term if total is None else map(add, total, term)
+    return (0,) * length if total is None else tuple(total)
 
 
 def hstack(*mats: IntMatrix) -> IntMatrix:

@@ -88,11 +88,9 @@ def s_pi_n_so(n: int) -> FinAbGroup:
     """Image of the unstable-to-stable orthogonal stabilisation in degree n.
 
     Table lookup by n mod 8 (Table 1), with the single exceptional
-    vanishing at n = 6.
+    vanishing at n = 6.  n must be an integer >= 3 by the ``json_int`` rule.
     """
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    if n == 6:
+    if json_int_at_least(n, 3, "n") == 6:
         return FinAbGroup.trivial()
     return _S_PI_N_SO[n % 8]
 

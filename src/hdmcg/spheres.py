@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from math import gcd
 
-from . import reference
+from . import cases, reference
 from .abgroups import (FinAbGroup, GroupElement, element_order, quotient_by,
                        quotient_with_projection)
-from .cases import divided, hopf, signature_only, theorem_b
+from .cases import divided, hopf, signature_only
 from .inputs import (Record, json_int, json_int_at_least, json_vector,
                      read_json)
 from .linalg import IntMatrix, cokernel_presentation
@@ -236,6 +236,12 @@ class AlmostClosedInvariants(Record):
         self.__dict__.update(sgn=sgn, chi2=chi2)
 
 
+def theorem_b(n: int) -> tuple[str, str, tuple[tuple[str, str], ...]]:
+    """``cases.theorem_b`` of n, once n is an integer >= 1 by the
+    ``json_int`` rule, so that 7.0 is refused rather than labelled."""
+    return cases.theorem_b(json_int_at_least(n, 1, "n"))
+
+
 def theta_data(n: int, sigma_q_order: int | None = None,
                sigma_q_ambient: tuple[int, ...] | None = None,
                coker_j_table: dict[int, FinAbGroup] | None = None) -> SphereData:
@@ -337,10 +343,11 @@ def load_sphere_data(n: int, sigma_q_order: int | None = None,
 
 def sphere_data_for(n: int, data: SphereData | None = None) -> SphereData:
     """``data`` once it is checked to be the sphere data of n; the built-in
-    sphere data of n when ``data`` is None."""
+    sphere data of n when ``data`` is None.  Either way n must be an integer
+    by the ``json_int`` rule, so 7.0 never equals the n = 7 of ``data``."""
     if data is None:
         return theta_data(n)
-    if data.n != n:
+    if json_int(n, "n") != data.n:
         raise ValueError(f"the sphere data is for n = {data.n}, but the "
                          f"answer asks for n = {n}")
     return data
@@ -400,8 +407,9 @@ def minimal_signature(n: int, data: SphereData | None = None) -> int:
     (2n+2)-manifold: 1 in the Hopf dimensions n = 1, 3, 7 (the projective
     planes over C, H and O), else 8 * |bA / <Sigma_Q>| over the sphere data
     of n, where |bA / <Sigma_Q>| is the order of the image of Sigma_P in
-    the sphere data's ``theta_mod_sigma_q``."""
-    if hopf(n):
+    the sphere data's ``theta_mod_sigma_q``.  n must be an integer >= 1 by
+    the ``json_int`` rule, checked before the Hopf answer."""
+    if hopf(json_int_at_least(n, 1, "n")):
         return 1
     data = sphere_data_for(n, data)
     quotient_group, proj = data.theta_mod_sigma_q

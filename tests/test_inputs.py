@@ -27,8 +27,11 @@ from hdmcg.cohomology import Presentation
 from hdmcg.linalg import IntMatrix
 from hdmcg.mcg import (MCGParams, coinvariants_closed, extension_descriptor,
                        full_report, h1_Gg, h1_half_mcg, h1_mcg, h1_torelli,
-                       haut_report, splitting_decisions)
-from hdmcg.spheres import _coker_j_entries, load_coker_j_file, theta_data
+                       haut_report, s_pi_n_so, splitting_decisions)
+from hdmcg.spheres import (AlmostClosedInvariants, _coker_j_entries,
+                           boundary_of_plumbing, load_coker_j_file,
+                           minimal_signature, omega_tau, theorem_b,
+                           theta_data)
 from hdmcg.symplectic import (GroupFamily, is_member, j_matrix,
                               standard_generators, theta_index)
 
@@ -141,8 +144,11 @@ def test_malformed_value_is_one_line_naming_its_key(call, bad, message):
 
 # every genus and dimension the library takes, by the JSON-integer rule:
 # (call of the one argument, a value it accepts); hdmcg.symplectic._check
-# is reached through is_member, hdmcg.cocycles._genus through SurfaceClass
-# and hdmcg.mcg._check_paper_range through the answers that call it
+# is reached through is_member, hdmcg.cocycles._genus through SurfaceClass,
+# hdmcg.mcg._check_paper_range through the answers that call it and
+# hdmcg.spheres.sphere_data_for through the answers given sphere data, whose
+# n = 7 a float 7.0 must not match; minimal_signature checks n before its
+# Hopf answer, at n = 3 as at n = 7
 I2 = [[1, 0], [0, 1]]
 GENUS_AND_DIMENSION = {
     "j_matrix-g": (lambda x: j_matrix(x, -1), 1),
@@ -167,6 +173,15 @@ GENUS_AND_DIMENSION = {
     "coinvariants_closed-g": (lambda x: coinvariants_closed(x, 5), 1),
     "coinvariants_closed-n": (lambda x: coinvariants_closed(1, x), 5),
     "theta_data-n": (theta_data, 5),
+    "theorem_b-n": (theorem_b, 7),
+    "boundary_of_plumbing-n": (lambda x: boundary_of_plumbing(
+        AlmostClosedInvariants(8, 0), x, theta_data(7)), 7),
+    "omega_tau-n": (lambda x: omega_tau(x, theta_data(7)), 7),
+    "h1_torelli-n-with-data": (lambda x: h1_torelli(1, x, theta_data(7)), 7),
+    "s_pi_n_so-n": (s_pi_n_so, 7),
+    "minimal_signature-n": (minimal_signature, 7),
+    "minimal_signature-hopf-n": (minimal_signature, 3),
+    "minimal_signature-bP-n": (minimal_signature, 5),
 }
 
 

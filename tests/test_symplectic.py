@@ -209,6 +209,62 @@ def test_theta_index_small():
         theta_index(7)
 
 
+def _list_verdict(rows: list[list[int]], g: int, theta: bool) -> bool:
+    """Reference membership on row lists: every entry of A^T J A, as a
+    written-out sum, equals that of J = [[0, I], [-I, 0]]; for the theta
+    group q(x) = sum x_i y_i is also even on every column."""
+    n = 2 * g
+    j = [[int(c == r + g) - int(r == c + g) for c in range(n)]
+         for r in range(n)]
+    form = [[sum(rows[k][i] * j[k][l] * rows[l][c]
+                 for k in range(n) for l in range(n)) for c in range(n)]
+            for i in range(n)]
+    return form == j and (not theta or all(
+        sum(rows[i][c] * rows[g + i][c] for i in range(g)) % 2 == 0
+        for c in range(n)))
+
+
+def _list_word(g: int, rng, gens: list[IntMatrix], length: int) -> list:
+    """Row lists of a product of ``length`` generators and inverses,
+    multiplied out entry by entry."""
+    n = 2 * g
+    word = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(length):
+        a = rng.choice(gens)
+        a = sp_inverse(a, g) if rng.random() < 0.5 else a
+        word = [[sum(row[t] * a.data[t][j] for t in range(n))
+                 for j in range(n)] for row in word]
+    return word
+
+
+def test_membership_matches_the_written_out_form():
+    """``is_member`` against the list reference for Sp and SpQ at g = 1..4,
+    on seeded generator words (short ones keep columns with one or two
+    nonzero entries, long ones fill them), the same words with one entry
+    moved by 1 or -1, and dense random matrices.  Both rules for a row of
+    A^T J A run on members and on non-members."""
+    rng = random.Random(29)
+    seen = set()
+    for g in range(1, 5):
+        n = 2 * g
+        for fam in (GroupFamily.SP, GroupFamily.SPQ):
+            gens = standard_generators(fam, g)
+            for length in (1, 2, 3, 5, 8, 13) * 4:
+                word = _list_word(g, rng, gens, length)
+                moved = [list(row) for row in word]
+                moved[rng.randrange(n)][rng.randrange(n)] += rng.choice((1, -1))
+                dense = [[rng.randint(-3, 3) for _ in range(n)]
+                         for _ in range(n)]
+                for rows in (word, moved, dense):
+                    clear_memos()
+                    want = _list_verdict(rows, g, fam is GroupFamily.SPQ)
+                    assert is_member(fam, IntMatrix(rows), g) == want, rows
+                    for column in zip(*rows):
+                        dense_column = 2 * (n - column.count(0)) > n
+                        seen.add((want, dense_column))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
 # ---------------------------------------------------------------------------
 # the memos behind is_member and sp_inverse
 
