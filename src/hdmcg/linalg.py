@@ -19,12 +19,12 @@ entry growth manageable at the matrix sizes this package deals with (a
 few dozen rows at most).  The cocycle path needs no lattice: ``cocycles``
 forms its kernels over Q, and ``exact_signature`` its signatures.
 
-A product is built one column at a time: a column of the right factor
-with at most half of its entries nonzero gives the ``combination`` of the
-few columns of the left factor that it names, and a denser one gives dot
-products.  The words in the symplectic generators that the cocycle path
-multiplies mostly have columns with one or two nonzero entries, and
-``symplectic.is_member`` forms A^T J A by the same rule.
+A product is built one row at a time: a row of the left factor gives the
+``combination`` of the rows of the right factor that its nonzero entries
+name, with no transposition.  The words in the symplectic generators
+that the cocycle path multiplies mostly have rows with at most half of
+their entries nonzero, so most result rows are a sum of a few rows of
+the right factor; ``symplectic.is_member`` forms A^T J A the same way.
 """
 
 from __future__ import annotations
@@ -123,26 +123,16 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.data]!r})"
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        """The product, built one column at a time.  A column c of
-        ``other`` with at most half of its entries nonzero gives
-        ``combination(columns of self, c)``, so a column with a single entry
-        1 is the column of self it names; a denser column gives the dot
-        products of c with the rows of self.  An empty shape gives the
-        zero matrix of the product's shape."""
-        n = self.cols
-        if n != other.rows:
-            raise ValueError(f"cannot multiply {self.rows}x{n} by "
+        """The product, built one row at a time: row i is
+        ``combination(rows of other, row i of self)``, so a row of self
+        with a single entry 1 gives the row of ``other`` it names, and a
+        zero row, or an empty inner dimension, a row of zeros."""
+        if self.cols != other.rows:
+            raise ValueError(f"cannot multiply {self.rows}x{self.cols} by "
                              f"{other.rows}x{other.cols}")
-        if not (self.rows and n and other.cols):
-            return IntMatrix.zeros(self.rows, other.cols)
-        rows, columns, out = self.data, None, []
-        for c in zip(*other.data):
-            if 2 * (n - c.count(0)) > n:
-                out.append(tuple([sum(map(mul, r, c)) for r in rows]))
-            else:
-                columns = columns or tuple(zip(*rows))
-                out.append(combination(columns, c, self.rows))
-        return IntMatrix._of(tuple(zip(*out)), other.cols)
+        rows, n = other.data, other.cols
+        return IntMatrix._of(tuple([combination(rows, r, n)
+                                    for r in self.data]), n)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)

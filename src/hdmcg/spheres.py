@@ -238,7 +238,8 @@ class AlmostClosedInvariants(Record):
 
 def theorem_b(n: int) -> tuple[str, str, tuple[tuple[str, str], ...]]:
     """``cases.theorem_b`` of n, once n is an integer >= 1 by the
-    ``json_int`` rule, so that 7.0 is refused rather than labelled."""
+    ``json_int`` rule, so that 7.0 is refused rather than labelled.  The
+    callers in this module have checked n already and call the leaf."""
     return cases.theorem_b(json_int_at_least(n, 1, "n"))
 
 
@@ -316,7 +317,7 @@ def theta_data(n: int, sigma_q_order: int | None = None,
         amb = tuple((bp // order) * x for x in e0)
     sigma_q = from_ambient(amb)
     named = {"Sigma_P": sigma_p, "Sigma_Q": sigma_q}
-    case, regime, rows = theorem_b(n)
+    case, regime, rows = cases.theorem_b(n)
     ba = tuple(named[gen] for _, gen in rows)
 
     # omega = coker J modulo the image of Sigma_Q; theta/bA is omega by
@@ -361,7 +362,7 @@ def boundary_of_plumbing(inv: AlmostClosedInvariants, n: int,
     chi2 must be given exactly where a row uses it.
     """
     data = sphere_data_for(n, data)
-    _, regime, rows = theorem_b(n)
+    _, regime, rows = cases.theorem_b(n)
     uses_chi2 = any("chi2" in which for which, _ in rows)
     if uses_chi2 and inv.chi2 is None:
         raise ValueError("chi2 is required for n = 3 mod 4")

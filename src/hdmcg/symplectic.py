@@ -6,9 +6,9 @@ so the pairing matrix is the block form [[0, I], [eps*I, 0]] and the
 standard quadratic refinement is q(x_1..x_g, y_1..y_g) = sum x_i y_i.
 The form has one model here: ``j_matrix`` for the pairing and ``_q2`` for
 q mod 2, the two things ``is_member`` tests.  The pairing test forms
-A^T J A row by row, each row from the few rows of JA that a sparse column
-of A names (see ``is_member``), and stops at the first row that differs
-from J.  Which family a dimension n gets (Theorem A) is
+A^T J A row by row, each row from the rows of JA that a column of A names
+(see ``is_member``), and stops at the first row that differs from J.
+Which family a dimension n gets (Theorem A) is
 ``mcg.automorphism_family``'s answer, read off ``cases.hopf``.
 
 The membership verdict and the Sp inverse are each served from one
@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 from functools import lru_cache
 from itertools import product
-from operator import mul, neg
+from operator import neg
 
 from .inputs import json_int, json_int_at_least
 from .linalg import IntMatrix, combination
@@ -86,27 +86,15 @@ def is_member(family: GroupFamily, a: IntMatrix, g: int) -> bool:
     formed one row at a time and stopped at the first row that differs from
     the same row of J.  Row i is sum_k A[k][i] (JA)[k], where the rows of
     JA = (A_f; -A_e) are those of A with its two halves swapped and the new
-    second half negated: when column i of A has at most g nonzero entries
-    the row is ``linalg.combination`` of those rows of JA.  Otherwise only
-    its entries right of the diagonal are formed, as dot products of column
-    i with the columns of JA: A^T J A is antisymmetric, so its diagonal is
-    0 and the entries left of it were checked with the earlier rows.
-    The words in the generators that the cocycle path meets mostly have
-    columns with one or two nonzero entries, so nearly every row is a sum
-    of one or two rows of JA; no inverse is formed.
+    second half negated: the row is ``linalg.combination`` of the rows of
+    JA by column i of A.  The words in the generators that the cocycle path
+    meets mostly have columns with one or two nonzero entries, so nearly
+    every row is one row of JA, or a sum of two; no inverse is formed.
     Checking q on the 2g standard basis vectors suffices for SpQ: when a
     matrix preserves the pairing, q(Ax) - q(x) is linear mod 2 in x.
     """
     _check(a, g)
     return _verdict(family, a.data, g)
-
-
-@lru_cache(maxsize=None)
-def _j_rows(g: int) -> tuple:
-    """The rows of j_matrix(g, -1), read off the shared identity, so that a
-    verdict never runs the coercing ``IntMatrix`` constructor."""
-    ident = IntMatrix.identity(2 * g).data
-    return ident[g:] + tuple([tuple(map(neg, r)) for r in ident[:g]])
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -118,16 +106,9 @@ def _verdict(family: GroupFamily, rows: tuple, g: int) -> bool:
         return a.transpose() @ j @ a == j
     # row i of A^T J A is sum_k A[k][i] (JA)[k], with JA = (A_f; -A_e)
     ja = rows[g:] + tuple([tuple(map(neg, r)) for r in rows[:g]])
-    cols, jcols = tuple(zip(*rows)), None
-    for i, (c, want) in enumerate(zip(cols, _j_rows(g))):
-        if 2 * (n - c.count(0)) > n:
-            jcols = jcols or tuple(zip(*ja))
-            # antisymmetry fixes the entries j <= i (see is_member)
-            row, want = tuple([sum(map(mul, c, y))
-                               for y in jcols[i + 1:]]), want[i + 1:]
-        else:
-            row = combination(ja, c, n)
-        if row != want:
+    cols = tuple(zip(*rows))
+    for c, want in zip(cols, j_matrix(g, -1).data):
+        if combination(ja, c, n) != want:
             return False
     if family is GroupFamily.SP:
         return True

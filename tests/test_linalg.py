@@ -401,20 +401,26 @@ SPARSE_ENTRIES = st.sampled_from((1, -1, 2, -3))
 
 
 @st.composite
+def sparse_vector(draw, k: int) -> list[int]:
+    """A length-k vector with 0, 1, 2, k // 2, k // 2 + 1 or k nonzero
+    entries (at most k) drawn from 1, -1, 2 and -3."""
+    count = min(k, draw(st.sampled_from((0, 1, 2, k // 2, k // 2 + 1, k))))
+    vector = [0] * k
+    for t in draw(st.permutations(range(k)))[:count]:
+        vector[t] = draw(SPARSE_ENTRIES)
+    return vector
+
+
+@st.composite
 def product_operands(draw):
-    """(r x k row lists, k x m row lists, m) with shapes 0..6; each column
-    of the right factor holds 0, 1, 2, k // 2, k // 2 + 1 or k nonzero
-    entries (at most k) drawn from 1, -1, 2 and -3, so both the
-    combination and the dot-product rule of ``@`` run."""
+    """(r x k row lists, k x m row lists, m) with shapes 0..6; each row of
+    the left factor and each column of the right factor is a
+    ``sparse_vector``, so a result row combines none, one, a few or all
+    of the right factor's rows, and a result column reads a column that
+    is zero, sparse or dense."""
     r, k, m = (draw(st.integers(0, 6)) for _ in range(3))
-    left = [[draw(st.integers(-3, 3)) for _ in range(k)] for _ in range(r)]
-    columns = []
-    for _ in range(m):
-        count = min(k, draw(st.sampled_from((0, 1, 2, k // 2, k // 2 + 1, k))))
-        column = [0] * k
-        for t in draw(st.permutations(range(k)))[:count]:
-            column[t] = draw(SPARSE_ENTRIES)
-        columns.append(column)
+    left = [draw(sparse_vector(k)) for _ in range(r)]
+    columns = [draw(sparse_vector(k)) for _ in range(m)]
     right = [[column[t] for column in columns] for t in range(k)]
     return left, right, m
 
@@ -423,19 +429,22 @@ def _check_product(left: list[list[int]], right: list[list[int]], k: int,
                    m: int) -> None:
     a = IntMatrix(left, k)
     b = IntMatrix(right, m)
-    before = tuple(tuple(row) for row in left)
+    before = (a.data, b.data)
     product = a @ b
     assert _is_int_rows(product, len(left), m)
     assert [list(row) for row in product.data] == _list_product(left, right, m)
-    assert a.data == before and a.cols == k
+    assert (a.data, b.data) == before == (
+        tuple(map(tuple, left)), tuple(map(tuple, right)))
+    assert (a.cols, b.cols) == (k, m)
 
 
 @settings(max_examples=300, deadline=None)
 @given(product_operands())
 def test_product_matches_the_written_out_dot_products(operands):
     """``@`` against entry-by-entry dot products on row lists: every row of
-    the result is a tuple of ints, and the left factor, whose columns a
-    sparse column may hand out as they are, is left as it was."""
+    the result is a tuple of ints, and both factors, whose rows a sparse
+    row of the left factor may hand out as they are, are left as they
+    were."""
     left, right, m = operands
     _check_product(left, right, len(right), m)
 
@@ -444,7 +453,7 @@ def test_product_matches_the_written_out_dot_products(operands):
                                      (3, 2, 0), (0, 0, 0), (2, 4, 1)])
 def test_product_of_empty_and_unit_shapes(r, k, m):
     """0 x k, k x 0 and 2 x 0 @ 0 x 3 against the reference, with a left
-    factor whose columns each hold one entry 1 and a right factor of units."""
+    factor whose rows each hold one entry 1 and a right factor of units."""
     left = [[int(i % k == t) for t in range(k)] for i in range(r)]
     right = [[int(t == j % k) for j in range(m)] for t in range(k)]
     _check_product(left, right, k, m)

@@ -350,9 +350,7 @@ def _sigma_q_twice_sigma_p(monkeypatch):
 def _ba_without_sigma_p(monkeypatch):
     """bA read off the Theorem B rows of n = 3, 7 (Sigma_Q alone) at n = 9,
     where Sigma_Q is 0: only the Theta/bA check sees it."""
-    from hdmcg import spheres
-
-    monkeypatch.setattr(spheres, "theorem_b", lambda n: theorem_b(
+    monkeypatch.setattr(cases, "theorem_b", lambda n: theorem_b(
         7 if n == 9 else n))
 
 

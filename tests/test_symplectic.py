@@ -241,8 +241,9 @@ def test_membership_matches_the_written_out_form():
     """``is_member`` against the list reference for Sp and SpQ at g = 1..4,
     on seeded generator words (short ones keep columns with one or two
     nonzero entries, long ones fill them), the same words with one entry
-    moved by 1 or -1, and dense random matrices.  Both rules for a row of
-    A^T J A run on members and on non-members."""
+    moved by 1 or -1, and dense random matrices.  Columns with at most g
+    and with more than g nonzero entries occur among members and among
+    non-members."""
     rng = random.Random(29)
     seen = set()
     for g in range(1, 5):
