@@ -258,6 +258,8 @@ def main(argv=None) -> int:
         args = _build_parser(verb).parse_args(argv)
         return _COMMANDS[args.verb](args)
     except (_UsageError, ValueError, OSError, RuntimeError) as exc:
+        # RuntimeError stays for its subclass RecursionError; no module of
+        # the package raises it itself
         # a line break inside the message (a stray argument or a file path
         # may hold one) is shown as a visible \n, so the error stays one line
         print("\\n".join(str(exc).splitlines()), file=sys.stderr)

@@ -1,7 +1,7 @@
 """The values the paper states, one copy of each table.
 
-Only checks read this module: the ``verify`` suites, ``reproduce_table3``
-and the one-time validation of the bP formula.  Code that computes an
+Only checks read this module: the ``verify`` suites and
+``reproduce_table3``, which imports it when it runs.  Code that computes an
 answer never reads it, so every check compares two independent sources.
 """
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from . import cases, reference
+from . import cases
 from .abgroups import (FinAbGroup, GroupElement, element_order, quotient_by,
                        quotient_with_projection)
 from .cases import divided, hopf, signature_only
@@ -95,36 +95,22 @@ def bernoulli(k: int):
     return Fraction(*_abs_bernoulli(k))
 
 
-_bp_validated = False
-
-
 def bp_order(dim: int) -> int:
     """Order of the cyclic group of (dim-1)-spheres bounding parallelisable
     manifolds, dim = 4k with k >= 2:
 
         2^(2k-2) * (2^(2k-1) - 1) * numerator(4 B_k / k).
 
-    The formula is validated once against the paper's values
-    28, 992, 8128, 261632 (``reference.BP_ORDER``); a mismatch aborts every
-    caller.  A degree dim - 1 past MAX_SPHERE_DEGREE is refused.
+    ``verify``'s ``bp-orders`` compares it with the paper's values 28,
+    992, 8128, 261632 (``reference.BP_ORDER``).  A degree dim - 1 past
+    MAX_SPHERE_DEGREE is refused.
     """
-    global _bp_validated
     if dim % 4 or dim < 8:
         raise ValueError("dimension must be a multiple of 4, at least 8")
     k = dim // 4
     num, den = _abs_bernoulli(k)
-    value = 2 ** (2 * k - 2) * (2 ** (2 * k - 1) - 1) \
+    return 2 ** (2 * k - 2) * (2 ** (2 * k - 1) - 1) \
         * (4 * num // gcd(4 * num, k * den))  # numerator of 4 |B_2k| / k
-    if not _bp_validated:
-        _bp_validated = True  # set first so the reference loop can recurse
-        for d, expected in reference.BP_ORDER.items():
-            got = bp_order(d)
-            if got != expected:
-                _bp_validated = False
-                raise RuntimeError(
-                    f"bP order formula failed validation: dim {d} gave {got}, "
-                    f"expected {expected}")
-    return value
 
 
 def _coker_j_entries(entries) -> dict[int, FinAbGroup]:
@@ -408,14 +394,12 @@ def minimal_signature(n: int, data: SphereData | None = None) -> int:
     (2n+2)-manifold: 1 in the Hopf dimensions n = 1, 3, 7 (the projective
     planes over C, H and O), else 8 * |bA / <Sigma_Q>| over the sphere data
     of n, where |bA / <Sigma_Q>| is the order of the image of Sigma_P in
-    the sphere data's ``theta_mod_sigma_q``.  n must be an integer >= 1 by
-    the ``json_int`` rule, checked before the Hopf answer."""
+    the sphere data's ``theta_mod_sigma_q``; that order divides |bP|, the
+    order of Sigma_P, so it is finite.  n must be an integer >= 1 by the
+    ``json_int`` rule, checked before the Hopf answer."""
     if hopf(json_int_at_least(n, 1, "n")):
         return 1
     data = sphere_data_for(n, data)
     quotient_group, proj = data.theta_mod_sigma_q
     image = quotient_group.element(proj.mult_vec(list(data.sigma_p.coords)))
-    order = element_order(image)
-    if order is None:
-        raise RuntimeError("Sigma_P image has infinite order; data corrupt")
-    return 8 * order
+    return 8 * element_order(image)

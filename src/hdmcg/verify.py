@@ -13,10 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import reference as ref
-from .abgroups import FinAbGroup, element_order, quotient_by
+from .abgroups import FinAbGroup, direct_sum, element_order, quotient_by
 from .cases import divided
-from .cohomology import Presentation, GModule, abelianization, h1, \
-    h1_free_product_of_cyclics
+from .cohomology import Presentation, GModule, abelianization, \
+    coinvariants, h1, h1_free_product_of_cyclics
 from .linalg import IntMatrix
 from .spheres import (AlmostClosedInvariants, bernoulli, boundary_of_plumbing,
                       bp_order, describe_theta_element, minimal_signature,
@@ -79,6 +79,19 @@ def suite_tables() -> list[Check]:
     return checks
 
 
+def _coinvariants_by_generators(g: int, n: int) -> FinAbGroup:
+    """(Z^2g tensor SpiSO(n))-coinvariants from the generator matrices: the
+    reference route for ``mcg.coinvariants_closed``."""
+    from .mcg import automorphism_family, s_pi_n_so
+    from .symplectic import standard_generators
+
+    module = s_pi_n_so(n)
+    gens = standard_generators(automorphism_family(n), g)
+    return direct_sum([coinvariants(gens, modulus=0)] * module.rank
+                      + [coinvariants(gens, modulus=d)
+                         for d in module.torsion])
+
+
 def suite_appendix() -> list[Check]:
     from .mcg import coinvariants_closed
     from .symplectic import theta_index
@@ -87,10 +100,11 @@ def suite_appendix() -> list[Check]:
     bad = []
     for g in (1, 2, 3):
         for n in (3, 5, 7, 8, 9, 11, 13, 14):
-            try:
-                coinvariants_closed(g, n)
-            except RuntimeError as exc:
-                bad.append(str(exc))
+            closed = coinvariants_closed(g, n)
+            computed = _coinvariants_by_generators(g, n)
+            if computed != closed:
+                bad.append(f"(g={g}, n={n}): closed form {closed.describe()}, "
+                           f"generator matrices {computed.describe()}")
     checks.append(_check("coinvariants-closed-vs-generators", not bad,
                          "; ".join(bad) or "24 cases cross-checked"))
 
@@ -193,15 +207,20 @@ def suite_spheres() -> list[Check]:
 def suite_cocycles(seed: int = 0) -> list[Check]:
     import random
 
-    from .cocycles import (SurfaceClass, beta_is_symmetric_on_kernel,
-                           chi2_of_class, divided_eval, meyer_tau,
-                           random_affine_class, random_surface_class,
-                           random_symplectic, signature_of_class, sp_power,
-                           surface_two_cycle)
+    from .cocycles import (SurfaceClass, _filling, _fills_relator,
+                           beta_is_symmetric_on_kernel, chi2_of_class,
+                           divided_eval, meyer_tau, random_affine_class,
+                           random_surface_class, random_symplectic,
+                           signature_of_class, sp_power, surface_two_cycle)
     from .symplectic import GroupFamily, sp_inverse, standard_generators
 
     rng = random.Random(seed)
     checks: list[Check] = []
+
+    bad = [h for h in range(1, 17) if not _fills_relator(h, _filling(h))]
+    checks.append(_check("canonical-filling-boundary", not bad,
+                         f"nonzero boundary at h = {bad}" if bad
+                         else "h = 1..16"))
 
     # normalization and the cocycle identity, in two genera
     bad = []

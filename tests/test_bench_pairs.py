@@ -1,6 +1,7 @@
 """The statistics of ``tools/bench_pairs.py``, on fixed numbers."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -114,3 +115,37 @@ def test_module_lines_count_each_module_of_the_package():
     assert sorted(lines) == sorted(
         path.name for path in (ROOT / "src" / "hdmcg").glob("*.py"))
     assert all(n > 0 for n in lines.values())
+
+
+def test_build_tree_copies_the_working_tree_git_would_commit(tmp_path):
+    """The working tree as ``git add -A`` sees it: a tracked file as
+    modified on disk and an untracked file that no rule ignores, but no
+    ignored file, no deleted file and no ``.git``; a revision is its
+    committed files."""
+    repo, dest, old = tmp_path / "repo", tmp_path / "dest", tmp_path / "old"
+    (repo / "pkg").mkdir(parents=True)
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("*.log\n")
+    (repo / "pkg" / "mod.py").write_text("old\n")
+    (repo / "gone.py").write_text("deleted\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "pkg" / "mod.py").write_text("modified\n")
+    (repo / "pkg" / "new.py").write_text("untracked\n")
+    (repo / "run.log").write_text("ignored\n")
+    (repo / "gone.py").unlink()
+    for tree, rev in ((dest, None), (old, "HEAD")):
+        tree.mkdir()
+        bench_pairs.build_tree(repo, rev, tree)
+    files = {tree: {p.relative_to(tree).as_posix(): p.read_text()
+                    for p in tree.rglob("*") if p.is_file()}
+             for tree in (dest, old)}
+    assert files[dest] == {".gitignore": "*.log\n", "pkg/mod.py": "modified\n",
+                           "pkg/new.py": "untracked\n"}
+    assert files[old] == {".gitignore": "*.log\n", "pkg/mod.py": "old\n",
+                          "gone.py": "deleted\n"}

@@ -25,9 +25,10 @@ from hdmcg.cli import main
 from hdmcg.cocycles import SurfaceClass, class_from_json_dict, load_class_file
 from hdmcg.cohomology import Presentation
 from hdmcg.linalg import IntMatrix
-from hdmcg.mcg import (MCGParams, coinvariants_closed, extension_descriptor,
-                       full_report, h1_Gg, h1_half_mcg, h1_mcg, h1_torelli,
-                       haut_report, s_pi_n_so, splitting_decisions)
+from hdmcg.mcg import (MCGParams, automorphism_family, coinvariants_closed,
+                       extension_descriptor, full_report, h1_Gg, h1_half_mcg,
+                       h1_mcg, h1_torelli, haut_report, s_pi_n_so,
+                       splitting_decisions)
 from hdmcg.spheres import (AlmostClosedInvariants, _coker_j_entries,
                            boundary_of_plumbing, load_coker_j_file,
                            minimal_signature, omega_tau, theorem_b,
@@ -179,6 +180,9 @@ GENUS_AND_DIMENSION = {
     "omega_tau-n": (lambda x: omega_tau(x, theta_data(7)), 7),
     "h1_torelli-n-with-data": (lambda x: h1_torelli(1, x, theta_data(7)), 7),
     "s_pi_n_so-n": (s_pi_n_so, 7),
+    "automorphism_family-n": (automorphism_family, 7),
+    "automorphism_family-hopf-n": (automorphism_family, 3),
+    "automorphism_family-even-n": (automorphism_family, 8),
     "minimal_signature-n": (minimal_signature, 7),
     "minimal_signature-hopf-n": (minimal_signature, 3),
     "minimal_signature-bP-n": (minimal_signature, 5),

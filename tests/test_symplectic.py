@@ -209,61 +209,85 @@ def test_theta_index_small():
         theta_index(7)
 
 
-def _list_verdict(rows: list[list[int]], g: int, theta: bool) -> bool:
+def _list_j(g: int, eps: int) -> list[list[int]]:
+    """J = [[0, I], [eps I, 0]] as row lists."""
+    return [[int(c == r + g) + eps * int(r == c + g) for c in range(2 * g)]
+            for r in range(2 * g)]
+
+
+def _list_product(*factors: list) -> list:
+    out = factors[0]
+    for b in factors[1:]:
+        out = [[sum(row[t] * b[t][j] for t in range(len(b)))
+                for j in range(len(b[0]))] for row in out]
+    return out
+
+
+def _list_verdict(rows: list[list[int]], g: int, family: GroupFamily) -> bool:
     """Reference membership on row lists: every entry of A^T J A, as a
-    written-out sum, equals that of J = [[0, I], [-I, 0]]; for the theta
-    group q(x) = sum x_i y_i is also even on every column."""
+    written-out sum, equals that of J = [[0, I], [eps I, 0]], eps = +1 for
+    Ogg and -1 for Sp and SpQ; for the theta group q(x) = sum x_i y_i is
+    also even on every column."""
     n = 2 * g
-    j = [[int(c == r + g) - int(r == c + g) for c in range(n)]
-         for r in range(n)]
+    j = _list_j(g, 1 if family is GroupFamily.OGG else -1)
     form = [[sum(rows[k][i] * j[k][l] * rows[l][c]
                  for k in range(n) for l in range(n)) for c in range(n)]
             for i in range(n)]
-    return form == j and (not theta or all(
+    return form == j and (family is not GroupFamily.SPQ or all(
         sum(rows[i][c] * rows[g + i][c] for i in range(g)) % 2 == 0
         for c in range(n)))
 
 
-def _list_word(g: int, rng, gens: list[IntMatrix], length: int) -> list:
+def _list_word(g: int, rng, gens: list[IntMatrix], length: int,
+               eps: int) -> list:
     """Row lists of a product of ``length`` generators and inverses,
-    multiplied out entry by entry."""
+    multiplied out entry by entry; the inverse of A is eps J A^T J, since
+    J^2 = eps I."""
     n = 2 * g
-    word = [[int(i == j) for j in range(n)] for i in range(n)]
+    j = _list_j(g, eps)
+    word = [[int(i == k) for k in range(n)] for i in range(n)]
     for _ in range(length):
-        a = rng.choice(gens)
-        a = sp_inverse(a, g) if rng.random() < 0.5 else a
-        word = [[sum(row[t] * a.data[t][j] for t in range(n))
-                 for j in range(n)] for row in word]
+        a = [list(r) for r in rng.choice(gens).data]
+        if rng.random() < 0.5:
+            a = [[eps * x for x in r]
+                 for r in _list_product(j, [list(c) for c in zip(*a)], j)]
+        word = _list_product(word, a)
     return word
 
 
 def test_membership_matches_the_written_out_form():
-    """``is_member`` against the list reference for Sp and SpQ at g = 1..4,
-    on seeded generator words (short ones keep columns with one or two
-    nonzero entries, long ones fill them), the same words with one entry
-    moved by 1 or -1, and dense random matrices.  Columns with at most g
-    and with more than g nonzero entries occur among members and among
-    non-members."""
+    """``is_member`` against the list reference for every family at
+    g = 1..4, on seeded generator words (short ones keep columns with one
+    or two nonzero entries, long ones fill them), the same words with one
+    entry moved by 1 or -1, and dense random matrices.  Each family meets
+    members and non-members, and columns with at most g and with more than
+    g nonzero entries occur among both (the Ogg words hold at most g
+    nonzero entries in a column: their generators keep the block form of
+    diag(B, B^-T) up to the swap J)."""
     rng = random.Random(29)
     seen = set()
     for g in range(1, 5):
         n = 2 * g
-        for fam in (GroupFamily.SP, GroupFamily.SPQ):
+        for fam in GroupFamily:
             gens = standard_generators(fam, g)
+            eps = 1 if fam is GroupFamily.OGG else -1
             for length in (1, 2, 3, 5, 8, 13) * 4:
-                word = _list_word(g, rng, gens, length)
+                word = _list_word(g, rng, gens, length, eps)
                 moved = [list(row) for row in word]
                 moved[rng.randrange(n)][rng.randrange(n)] += rng.choice((1, -1))
                 dense = [[rng.randint(-3, 3) for _ in range(n)]
                          for _ in range(n)]
                 for rows in (word, moved, dense):
                     clear_memos()
-                    want = _list_verdict(rows, g, fam is GroupFamily.SPQ)
+                    want = _list_verdict(rows, g, fam)
                     assert is_member(fam, IntMatrix(rows), g) == want, rows
                     for column in zip(*rows):
                         dense_column = 2 * (n - column.count(0)) > n
-                        seen.add((want, dense_column))
-    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+                        seen.add((fam, want, dense_column))
+    assert {(want, dense) for _, want, dense in seen} == {
+        (True, True), (True, False), (False, True), (False, False)}
+    assert {(fam, want) for fam, want, _ in seen} == {
+        (fam, want) for fam in GroupFamily for want in (True, False)}
 
 
 # ---------------------------------------------------------------------------

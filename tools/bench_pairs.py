@@ -2,10 +2,11 @@
 
     python tools/bench_pairs.py --parent REV [--held-out SEED] [--out FILE]
 
-The parent is built with ``git archive REV`` into a temporary directory,
-which is removed afterwards.  For each seed 401-410, each workload of
-``BENCHMARK.json`` runs the unchanged ``perfbench/run.py`` for its
-``run_seconds`` once on the parent and once on the working tree, and the
+Both sides run from fresh temporary directories, removed afterwards: the
+parent from ``git archive REV``, the change from a copy of the working
+tree (see ``build_tree``), so neither runs from the checkout.  For each
+seed 401-410, each workload of ``BENCHMARK.json`` runs the unchanged
+``perfbench/run.py`` for its ``run_seconds`` once on each side, and the
 side that runs first alternates from pair to pair.  The result is printed
 (and written to ``--out``) in the form of the committed ``BENCH_*.json``
 files: per-pair values, medians, interquartile ranges (inclusive
@@ -48,6 +49,27 @@ def module_lines(tree: Path) -> dict[str, int]:
     spec.loader.exec_module(code_lines)
     return {path.name: n for path, n
             in code_lines.counts(tree / "src" / "hdmcg").items()}
+
+
+def build_tree(root: Path, rev: str | None, dest: Path) -> None:
+    """Fill the directory ``dest`` with the files of revision ``rev`` of
+    the git checkout ``root``, or, when ``rev`` is None, with its working
+    tree: every file that ``git ls-files --cached --others
+    --exclude-standard`` lists and that exists, as it stands on disk."""
+    def git(*args) -> bytes:
+        return subprocess.run(["git", *args], cwd=root, capture_output=True,
+                              check=True).stdout
+
+    if rev is not None:
+        subprocess.run(["tar", "-x", "-C", str(dest)],
+                       input=git("archive", rev), check=True)
+        return
+    listed = git("ls-files", "-z", "--cached", "--others",
+                 "--exclude-standard")
+    for name in filter(None, listed.decode().split("\0")):
+        if (root / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, dest / name)
 
 
 def median_iqr(values: list[float]) -> tuple[float, float]:
@@ -233,13 +255,12 @@ def main(argv=None) -> int:
     rev = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT,
                          capture_output=True, text=True,
                          check=True).stdout.strip()
-    tmp = Path(tempfile.mkdtemp(prefix="bench-parent-"))
+    tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
-        archive = subprocess.run(["git", "archive", rev], cwd=ROOT,
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(tmp)], input=archive,
-                       check=True)
-        trees = {"parent": tmp, "change": ROOT}
+        trees = {"parent": tmp / "parent", "change": tmp / "change"}
+        for side, source in (("parent", rev), ("change", None)):
+            trees[side].mkdir()
+            build_tree(ROOT, source, trees[side])
         runs: dict[str, list[dict]] = {w: [] for w in workloads}
         index = 0
         for seed in SEEDS:
