@@ -62,23 +62,16 @@ class FinAbGroup(Record):
     _fields = ("rank", "torsion")
 
     def __init__(self, rank: int, torsion: tuple[int, ...] = ()):
-        state = self.__dict__
-        state["rank"] = rank
-        state["torsion"] = torsion
-        self.__post_init__()
-
-    def __post_init__(self):
-        """Checks the fields and makes the torsion a tuple; kept apart from
-        ``__init__`` so that a caller can count groups by wrapping it."""
-        if json_int(self.rank, "the rank") < 0:
+        if json_int(rank, "the rank") < 0:
             raise ValueError("rank must be nonnegative")
-        tor = self.__dict__["torsion"] = tuple(self.torsion)
-        for d in tor:
+        torsion = tuple(torsion)
+        for d in torsion:
             if json_int(d, "a torsion factor") < 2:
                 raise ValueError("torsion factors must be >= 2")
-        for a, b in zip(tor, tor[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
-                raise ValueError(f"not a divisibility chain: {tor}")
+                raise ValueError(f"not a divisibility chain: {torsion}")
+        self.__dict__.update(rank=rank, torsion=torsion)
 
     @classmethod
     def trivial(cls) -> "FinAbGroup":

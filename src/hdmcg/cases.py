@@ -58,7 +58,7 @@ def theorem_b(n: int) -> tuple[str, str, tuple[tuple[str, str], ...]]:
         n = 3, 7:               (chi2 - sgn)/8 * Sigma_Q
 
     n is taken as given, since this module cannot import the integer rule;
-    ``spheres.theorem_b`` is the entry point that checks it first.
+    its callers in ``spheres`` and ``mcg`` check n first.
     """
     if signature_only(n):
         return "ThmB-case1", "n = 1 mod 4", (("sgn/8", "Sigma_P"),)

@@ -4,8 +4,9 @@ with a one-line ValueError, never truncated), which ``json_int_at_least``
 pairs with a lower bound for the genus and dimension arguments;
 ``read_json``, through which both file loaders read; and
 ``Record``, the immutable base of the value classes whose constructors
-check what they are given, with the one rule for how a value becomes
-JSON (``Record.to_json_dict``).
+check what they are given, with the one trusted builder for values the
+package forms from parts it already holds valid (``Record._trusted``) and
+the one rule for how a value becomes JSON (``Record.to_json_dict``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,12 @@ class Record:
     """Immutable value: the base of every value class in the package.
 
     A subclass names its compared fields, in order, in ``_fields``, and its
-    ``__init__`` stores them, and any derived attribute, in ``__dict__``.
+    ``__init__`` checks them and stores them, and any derived attribute, in
+    ``__dict__``.  ``_trusted`` is the one other way to build a value: it
+    stores the given fields and derived attributes and checks nothing, for
+    package code that already holds them valid.  A subclass without its
+    own ``__init__`` has no public constructor: ``SphereData`` is built
+    only by ``spheres.theta_data``, through ``_trusted``.
     Two records are equal when they have the same class and equal fields;
     the hash is that of the field tuple; the repr is ``Name(field=value,
     ...)`` over the fields; assigning or deleting an attribute raises
@@ -42,6 +48,17 @@ class Record:
         # attrgetter of one name returns the value, not a 1-tuple
         cls._values = get if len(cls._fields) > 1 \
             else staticmethod(lambda obj: (get(obj),))
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__qualname__} has no public constructor")
+
+    @classmethod
+    def _trusted(cls, **attributes):
+        """A value holding ``attributes``, fields and derived ones, as
+        given: the caller vouches for them, and nothing is checked."""
+        new = object.__new__(cls)
+        new.__dict__.update(attributes)
+        return new
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -120,9 +137,14 @@ def read_json(path: str, kind: str, parse):
 
     Invalid JSON, bytes that are not UTF-8, nesting too deep to decode and
     every ValueError from ``parse`` become one line that starts with
-    ``<kind> <path>:``.  A file that cannot be opened raises OSError.
+    ``<kind> <path>:``.  A file that cannot be opened raises OSError.  An
+    integer path (a bool included) is refused with a ValueError before
+    ``open``, which would read and then close that file descriptor.
     """
     import json  # here, so that a process that reads no file skips it
+
+    if isinstance(path, int):
+        raise ValueError(f"{kind} path must name a file, got {path!r}")
 
     with open(path, "r", encoding="utf-8") as fh:
         try:

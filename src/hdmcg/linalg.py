@@ -221,9 +221,10 @@ class SNFResult(Record):
     """Smith normal form ``U @ M @ V == D`` with U, V unimodular and the
     diagonal of D a nonnegative divisibility chain d1 | d2 | ...
 
-    ``snf`` stores D and the log of its elementary moves, and U and V are
-    each replayed from that log on an identity the first time they are
-    read, so a caller that reads one transform never builds the other.
+    ``snf`` stores D and the log of its elementary moves (through
+    ``Record._trusted``), and U and V are each replayed from that log on
+    an identity the first time they are read, so a caller that reads one
+    transform never builds the other.
     The logs take no part in equality, hash or repr, which read U, D and
     V.  The public constructor stores all three matrices, and a stored
     matrix shadows its replay.
@@ -232,10 +233,7 @@ class SNFResult(Record):
     _fields = ("U", "D", "V")
 
     def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix):
-        state = self.__dict__
-        state["U"] = U
-        state["D"] = D
-        state["V"] = V
+        self.__dict__.update(U=U, D=D, V=V)
 
     @cached_property
     def U(self) -> IntMatrix:
@@ -352,10 +350,8 @@ def snf(m: IntMatrix) -> SNFResult:
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
             row_moves.append((i, i, 2))  # row i -= 2 row i
-    res = object.__new__(SNFResult)
-    res.__dict__.update(D=IntMatrix._of(tuple(map(tuple, a)), nc),
-                        _row_moves=row_moves, _col_moves=col_moves)
-    return res
+    return SNFResult._trusted(D=IntMatrix._of(tuple(map(tuple, a)), nc),
+                              _row_moves=row_moves, _col_moves=col_moves)
 
 
 def ring_modulus(modulus) -> int:

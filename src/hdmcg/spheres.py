@@ -178,7 +178,9 @@ def coker_j(degree: int,
 class SphereData(Record):
     """The group of homotopy (2n+1)-spheres with its distinguished pieces.
 
-    The constructor also forms ``theta_mod_sigma_q``, the pair (Theta /
+    It has no public constructor: ``theta_data`` is its one builder, so
+    every instance holds sphere data as Theorem B assembles it.
+    ``theta_data`` also forms ``theta_mod_sigma_q``, the pair (Theta /
     <Sigma_Q>, coordinate map from Theta) of ``quotient_with_projection``,
     once: H_1 of the Torelli group, H_1 of the mapping class group at
     g = 1 and the minimal signature all read it.  It is derived, so
@@ -187,17 +189,6 @@ class SphereData(Record):
 
     _fields = ("n", "theta", "sigma_p", "sigma_q", "ba_generators",
                "coker_j_group", "omega", "sigma_q_order_assumed")
-
-    def __init__(self, n: int, theta: FinAbGroup, sigma_p: GroupElement,
-                 sigma_q: GroupElement,
-                 ba_generators: tuple[GroupElement, ...],
-                 coker_j_group: FinAbGroup, omega: FinAbGroup,
-                 sigma_q_order_assumed: bool):
-        self.__dict__.update(
-            n=n, theta=theta, sigma_p=sigma_p, sigma_q=sigma_q,
-            ba_generators=ba_generators, coker_j_group=coker_j_group,
-            omega=omega, sigma_q_order_assumed=sigma_q_order_assumed,
-            theta_mod_sigma_q=quotient_with_projection(theta, [sigma_q]))
 
     def to_json_dict(self) -> dict:
         return {
@@ -214,19 +205,16 @@ class SphereData(Record):
 
 class AlmostClosedInvariants(Record):
     """Signature and, in the dimensions where it exists, the framing
-    obstruction number chi^2 of an almost closed highly connected manifold."""
+    obstruction number chi^2 of an almost closed highly connected manifold.
+    Both are integers by the ``json_int`` rule; chi2 may be None."""
 
     _fields = ("sgn", "chi2")
 
     def __init__(self, sgn: int, chi2: int | None = None):
+        json_int(sgn, "sgn")
+        if chi2 is not None:
+            json_int(chi2, "chi2")
         self.__dict__.update(sgn=sgn, chi2=chi2)
-
-
-def theorem_b(n: int) -> tuple[str, str, tuple[tuple[str, str], ...]]:
-    """``cases.theorem_b`` of n, once n is an integer >= 1 by the
-    ``json_int`` rule, so that 7.0 is refused rather than labelled.  The
-    callers in this module have checked n already and call the leaf."""
-    return cases.theorem_b(json_int_at_least(n, 1, "n"))
 
 
 def theta_data(n: int, sigma_q_order: int | None = None,
@@ -246,6 +234,8 @@ def theta_data(n: int, sigma_q_order: int | None = None,
     A degree 2n+1 past ``MAX_SPHERE_DEGREE`` is refused before any
     Bernoulli number is formed.
     n takes integers only, by the ``json_int`` rule.
+    It is the one builder of ``SphereData``, and it forms the derived
+    ``theta_mod_sigma_q`` = (Theta/<Sigma_Q>, projection) itself.
     Theta is presented straight from its diagonal relations (a zero adds
     none), with Sigma_P the image of e_0, so Sigma_P has order |bP| by
     construction.  omega = coker J/<Sigma_Q> is coker J itself, with no
@@ -315,9 +305,10 @@ def theta_data(n: int, sigma_q_order: int | None = None,
             f"J/<Sigma_Q> = {omega.describe()}, where bA = "
             f"<{', '.join(gen for _, gen in rows)}> ({case}, {regime})")
 
-    return SphereData(n=n, theta=theta, sigma_p=sigma_p, sigma_q=sigma_q,
-                      ba_generators=ba, coker_j_group=ck, omega=omega,
-                      sigma_q_order_assumed=assumed)
+    return SphereData._trusted(
+        n=n, theta=theta, sigma_p=sigma_p, sigma_q=sigma_q, ba_generators=ba,
+        coker_j_group=ck, omega=omega, sigma_q_order_assumed=assumed,
+        theta_mod_sigma_q=quotient_with_projection(theta, [sigma_q]))
 
 
 def load_sphere_data(n: int, sigma_q_order: int | None = None,
@@ -344,8 +335,8 @@ def boundary_of_plumbing(inv: AlmostClosedInvariants, n: int,
                          data: SphereData | None = None) -> GroupElement:
     """Boundary sphere of an almost closed n-connected (2n+2)-manifold with
     the given invariants, as an element of the homotopy-sphere group: the
-    sum over the rows of ``theorem_b(n)`` of divided class times generator.
-    chi2 must be given exactly where a row uses it.
+    sum over the rows of ``cases.theorem_b(n)`` of divided class times
+    generator.  chi2 must be given exactly where a row uses it.
     """
     data = sphere_data_for(n, data)
     _, regime, rows = cases.theorem_b(n)

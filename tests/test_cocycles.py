@@ -375,8 +375,8 @@ def test_a_prefix_that_is_not_lagrangian_is_refused():
     and e2 + f1 pair to 1 makes the Gram of its term asymmetric."""
     ident, j = IntMatrix.identity(4), j_matrix(2, -1)
     p0 = IntMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 1, 0], [0, 0, 0, 1]])
-    cls = SurfaceClass._unchecked(2, ((j, j),), None,
-                                  (j, j, j, j, p0, j, ident, ident, ident),
-                                  None)
+    cls = SurfaceClass._trusted(
+        g=2, pairs=((j, j),), translations=None,
+        table=(j, j, j, j, p0, j, ident, ident, ident), vectors=None)
     with pytest.raises(ValueError, match="symmetric"):
         signature_of_class(cls)

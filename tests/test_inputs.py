@@ -31,8 +31,7 @@ from hdmcg.mcg import (MCGParams, automorphism_family, coinvariants_closed,
                        splitting_decisions)
 from hdmcg.spheres import (AlmostClosedInvariants, _coker_j_entries,
                            boundary_of_plumbing, load_coker_j_file,
-                           minimal_signature, omega_tau, theorem_b,
-                           theta_data)
+                           minimal_signature, omega_tau, theta_data)
 from hdmcg.symplectic import (GroupFamily, is_member, j_matrix,
                               standard_generators, theta_index)
 
@@ -174,7 +173,6 @@ GENUS_AND_DIMENSION = {
     "coinvariants_closed-g": (lambda x: coinvariants_closed(x, 5), 1),
     "coinvariants_closed-n": (lambda x: coinvariants_closed(1, x), 5),
     "theta_data-n": (theta_data, 5),
-    "theorem_b-n": (theorem_b, 7),
     "boundary_of_plumbing-n": (lambda x: boundary_of_plumbing(
         AlmostClosedInvariants(8, 0), x, theta_data(7)), 7),
     "omega_tau-n": (lambda x: omega_tau(x, theta_data(7)), 7),
@@ -213,6 +211,24 @@ def test_genus_and_dimension_take_integers_cold_and_warm(call, good):
         with pytest.raises(ValueError, match=message) as err:
             call(bad)
         assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("field, n, make", [
+    ("sgn", 5, AlmostClosedInvariants),
+    ("chi2", 7, lambda x: AlmostClosedInvariants(8, x)),
+], ids=["sgn", "chi2"])
+@pytest.mark.parametrize("bad", ["8", [8], 8.0, True],
+                         ids=["string", "list", "float", "true"])
+def test_almost_closed_invariants_take_integers_cold(field, n, make, bad):
+    """sgn, and chi2 unless it is None, are integers by the ``json_int``
+    rule: a bad one is refused with one ValueError by the constructor,
+    with every memo empty, before ``boundary_of_plumbing`` can divide it."""
+    _clear_memos()
+    message = re.escape(f"{field} must be an integer, got {bad!r}")
+    with pytest.raises(ValueError, match=message) as err:
+        boundary_of_plumbing(make(bad), n)
+    assert "\n" not in str(err.value)
+    assert boundary_of_plumbing(make(8), n) is not None
 
 
 def test_a_warm_memo_answers_no_bad_genus():
@@ -305,6 +321,24 @@ def test_no_module_reads_the_process_environment():
             if name in ("environ", "environb", "getenv", "getenvb"):
                 readers.append(f"{path.name}:{node.lineno}")
     assert readers == []
+
+
+@pytest.mark.parametrize("path", [0, 1, True], ids=["0", "1", "true"])
+def test_an_integer_path_is_refused_before_any_open(monkeypatch, path):
+    """``open`` would take an integer path as a file descriptor, read it
+    and close it; both loaders, and a report given such a coker-J path,
+    refuse it with one ValueError and call ``open`` never."""
+    def no_open(*args, **kwargs):
+        raise AssertionError(f"open{args} was called")
+    monkeypatch.setattr("builtins.open", no_open)
+    for kind, call in (
+            ("class file", load_class_file),
+            ("coker-J table", load_coker_j_file),
+            ("coker-J table",
+             lambda x: full_report(MCGParams(2, 15, coker_j_path=x)))):
+        message = re.escape(f"{kind} path must name a file, got {path!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(path)
 
 
 @pytest.mark.parametrize("loader", [load_class_file, load_coker_j_file])

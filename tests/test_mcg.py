@@ -206,17 +206,17 @@ def test_one_sphere_build_per_answer(monkeypatch, tmp_path):
 
 def _count_groups_and_smith_forms(monkeypatch):
     groups, smith_forms = [], []
-    post_init, snf = FinAbGroup.__post_init__, linalg.snf
+    init, snf = FinAbGroup.__init__, linalg.snf
 
-    def counted_post_init(group):
+    def counted_init(group, *args, **kwargs):
         groups.append(group)
-        post_init(group)
+        init(group, *args, **kwargs)
 
     def counted_snf(m):
         smith_forms.append(m)
         return snf(m)
 
-    monkeypatch.setattr(FinAbGroup, "__post_init__", counted_post_init)
+    monkeypatch.setattr(FinAbGroup, "__init__", counted_init)
     monkeypatch.setattr(linalg, "snf", counted_snf)
     return groups, smith_forms
 

@@ -332,6 +332,7 @@ def _halved_sigma_p(monkeypatch):
 def _sigma_q_twice_sigma_p(monkeypatch):
     """Sigma_Q at 2 Sigma_P, and bA = <Sigma_Q>, at n = 7."""
     from hdmcg import verify
+    from hdmcg.abgroups import quotient_with_projection
     from hdmcg.spheres import SphereData
 
     real = verify.theta_data
@@ -340,10 +341,11 @@ def _sigma_q_twice_sigma_p(monkeypatch):
         data = real(n, **kwargs)
         if n != 7:
             return data
-        fields = dict(zip(SphereData._fields, SphereData._values(data)))
         twice = 2 * data.sigma_p
-        return SphereData(**{**fields, "sigma_q": twice,
-                             "ba_generators": (twice,)})
+        return SphereData._trusted(**{
+            **vars(data), "sigma_q": twice, "ba_generators": (twice,),
+            "theta_mod_sigma_q": quotient_with_projection(data.theta,
+                                                          [twice])})
     monkeypatch.setattr(verify, "theta_data", placed)
 
 
@@ -452,6 +454,25 @@ def test_minimal_signature():
     stub = {31: FinAbGroup.cyclic(2)}
     assert minimal_signature(15, theta_data(15, coker_j_table=stub)) \
         == 8 * bp_order(32) // 2
+
+
+def test_sphere_data_has_no_public_constructor():
+    """``theta_data`` is the one builder of sphere data.  Data with Theta
+    = Z and a Sigma_P of infinite order, on which ``minimal_signature``
+    multiplied 8 by None, can no longer be formed; nor can a copy of
+    valid data, or a record with no fields."""
+    from hdmcg.abgroups import GroupElement as E
+    from hdmcg.spheres import SphereData
+
+    z = FinAbGroup(1, ())
+    for call in (lambda: SphereData(5, z, E(z, (1,)), E(z, (0,)),
+                                    (E(z, (1,)),), z, z, False),
+                 lambda: SphereData(**vars(theta_data(5))),
+                 SphereData):
+        with pytest.raises(TypeError, match="^SphereData has no public "
+                                            "constructor$"):
+            call()
+    assert type(theta_data(5)) is SphereData
 
 
 def test_answers_take_the_sphere_data_of_their_n():

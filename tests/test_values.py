@@ -1,6 +1,8 @@
 """Value semantics of the package's thirteen value classes.
 
-Each class is built positionally and by keyword from the same values.  Two
+Each class is built positionally and by keyword from the same values,
+bar ``SphereData``, which has no public constructor: it is built by
+``theta_data``, and by ``Record._trusted`` from its fields.  Two
 instances are equal when they have the same class and equal fields, the
 hash is the hash of the field tuple, assignment and deletion raise
 AttributeError, and the repr is ``Name(field=value, ...)``.  Derived
@@ -14,10 +16,13 @@ key order included, and the CLI's JSON lines against their earlier bytes.
 A field that holds an ``IntMatrix`` renders as its row lists.
 """
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import hdmcg
 from hdmcg.abgroups import FinAbGroup, GroupElement
 from hdmcg.cli import main
 from hdmcg.cocycles import SurfaceClass
@@ -35,6 +40,16 @@ Z4 = FinAbGroup(0, (4,))
 
 def _fields_of(obj, names):
     return tuple(getattr(obj, name) for name in names)
+
+
+def _build(cls, values):
+    """The instance of cls with the given field values, by its public
+    constructor, or for ``SphereData`` by ``theta_data``."""
+    if cls is SphereData:
+        data = theta_data(values[0])
+        assert _fields_of(data, SPHERE_FIELDS) == values
+        return data
+    return cls(*values)
 
 
 def _report_values():
@@ -99,6 +114,15 @@ def test_the_cases_cover_every_value_class():
 
 def test_positional_and_keyword_construction_agree(case):
     cls, names, values, _, defaults = case
+    if cls is SphereData:  # refused either way; the trusted builder agrees
+        for call in (lambda: cls(*values),
+                     lambda: cls(**dict(zip(names, values)))):
+            with pytest.raises(TypeError, match="no public constructor"):
+                call()
+        built = cls._trusted(**dict(zip(names, values)))
+        assert _fields_of(built, names) == values
+        assert built == _build(cls, values)
+        return
     by_position = cls(*values)
     by_keyword = cls(**dict(zip(names, values)))
     assert _fields_of(by_position, names) == values
@@ -111,8 +135,8 @@ def test_positional_and_keyword_construction_agree(case):
 
 def test_equality_and_hash_follow_the_field_tuple(case):
     cls, names, values, _, _ = case
-    obj = cls(*values)
-    assert obj == cls(*values) and not obj != cls(*values)
+    obj = _build(cls, values)
+    assert obj == _build(cls, values) and not obj != _build(cls, values)
     assert obj.__eq__(values) is NotImplemented
     assert obj != values
     try:
@@ -133,7 +157,7 @@ def test_a_different_field_breaks_equality():
 
 def test_assignment_and_deletion_raise(case):
     cls, names, values, derived, _ = case
-    obj = cls(*values)
+    obj = _build(cls, values)
     for name in (*names, *derived, "new_attribute"):
         with pytest.raises(AttributeError):
             setattr(obj, name, 0)
@@ -145,17 +169,16 @@ def test_assignment_and_deletion_raise(case):
 def test_repr_names_the_fields(case):
     cls, names, values, _, _ = case
     shown = ", ".join(f"{n}={v!r}" for n, v in zip(names, values))
-    assert repr(cls(*values)) == f"{cls.__name__}({shown})"
+    assert repr(_build(cls, values)) == f"{cls.__name__}({shown})"
 
 
 @pytest.mark.parametrize("cls", [GModule, SurfaceClass, SphereData],
                          ids=["GModule", "SurfaceClass", "SphereData"])
 def test_derived_attributes_are_ignored(cls):
     _, make, derived, _ = CASES[cls]
-    obj = cls(*make())
-    twin = object.__new__(cls)
-    twin.__dict__.update(obj.__dict__)
-    twin.__dict__.update(dict.fromkeys(derived, "changed"))
+    obj = _build(cls, make())
+    assert set(derived) <= set(vars(obj))
+    twin = cls._trusted(**{**vars(obj), **dict.fromkeys(derived, "changed")})
     assert twin == obj and hash(twin) == hash(obj) and repr(twin) == repr(obj)
 
 
@@ -177,8 +200,8 @@ def test_a_smith_form_from_snf_is_the_value_of_its_matrices():
         explicit = SNFResult(res.U, res.D, res.V)
         assert res == explicit and explicit == res
         assert hash(res) == hash(explicit) and repr(res) == repr(explicit)
-        twin = object.__new__(SNFResult)
-        twin.__dict__.update(res.__dict__, _row_moves=[], _col_moves=[])
+        twin = SNFResult._trusted(**{**vars(res), "_row_moves": [],
+                                     "_col_moves": []})
         assert twin == res and hash(twin) == hash(res)
         assert repr(twin) == repr(res)
         for name in ("U", "V"):
@@ -315,3 +338,30 @@ def test_matrix_fields_render_as_row_lists():
     res = snf(IntMatrix([[2, 4], [6, 8]]))
     assert json.loads(json.dumps(res.to_json_dict())) == {
         "U": res.U.to_lists(), "D": [[2, 0], [0, 4]], "V": res.V.to_lists()}
+
+
+def _object_new_callers(node, where=""):
+    """The qualified name of the function around each ``object.__new__``
+    call under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) \
+                and ast.unparse(child.func) == "object.__new__":
+            yield where
+        inner = where
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            inner = f"{where}.{child.name}" if where else child.name
+        yield from _object_new_callers(child, inner)
+
+
+def test_values_from_trusted_parts_have_one_builder():
+    """Package code builds a value from parts it holds valid through
+    ``Record._trusted`` alone (``IntMatrix``, not a record, has ``_of``):
+    no other function calls ``object.__new__``, and no ``_unchecked``
+    constructor is left."""
+    callers = set()
+    for path in Path(hdmcg.__file__).parent.glob("*.py"):
+        source = path.read_text()
+        assert "_unchecked" not in source, path.name
+        callers.update(f"{path.name}:{where}" for where
+                       in _object_new_callers(ast.parse(source)))
+    assert callers == {"inputs.py:Record._trusted", "linalg.py:IntMatrix._of"}
