@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Sequence
 
-from .inputs import Record, json_int, json_vector
+from .inputs import Record, json_int, json_int_at_least, json_vector
 from .linalg import (IntMatrix, cokernel_presentation, column_basis, hstack,
                      subquotient)
 
@@ -57,13 +57,19 @@ def _normalize_chain(factors: Iterable[int]) -> tuple[int, ...]:
 
 
 class FinAbGroup(Record):
-    """Z^rank plus cyclic factors Z/d1 + ... with d1 | d2 | ..., di >= 2."""
+    """Z^rank plus cyclic factors Z/d1 + ... with d1 | d2 | ..., di >= 2.
+
+    The public constructor checks a group named from outside (a table, a
+    literal): the rank, each factor and the chain.  Group arithmetic
+    builds through ``of``, which normalises any multiset of orders into
+    the chain, and ``linalg.cokernel_presentation`` reads its group off a
+    Smith diagonal through ``_trusted``.
+    """
 
     _fields = ("rank", "torsion")
 
     def __init__(self, rank: int, torsion: tuple[int, ...] = ()):
-        if json_int(rank, "the rank") < 0:
-            raise ValueError("rank must be nonnegative")
+        json_int_at_least(rank, 0, "the rank", "rank must be nonnegative")
         torsion = tuple(torsion)
         for d in torsion:
             if json_int(d, "a torsion factor") < 2:
@@ -87,8 +93,12 @@ class FinAbGroup(Record):
 
     @classmethod
     def of(cls, rank: int, factors: Iterable[int]) -> "FinAbGroup":
-        """Group with the given rank and any multiset of cyclic orders."""
-        return cls(rank, _normalize_chain(factors))
+        """Group with the given rank and any multiset of cyclic orders: the
+        one normalising builder.  The rank is checked by the ``json_int``
+        rule (>= 0) and each order by ``_normalize_chain``, whose chain is
+        canonical, so the group is built through ``_trusted``."""
+        json_int_at_least(rank, 0, "the rank", "rank must be nonnegative")
+        return cls._trusted(rank=rank, torsion=_normalize_chain(factors))
 
     @property
     def is_trivial(self) -> bool:
@@ -107,21 +117,11 @@ class FinAbGroup(Record):
             n *= d
         return n
 
-    def exponent(self) -> int | None:
-        if self.rank:
-            return None
-        return self.torsion[-1] if self.torsion else 1
-
     def zero(self) -> "GroupElement":
         return GroupElement(self, (0,) * self.num_coords)
 
     def element(self, coords: Sequence[int]) -> "GroupElement":
         return GroupElement(self, tuple(coords))
-
-    def standard_generators(self) -> list["GroupElement"]:
-        n = self.num_coords
-        return [self.element([1 if i == j else 0 for j in range(n)])
-                for i in range(n)]
 
     def describe(self) -> str:
         parts = []
@@ -239,13 +239,11 @@ def subgroup_iso(g: FinAbGroup, gens: Sequence[GroupElement]) -> FinAbGroup:
 
 
 def direct_sum(groups: Iterable[FinAbGroup]) -> FinAbGroup:
-    """Canonical form of the direct sum; the trivial group is the unit."""
-    rank = 0
-    factors: list[int] = []
-    for g in groups:
-        rank += g.rank
-        factors.extend(g.torsion)
-    return FinAbGroup(rank, _normalize_chain(factors))
+    """Canonical form of the direct sum, through ``FinAbGroup.of`` on the
+    summed ranks and the pooled factors; the trivial group is the unit."""
+    groups = tuple(groups)
+    return FinAbGroup.of(sum(g.rank for g in groups),
+                         [d for g in groups for d in g.torsion])
 
 
 def tensor_with_free(g: FinAbGroup, copies: int) -> FinAbGroup:
@@ -258,11 +256,9 @@ def tensor_with_free(g: FinAbGroup, copies: int) -> FinAbGroup:
         raise ValueError(f"{g.describe()} tensor Z^{copies} has {factors} "
                          f"torsion factors, more than the limit of "
                          f"{MAX_TORSION_FACTORS}")
-    return FinAbGroup(g.rank * copies,
-                      _normalize_chain(list(g.torsion) * copies))
+    return FinAbGroup.of(g.rank * copies, g.torsion * copies)
 
 
 def mod_two_quotient(g: FinAbGroup) -> FinAbGroup:
     """g / 2g."""
-    factors = [2] * g.rank + [gcd(d, 2) for d in g.torsion]
-    return FinAbGroup(0, _normalize_chain(factors))
+    return FinAbGroup.of(0, [2] * g.rank + [gcd(d, 2) for d in g.torsion])

@@ -5,9 +5,9 @@ Theorem A's split: in the Hopf-invariant-one dimensions n = 1, 3, 7
 Sp_2g(Z), elsewhere the theta subgroup.  Theorem B's split of odd n: the
 case of the boundary sphere (``theorem_b``) by n mod 4 and n in {3, 7},
 with its signature-only case 1 (``signature_only``) and the one
-divisibility rule of the three divided classes (``divided``).  The
-modules that branch on n read these; this module imports nothing from
-the package.
+divisibility rule of the three divided classes (``divided``, whose names
+``functional`` checks).  The modules that branch on n read these; this
+module imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -35,13 +35,20 @@ _DIVIDED = {
 DIVIDED_FUNCTIONALS = tuple(_DIVIDED)
 
 
-def divided(which: str, sgn: int | None, chi2: int | None) -> int:
-    """The divided class ``which`` of the invariants (sgn, chi2); a
-    numerator its divisor does not divide raises ValueError."""
+def functional(which: str) -> tuple:
+    """The numerator, divisor and failure text of the divided class
+    ``which``, one of ``DIVIDED_FUNCTIONALS``; any other name raises
+    ValueError, so a caller can refuse it before computing invariants."""
     if which not in _DIVIDED:
         raise ValueError(f"unknown functional {which!r}; "
                          f"expected one of {DIVIDED_FUNCTIONALS}")
-    numerator, divisor, failure = _DIVIDED[which]
+    return _DIVIDED[which]
+
+
+def divided(which: str, sgn: int | None, chi2: int | None) -> int:
+    """The divided class ``which`` of the invariants (sgn, chi2); a
+    numerator its divisor does not divide raises ValueError."""
+    numerator, divisor, failure = functional(which)
     value = numerator(sgn, chi2)
     if value % divisor:
         raise ValueError(failure.format(value))

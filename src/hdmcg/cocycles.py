@@ -75,7 +75,7 @@ from math import gcd, lcm
 from operator import add, matmul, mul, neg
 from typing import Sequence
 
-from .cases import divided
+from .cases import divided, functional
 from .inputs import (Record, json_int, json_int_at_least, json_pairs,
                      json_vector, read_json)
 from .linalg import IntMatrix, exact_signature
@@ -438,12 +438,14 @@ def chi2_of_class(cls: SurfaceClass) -> int:
 def divided_eval(which: str, cls) -> int:
     """Divided characteristic classes as integer-valued functionals.
 
-    ``sgn/8`` needs every holonomy in the theta group.  Only the invariants
-    the functional names are computed, and ``cases.divided`` checks the
-    divisibility, never assuming it: a failure signals either input outside
-    the functional's regime or an implementation fault, and raises
-    ValueError.
+    ``sgn/8`` needs every holonomy in the theta group.  A name outside
+    ``cases.DIVIDED_FUNCTIONALS`` is refused before any pairing is
+    computed.  Only the invariants the functional names are computed, and
+    ``cases.divided`` checks the divisibility, never assuming it: a
+    failure signals either input outside the functional's regime or an
+    implementation fault, and raises ValueError.
     """
+    functional(which)
     if which == "sgn/8" and not cls.all_in_theta_group():
         raise ValueError("sgn/8 needs all holonomies in the theta group")
     sgn = signature_of_class(cls) if "sgn" in which else None

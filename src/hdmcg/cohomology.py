@@ -15,7 +15,7 @@ basis ``kernel_basis`` returns, or one cokernel.
 from __future__ import annotations
 
 from .abgroups import FinAbGroup
-from .inputs import Record, json_int, json_vector
+from .inputs import Record, json_int, json_int_at_least, json_vector
 from .linalg import (IntMatrix, cokernel_presentation, hstack, inverse_mod,
                      kernel_basis, ring_modulus, subquotient, vstack)
 
@@ -41,12 +41,14 @@ class Presentation(Record):
 class GModule(Record):
     """A module over Z or Z/m with one invertible action matrix per generator;
     the inverses, which check invertibility, are kept for negative letters
-    (derived, so left out of equality, hash and repr)."""
+    (derived, so left out of equality, hash and repr).  The dimension is an
+    integer >= 0 by the ``json_int`` rule."""
 
     _fields = ("dimension", "modulus", "actions")
 
     def __init__(self, dimension: int, modulus: int,
                  actions: tuple[IntMatrix, ...]):
+        json_int_at_least(dimension, 0, "the dimension")
         actions = tuple(actions)
         modulus = ring_modulus(modulus)
         for a in actions:

@@ -17,13 +17,17 @@ from operator import attrgetter
 class Record:
     """Immutable value: the base of every value class in the package.
 
-    A subclass names its compared fields, in order, in ``_fields``, and its
-    ``__init__`` checks them and stores them, and any derived attribute, in
-    ``__dict__``.  ``_trusted`` is the one other way to build a value: it
-    stores the given fields and derived attributes and checks nothing, for
-    package code that already holds them valid.  A subclass without its
-    own ``__init__`` has no public constructor: ``SphereData`` is built
-    only by ``spheres.theta_data``, through ``_trusted``.
+    A subclass names its compared fields, in order, in ``_fields``.  It has
+    a public ``__init__`` only where a caller outside the package builds
+    the value or the constructor checks something; that ``__init__``
+    stores the fields, and any derived attribute, in ``__dict__``.
+    ``_trusted`` is the one other way to build a value: it stores the
+    given fields and derived attributes and checks nothing, for package
+    code that already holds them valid.  A subclass without its own
+    ``__init__`` has no public constructor, and calling it raises
+    TypeError: ``SNFResult``, ``SphereData``, ``ExtensionDescriptor``,
+    ``HautReport`` and ``MCGReport`` are built only by ``linalg.snf``,
+    ``spheres.theta_data`` and the ``mcg`` answers, through ``_trusted``.
     Two records are equal when they have the same class and equal fields;
     the hash is that of the field tuple; the repr is ``Name(field=value,
     ...)`` over the fields; assigning or deleting an attribute raises
@@ -55,7 +59,10 @@ class Record:
     @classmethod
     def _trusted(cls, **attributes):
         """A value holding ``attributes``, fields and derived ones, as
-        given: the caller vouches for them, and nothing is checked."""
+        given: the caller vouches for them, and nothing is checked.  It is
+        how package code builds every value it forms from valid parts, so
+        a public constructor is left only for values built from outside
+        or constructors that check."""
         new = object.__new__(cls)
         new.__dict__.update(attributes)
         return new

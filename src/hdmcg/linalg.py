@@ -43,9 +43,11 @@ class IntMatrix:
 
     Instances are hashable, so a value class that holds them, such as
     :class:`hdmcg.cocycles.SurfaceClass`, hashes its pairs.  The public
-    constructor, ``from_columns`` and ``diagonal`` coerce every entry with
-    ``int()``; every other operation builds its result through ``_of``, and
-    ``scaled`` and ``mod`` check their one scalar with ``json_int``.
+    constructor, ``from_columns`` and ``diagonal`` take entries by
+    ``inputs.json_int``'s rule, an ``int`` that is not a ``bool`` (1.5,
+    ``"2"`` and ``Fraction(3, 2)`` are refused with one ValueError, never
+    truncated); every other operation builds its result through ``_of``,
+    and ``scaled`` and ``mod`` check their one scalar with ``json_int``.
     Immutability is load-bearing: ``identity`` and ``symplectic.j_matrix``
     hand out one shared instance per size, so no operation may ever write
     to ``data``.
@@ -54,7 +56,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Iterable[Iterable[int]], cols: int | None = None):
-        self.data = tuple([tuple(map(int, row)) for row in data])
+        self.data = tuple([_int_row(row) for row in data])
         self.rows = len(self.data)
         if self.rows:
             widths = {len(r) for r in self.data}
@@ -64,7 +66,7 @@ class IntMatrix:
             if cols is not None and cols != self.cols:
                 raise ValueError("explicit column count contradicts row data")
         else:
-            self.cols = 0 if cols is None else int(cols)
+            self.cols = 0 if cols is None else json_int(cols, "a column count")
 
     @classmethod
     def _of(cls, data: tuple[tuple[int, ...], ...], cols: int) -> "IntMatrix":
@@ -100,8 +102,8 @@ class IntMatrix:
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]],
                      rows: int | None = None) -> "IntMatrix":
-        """The matrix with these columns, entries coerced with ``int()``;
-        columns of unequal length are refused."""
+        """The matrix with these columns, entries integers by the
+        ``json_int`` rule; columns of unequal length are refused."""
         if not columns:
             if rows is None:
                 raise ValueError("row count needed for an empty column list")
@@ -109,8 +111,7 @@ class IntMatrix:
         r = len(columns[0])
         if any(len(col) != r for col in columns):
             raise ValueError("columns of unequal length")
-        return cls._of(tuple(tuple(map(int, row)) for row in zip(*columns)),
-                       len(columns))
+        return cls._of(tuple(map(_int_row, zip(*columns))), len(columns))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, IntMatrix) and self.cols == other.cols
@@ -180,6 +181,19 @@ class IntMatrix:
         return [list(r) for r in self.data]
 
 
+_INT = frozenset((int,))
+
+
+def _int_row(row: Iterable) -> tuple[int, ...]:
+    """row as a tuple of ints; a row with any other entry, a bool
+    included, is refused with one ValueError.  The type test runs in C."""
+    row = tuple(row)
+    if not _INT.issuperset(map(type, row)):
+        bad = next(x for x in row if type(x) is not int)
+        raise ValueError(f"a matrix entry must be an integer, got {bad!r}")
+    return row
+
+
 def combination(vectors: Sequence, coefficients: tuple, length: int) -> tuple:
     """sum v * x over the pairs (x, v) of ``vectors`` and ``coefficients``
     with v nonzero, each x a tuple of ``length`` ints.  A lone term with
@@ -221,19 +235,16 @@ class SNFResult(Record):
     """Smith normal form ``U @ M @ V == D`` with U, V unimodular and the
     diagonal of D a nonnegative divisibility chain d1 | d2 | ...
 
+    ``snf`` is the one builder, and there is no public constructor:
     ``snf`` stores D and the log of its elementary moves (through
     ``Record._trusted``), and U and V are each replayed from that log on
     an identity the first time they are read, so a caller that reads one
     transform never builds the other.
     The logs take no part in equality, hash or repr, which read U, D and
-    V.  The public constructor stores all three matrices, and a stored
-    matrix shadows its replay.
+    V.
     """
 
     _fields = ("U", "D", "V")
-
-    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix):
-        self.__dict__.update(U=U, D=D, V=V)
 
     @cached_property
     def U(self) -> IntMatrix:
@@ -442,7 +453,9 @@ def cokernel_presentation(m: IntMatrix):
     Returns ``(FinAbGroup, IntMatrix)``.  The projection sends a standard
     basis vector of the ambient Z^rows to its coordinates in the canonical
     form, free coordinates first, then one coordinate per torsion factor
-    (in divisibility order).
+    (in divisibility order).  The group is built through
+    ``FinAbGroup._trusted``: the Smith diagonal past the units is already
+    a divisibility chain of factors >= 2, so nothing is left to check.
     """
     from .abgroups import FinAbGroup
 
@@ -451,8 +464,8 @@ def cokernel_presentation(m: IntMatrix):
     r = sum(1 for d in diag if d)
     free_rows = list(range(r, m.rows))
     torsion_rows = [i for i in range(r) if diag[i] > 1]
-    factors = tuple(diag[i] for i in torsion_rows)
-    group = FinAbGroup(rank=len(free_rows), torsion=factors)
+    group = FinAbGroup._trusted(rank=len(free_rows),
+                                torsion=tuple(diag[i] for i in torsion_rows))
     kept = free_rows + torsion_rows
     proj = IntMatrix._of(tuple(res.U.data[i] for i in kept), m.rows)
     return group, proj

@@ -33,7 +33,9 @@ class UnsupportedCase(ValueError):
 
 
 class MCGParams(Record):
-    """Inputs for a full report: genus, dimension n, and the data knobs."""
+    """Inputs for a full report: genus, dimension n, and the data knobs.
+    Callers outside the package build it, so it keeps a public
+    constructor; ``full_report`` checks it."""
 
     _fields = ("g", "n", "sigma_q_order", "coker_j_path")
 
@@ -206,14 +208,10 @@ def h1_half_mcg(g: int, n: int) -> FinAbGroup:
 
 class ExtensionDescriptor(Record):
     """Which divided class classifies the central extension by the sphere
-    group, plus the image of the associated degree-2 differential."""
+    group, plus the image of the associated degree-2 differential; built
+    only by ``extension_descriptor``."""
 
     _fields = ("n", "g", "case", "classes", "d2_image_name", "d2_image")
-
-    def __init__(self, n: int, g: int, case: str, classes: tuple[str, ...],
-                 d2_image_name: str, d2_image: FinAbGroup | None):
-        self.__dict__.update(n=n, g=g, case=case, classes=classes,
-                             d2_image_name=d2_image_name, d2_image=d2_image)
 
 
 def extension_descriptor(g: int, n: int,
@@ -235,9 +233,9 @@ def extension_descriptor(g: int, n: int,
     if data is not None:
         gens = [data.sigma_q] if g == 1 else list(data.ba_generators)
         d2_image = subgroup_iso(data.theta, gens)
-    return ExtensionDescriptor(n=n, g=g, case=case, classes=classes,
-                               d2_image_name="<Sigma_Q>" if g == 1 else "bA",
-                               d2_image=d2_image)
+    return ExtensionDescriptor._trusted(
+        n=n, g=g, case=case, classes=classes,
+        d2_image_name="<Sigma_Q>" if g == 1 else "bA", d2_image=d2_image)
 
 
 def splitting_decisions(g: int, n: int) -> dict[str, Decision]:
@@ -265,18 +263,11 @@ def splitting_decisions(g: int, n: int) -> dict[str, Decision]:
 
 class HautReport(Record):
     """Splitting and abelianisation data for the homotopy self-equivalences;
-    ``j_image_order`` is the d_n of the stable J in the n = 3, 7 cases."""
+    ``j_image_order`` is the d_n of the stable J in the n = 3, 7 cases;
+    built only by ``haut_report``."""
 
     _fields = ("g", "n", "splits", "h1_concrete", "h1_symbolic_extra",
                "spi_2n_sn", "j_image_order")
-
-    def __init__(self, g: int, n: int, splits: Decision,
-                 h1_concrete: FinAbGroup, h1_symbolic_extra: str | None,
-                 spi_2n_sn: FinAbGroup | None, j_image_order: int | None):
-        self.__dict__.update(
-            g=g, n=n, splits=splits, h1_concrete=h1_concrete,
-            h1_symbolic_extra=h1_symbolic_extra, spi_2n_sn=spi_2n_sn,
-            j_image_order=j_image_order)
 
 
 def haut_report(g: int, n: int) -> HautReport:
@@ -290,12 +281,13 @@ def haut_report(g: int, n: int) -> HautReport:
     """
     _check_paper_range(g, n)
     d_n = {3: 12, 7: 120}.get(n)
-    base = h1_Gg(g, n)
-    if hopf(n):
-        return HautReport(g, n, Decision("yes" if g == 1 else "no", "CorE-i"),
-                          base, None, FinAbGroup.cyclic(d_n), d_n)
-    extra = None if g >= 2 else f"Spi{2 * n}S{n}/2"
-    return HautReport(g, n, Decision("yes", "CorE-i"), base, extra, None, d_n)
+    return HautReport._trusted(
+        g=g, n=n, splits=Decision("no" if g >= 2 and hopf(n) else "yes",
+                                  "CorE-i"),
+        h1_concrete=h1_Gg(g, n),
+        h1_symbolic_extra=None if g >= 2 or hopf(n) else f"Spi{2 * n}S{n}/2",
+        spi_2n_sn=FinAbGroup.cyclic(d_n) if hopf(n) else None,
+        j_image_order=d_n)
 
 
 def reproduce_table3() -> tuple[str, bool, list[str]]:
@@ -340,22 +332,12 @@ def reproduce_table3() -> tuple[str, bool, list[str]]:
 
 
 class MCGReport(Record):
-    """Everything the package can say about one pair (g, n)."""
+    """Everything the package can say about one pair (g, n); built only by
+    ``full_report``."""
 
     _fields = ("params", "h1_mcg", "h1_torelli", "h1_half_mcg",
                "kg_description", "extension", "splittings", "haut",
                "provenance_flags")
-
-    def __init__(self, params: MCGParams, h1_mcg: FinAbGroup,
-                 h1_torelli: FinAbGroup, h1_half_mcg: FinAbGroup,
-                 kg_description: str, extension: ExtensionDescriptor,
-                 splittings: dict[str, Decision], haut: HautReport,
-                 provenance_flags: tuple[str, ...] = ()):
-        self.__dict__.update(
-            params=params, h1_mcg=h1_mcg, h1_torelli=h1_torelli,
-            h1_half_mcg=h1_half_mcg, kg_description=kg_description,
-            extension=extension, splittings=splittings, haut=haut,
-            provenance_flags=provenance_flags)
 
     def to_json_dict(self) -> dict:
         """The generic fields with ``params`` as ``g`` and ``n`` and
@@ -371,10 +353,7 @@ def full_report(params: MCGParams) -> MCGReport:
     g, n = params.g, params.n
     _check_paper_range(g, n)
     data = params.sphere_data()
-    flags = []
-    if data.sigma_q_order_assumed:
-        flags.append("sigma_q_order_defaulted_to_2")
-    return MCGReport(
+    return MCGReport._trusted(
         params=params,
         h1_mcg=h1_mcg(g, n, data),
         h1_torelli=h1_torelli(g, n, data),
@@ -383,5 +362,6 @@ def full_report(params: MCGParams) -> MCGReport:
         extension=extension_descriptor(g, n, data),
         splittings=splitting_decisions(g, n),
         haut=haut_report(g, n),
-        provenance_flags=tuple(flags),
+        provenance_flags=("sigma_q_order_defaulted_to_2",)
+        if data.sigma_q_order_assumed else (),
     )

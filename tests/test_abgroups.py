@@ -47,7 +47,9 @@ def test_quotient_by_all_generators_is_trivial():
     for _ in range(25):
         g = FinAbGroup.of(rng.randint(0, 2),
                           [rng.randint(2, 9) for _ in range(rng.randint(0, 3))])
-        assert quotient_by(g, g.standard_generators()).is_trivial
+        basis = [g.element([int(i == j) for j in range(g.num_coords)])
+                 for i in range(g.num_coords)]
+        assert quotient_by(g, basis).is_trivial
         assert quotient_by(g, []) == g
 
 
@@ -93,7 +95,7 @@ def test_order_divides_exponent():
     for _ in range(30):
         g = FinAbGroup.of(0, [rng.randint(2, 10) for _ in range(rng.randint(1, 3))])
         x = g.element([rng.randint(-20, 20) for _ in range(g.num_coords)])
-        assert g.exponent() % element_order(x) == 0
+        assert g.torsion[-1] % element_order(x) == 0  # the exponent
 
 
 def test_element_arithmetic():
@@ -201,3 +203,31 @@ def test_chain_normalisation_refuses_nonpositive_orders():
 def test_non_integer_rank_or_torsion_is_refused(build, args):
     with pytest.raises(ValueError, match="must be an integer"):
         build(*args)
+
+
+def test_group_arithmetic_builds_through_the_trusted_builder(monkeypatch):
+    """The sums, tensor powers, mod-2 quotients and cokernels the package
+    forms never pass through the public constructor's checks, while a
+    group named from outside, or a multiset handed to ``of``, is still
+    refused when it is malformed."""
+    z4, z6 = FinAbGroup(0, (4,)), FinAbGroup(1, (6,))
+    calls = []
+    init = FinAbGroup.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FinAbGroup, "__init__", counted)
+    assert direct_sum([z4, z6]) == FinAbGroup.of(1, (2, 12))
+    assert tensor_with_free(z6, 2) == FinAbGroup.of(2, (6, 6))
+    assert mod_two_quotient(z6) == FinAbGroup.of(0, (2, 2))
+    group, _ = cokernel_presentation(IntMatrix([[2, 1], [0, 2]]))
+    assert group == FinAbGroup.of(0, (4,))
+    assert calls == []
+    for build, args in ((FinAbGroup, (-1,)), (FinAbGroup.of, (-1, ())),
+                        (FinAbGroup.of, (0, (1.5,))),
+                        (FinAbGroup, (0, (4, 2)))):
+        with pytest.raises(ValueError) as err:
+            build(*args)
+        assert "\n" not in str(err.value)

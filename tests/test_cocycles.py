@@ -1,8 +1,10 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+from hdmcg import cocycles
 from hdmcg.cocycles import (SurfaceClass, _fills_relator, _tau,
                             beta_is_symmetric_on_kernel, chi2_of_class,
                             class_from_json_dict, divided_eval, load_class_file,
@@ -14,6 +16,7 @@ from hdmcg.symplectic import (GroupFamily, j_matrix, sp_inverse,
                               standard_generators)
 
 
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 SP2 = standard_generators(GroupFamily.SP, 2)
 SPQ2 = standard_generators(GroupFamily.SPQ, 2)
 
@@ -220,6 +223,18 @@ def test_divided_eval():
         divided_eval("sgn/8", bad)
     with pytest.raises(ValueError, match="unknown functional"):
         divided_eval("sgn/4", torus)
+
+
+@pytest.mark.parametrize("which", ["sgn", "chi2", "sgn/4", "chi2/2 "])
+def test_an_unknown_functional_is_refused_before_any_pairing(monkeypatch,
+                                                            which):
+    def no_pairing(cls):
+        raise AssertionError("a pairing was computed")
+
+    for name in ("signature_of_class", "chi2_of_class"):
+        monkeypatch.setattr(cocycles, name, no_pairing)
+    with pytest.raises(ValueError, match="unknown functional"):
+        divided_eval(which, load_class_file(EXAMPLES / "theta_nonzero.json"))
 
 
 def test_divided_eval_doubled_genus_one_classes():

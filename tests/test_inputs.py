@@ -23,7 +23,7 @@ from hdmcg import symplectic
 from hdmcg.abgroups import FinAbGroup
 from hdmcg.cli import main
 from hdmcg.cocycles import SurfaceClass, class_from_json_dict, load_class_file
-from hdmcg.cohomology import Presentation
+from hdmcg.cohomology import GModule, Presentation
 from hdmcg.linalg import IntMatrix
 from hdmcg.mcg import (MCGParams, automorphism_family, coinvariants_closed,
                        extension_descriptor, full_report, h1_Gg, h1_half_mcg,
@@ -132,6 +132,13 @@ CALL_CASES["presentation-count-float"] = (
     "the generator count must be an integer")
 CALL_CASES["presentation-letter-out-of-range"] = (
     lambda x: Presentation(2, ((1, x),)), 3, "letter 3 out of range")
+for name, bad, message in (
+        ("float", 2.0, "the dimension must be an integer"),
+        ("true", True, "the dimension must be an integer"),
+        ("string", "2", "the dimension must be an integer"),
+        ("negative", -1, "the dimension must be >= 0")):
+    CALL_CASES[f"module-dimension-{name}"] = (
+        lambda x: GModule(x, 0, ()), bad, message)
 
 
 @pytest.mark.parametrize("call, bad, message", CALL_CASES.values(),

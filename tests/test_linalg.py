@@ -1,5 +1,6 @@
 import ast
 import random
+from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, prod
 from pathlib import Path
@@ -378,14 +379,32 @@ def test_snf_diagonal_is_the_determinantal_divisor_chain(data):
         assert prod(diag[:k]) == gcd(*minors)
 
 
-def test_from_columns_coerces_and_refuses_ragged_columns():
+def test_from_columns_takes_integers_and_refuses_ragged_columns():
     m = IntMatrix.from_columns([[1, 2], [3, 4], [5, 6]])
     assert m == IntMatrix([[1, 3, 5], [2, 4, 6]])
-    assert _is_int_rows(IntMatrix.from_columns([[True, 2.0]]), 2, 1)
+    assert _is_int_rows(IntMatrix.from_columns([[7, -2]]), 2, 1)
+    with pytest.raises(ValueError, match="must be an integer, got True"):
+        IntMatrix.from_columns([[True, 2.0]])
     assert IntMatrix.from_columns([[], []]) == IntMatrix.zeros(0, 2)
     for ragged in ([[1, 2], [3]], [[1], [2, 3]]):
         with pytest.raises(ValueError, match="unequal length"):
             IntMatrix.from_columns(ragged)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, "2", Fraction(3, 2), True],
+                         ids=repr)
+@pytest.mark.parametrize("build", [
+    lambda x: IntMatrix([[x, 0], [0, 1]]),
+    lambda x: IntMatrix.from_columns([[1, 0], [0, x]]),
+    lambda x: IntMatrix.diagonal([1, x]),
+], ids=["constructor", "from_columns", "diagonal"])
+def test_matrix_builders_refuse_what_is_not_an_integer(build, bad):
+    """Each public builder takes an entry by the ``json_int`` rule: 1.5
+    is not truncated to the identity (which ``is_member`` would accept),
+    nor "2" parsed, nor Fraction(3, 2) cut to 1."""
+    with pytest.raises(ValueError) as err:
+        build(bad)
+    assert str(err.value) == f"a matrix entry must be an integer, got {bad!r}"
 
 
 def _list_product(left: list[list[int]], right: list[list[int]],

@@ -205,18 +205,25 @@ def test_one_sphere_build_per_answer(monkeypatch, tmp_path):
 
 
 def _count_groups_and_smith_forms(monkeypatch):
+    """Lists that collect every group built, checked or through
+    ``FinAbGroup._trusted``, and every Smith form run."""
     groups, smith_forms = [], []
-    init, snf = FinAbGroup.__init__, linalg.snf
+    init, trusted, snf = FinAbGroup.__init__, FinAbGroup._trusted, linalg.snf
 
     def counted_init(group, *args, **kwargs):
         groups.append(group)
         init(group, *args, **kwargs)
+
+    def counted_trusted(cls, **attributes):
+        groups.append(attributes)
+        return trusted(**attributes)
 
     def counted_snf(m):
         smith_forms.append(m)
         return snf(m)
 
     monkeypatch.setattr(FinAbGroup, "__init__", counted_init)
+    monkeypatch.setattr(FinAbGroup, "_trusted", classmethod(counted_trusted))
     monkeypatch.setattr(linalg, "snf", counted_snf)
     return groups, smith_forms
 

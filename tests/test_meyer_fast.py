@@ -172,7 +172,7 @@ def det_and_adjugate(m: IntMatrix) -> tuple[int, IntMatrix | None]:
     adj = [[det * x for x in r[n:]] for r in a]
     assert det.denominator == 1
     assert all(x.denominator == 1 for r in adj for x in r)
-    return int(det), IntMatrix(adj)
+    return int(det), IntMatrix([[int(x) for x in r] for r in adj])
 
 
 def is_generic(a: IntMatrix, b: IntMatrix, g: int) -> bool:

@@ -1,8 +1,9 @@
 """Value semantics of the package's thirteen value classes.
 
 Each class is built positionally and by keyword from the same values,
-bar ``SphereData``, which has no public constructor: it is built by
-``theta_data``, and by ``Record._trusted`` from its fields.  Two
+bar the five without a public constructor (``SNFResult``, ``SphereData``,
+``ExtensionDescriptor``, ``HautReport`` and ``MCGReport``): each is built
+by its answer function, and by ``Record._trusted`` from its fields.  Two
 instances are equal when they have the same class and equal fields, the
 hash is the hash of the field tuple, assignment and deletion raise
 AttributeError, and the repr is ``Name(field=value, ...)``.  Derived
@@ -35,6 +36,7 @@ from hdmcg.mcg import (Decision, ExtensionDescriptor, HautReport, MCGParams,
 from hdmcg.spheres import AlmostClosedInvariants, SphereData, theta_data
 
 SHEAR = IntMatrix([[1, 1], [0, 1]])
+SMITH_INPUT = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
 Z4 = FinAbGroup(0, (4,))
 
 
@@ -42,23 +44,30 @@ def _fields_of(obj, names):
     return tuple(getattr(obj, name) for name in names)
 
 
+# the classes without a public constructor -> the answer function that
+# builds each case's value
+ANSWERS = {
+    SNFResult: lambda: snf(SMITH_INPUT),
+    SphereData: lambda: theta_data(7),
+    ExtensionDescriptor: lambda: extension_descriptor(2, 5),
+    HautReport: lambda: haut_report(1, 3),
+    MCGReport: lambda: full_report(MCGParams(1, 5)),
+}
+
+
 def _build(cls, values):
     """The instance of cls with the given field values, by its public
-    constructor, or for ``SphereData`` by ``theta_data``."""
-    if cls is SphereData:
-        data = theta_data(values[0])
-        assert _fields_of(data, SPHERE_FIELDS) == values
-        return data
+    constructor, or by its answer function where it has none."""
+    if cls in ANSWERS:
+        built = ANSWERS[cls]()
+        assert _fields_of(built, CASES[cls][0]) == values
+        return built
     return cls(*values)
 
 
-def _report_values():
-    rep = full_report(MCGParams(1, 5))
-    return _fields_of(rep, REPORT_FIELDS)
-
-
-def _sphere_values():
-    return _fields_of(theta_data(7), SPHERE_FIELDS)
+def _answer_values(cls):
+    """The field values of the answer function's instance of cls."""
+    return lambda: _fields_of(ANSWERS[cls](), CASES[cls][0])
 
 
 REPORT_FIELDS = ("params", "h1_mcg", "h1_torelli", "h1_half_mcg",
@@ -79,22 +88,21 @@ CASES = {
                    lambda: (2, ((1, 2, -1, -2),)), (), {}),
     GModule: (("dimension", "modulus", "actions"),
               lambda: (2, 3, (SHEAR,)), ("inverses",), {}),
-    SNFResult: (("U", "D", "V"),
-                lambda: (IntMatrix.identity(2), SHEAR, IntMatrix.identity(2)),
-                (), {}),
+    SNFResult: (("U", "D", "V"), _answer_values(SNFResult),
+                ("_row_moves", "_col_moves"), {}),
     MCGParams: (("g", "n", "sigma_q_order", "coker_j_path"),
                 lambda: (2, 5, 4, "table.json"), (),
                 {"sigma_q_order": None, "coker_j_path": None}),
     Decision: (("value", "citation"), lambda: ("yes", "ThmA"), (), {}),
     ExtensionDescriptor: (("n", "g", "case", "classes", "d2_image_name",
                            "d2_image"),
-                          lambda: (5, 2, "B", ("a . b",), "bA", Z4), (), {}),
+                          _answer_values(ExtensionDescriptor), (), {}),
     HautReport: (("g", "n", "splits", "h1_concrete", "h1_symbolic_extra",
                   "spi_2n_sn", "j_image_order"),
-                 lambda: (1, 3, Decision("yes", "CorE-i"), Z4, None,
-                          FinAbGroup.cyclic(12), 12), (), {}),
-    MCGReport: (REPORT_FIELDS, _report_values, (), {"provenance_flags": ()}),
-    SphereData: (SPHERE_FIELDS, _sphere_values, ("theta_mod_sigma_q",), {}),
+                 _answer_values(HautReport), (), {}),
+    MCGReport: (REPORT_FIELDS, _answer_values(MCGReport), (), {}),
+    SphereData: (SPHERE_FIELDS, _answer_values(SphereData),
+                 ("theta_mod_sigma_q",), {}),
     AlmostClosedInvariants: (("sgn", "chi2"), lambda: (8, 16), (),
                              {"chi2": None}),
 }
@@ -114,11 +122,12 @@ def test_the_cases_cover_every_value_class():
 
 def test_positional_and_keyword_construction_agree(case):
     cls, names, values, _, defaults = case
-    if cls is SphereData:  # refused either way; the trusted builder agrees
+    if cls in ANSWERS:  # refused either way; the trusted builder agrees
         for call in (lambda: cls(*values),
                      lambda: cls(**dict(zip(names, values)))):
-            with pytest.raises(TypeError, match="no public constructor"):
+            with pytest.raises(TypeError) as err:
                 call()
+            assert str(err.value) == f"{cls.__name__} has no public constructor"
         built = cls._trusted(**dict(zip(names, values)))
         assert _fields_of(built, names) == values
         assert built == _build(cls, values)
@@ -184,12 +193,12 @@ def test_derived_attributes_are_ignored(cls):
 
 def test_a_smith_form_from_snf_is_the_value_of_its_matrices():
     """``snf`` keeps move logs and builds U and V on first read; the result
-    still equals, hashes and shows as the explicit ``SNFResult`` of its
-    matrices, refuses assignment and deletion before and after the first
-    read, and its logs take no part in equality, hash or repr."""
-    m = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    still equals, hashes and shows as the ``SNFResult`` that ``_trusted``
+    builds from its matrices, refuses assignment and deletion before and
+    after the first read, and its logs take no part in equality, hash or
+    repr."""
     for names in (("U", "D", "V"), ("V",), ("U",), ()):
-        res = snf(m)
+        res = snf(SMITH_INPUT)
         for name in ("U", "D", "V", "_row_moves"):
             with pytest.raises(AttributeError):
                 setattr(res, name, 0)
@@ -197,7 +206,7 @@ def test_a_smith_form_from_snf_is_the_value_of_its_matrices():
                 delattr(res, name)
         for name in names:
             getattr(res, name)
-        explicit = SNFResult(res.U, res.D, res.V)
+        explicit = SNFResult._trusted(U=res.U, D=res.D, V=res.V)
         assert res == explicit and explicit == res
         assert hash(res) == hash(explicit) and repr(res) == repr(explicit)
         twin = SNFResult._trusted(**{**vars(res), "_row_moves": [],
@@ -285,7 +294,9 @@ def test_group_json_is_rank_and_torsion(grp):
 
 
 def test_a_report_with_a_provenance_flag():
-    rep = MCGReport(*_report_values()[:-1], ("sigma_q_order_defaulted_to_2",))
+    rep = MCGReport._trusted(**{**vars(full_report(MCGParams(1, 5))),
+                                "provenance_flags":
+                                ("sigma_q_order_defaulted_to_2",)})
     _same_json(rep.to_json_dict(), _report_json(rep))
     assert rep.to_json_dict()["provenance_flags"] \
         == ["sigma_q_order_defaulted_to_2"]
