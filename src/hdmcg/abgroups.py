@@ -249,8 +249,7 @@ def direct_sum(groups: Iterable[FinAbGroup]) -> FinAbGroup:
 def tensor_with_free(g: FinAbGroup, copies: int) -> FinAbGroup:
     """g tensored with Z^copies; refused past ``MAX_TORSION_FACTORS``
     torsion factors, before any is built."""
-    if copies < 0:
-        raise ValueError("copies must be nonnegative")
+    json_int_at_least(copies, 0, "copies", "copies must be nonnegative")
     factors = len(g.torsion) * copies
     if factors > MAX_TORSION_FACTORS:
         raise ValueError(f"{g.describe()} tensor Z^{copies} has {factors} "

@@ -3,13 +3,16 @@ and (co)invariants of matrix-group actions.
 
 Coefficient rings are Z (modulus 0) and Z/m, m > 0, by
 ``linalg.ring_modulus``.  H^1 of a presented group with a module action
-is computed as Z^1/B^1, where Z^1 is the kernel of the stacked Fox rows
-of the relators and B^1 the image of m |-> ((rho(x_i) - 1) m).  One walk
-over a relator gives both its Fox row and its action, which ``h1``
-checks is trivial.  Over Z/m both are taken as lattices in Z^n: Z^1 is
-the preimage lattice ``kernel_basis(F, m)`` and B^1 gains m Z^n, so
-every (co)homology group here is one ``linalg.subquotient`` over the
-basis ``kernel_basis`` returns, or one cokernel.
+is Z^1/B^1, where Z^1 is the kernel of the stacked Fox rows F of the
+relators and B^1 the image of the principal map P: m |-> ((rho(x_i) - 1)
+m).  One walk over a relator gives both its Fox row and its action, which
+``h1`` checks is trivial.  Over Z, Z^1 is a saturated sublattice, hence a
+direct summand, so ``h1`` reads H^1 off the rank of F and the cokernel of
+P: two Smith forms, whatever the size of Z^1.  Over Z/m both are taken as
+lattices in Z^n: Z^1 is the preimage lattice ``kernel_basis(F, m)`` and
+B^1 gains m Z^n, and H^1 is one ``linalg.subquotient`` over the basis
+``kernel_basis`` returns; ``h1_by_lattice`` takes that route over Z too,
+as a witness.  Every other group here is one subquotient or one cokernel.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from .abgroups import FinAbGroup
 from .inputs import Record, json_int, json_int_at_least, json_vector
 from .linalg import (IntMatrix, cokernel_presentation, hstack, inverse_mod,
-                     kernel_basis, ring_modulus, subquotient, vstack)
+                     kernel_basis, rank, ring_modulus, subquotient, vstack)
 
 
 class Presentation(Record):
@@ -112,12 +115,12 @@ def _plus_modulus(b: IntMatrix, modulus: int) -> IntMatrix:
     return hstack(b, IntMatrix.identity(b.rows).scaled(modulus))
 
 
-def h1(p: Presentation, module: GModule) -> FinAbGroup:
-    """First cohomology of the presented group with the given coefficients.
-
+def _cocycle_maps(p: Presentation,
+                  module: GModule) -> tuple[IntMatrix, IntMatrix]:
+    """``(F, P)``: the stacked Fox rows F of the relators, whose kernel is
+    Z^1, and the principal map P = [rho(x_i) - 1], whose image is B^1.
     The module action must satisfy the relators; this is checked and a
-    violation raises ValueError.
-    """
+    violation raises ValueError."""
     if len(module.actions) != p.num_generators:
         raise ValueError("one action matrix per generator is required")
     d, k = module.dimension, p.num_generators
@@ -131,6 +134,34 @@ def h1(p: Presentation, module: GModule) -> FinAbGroup:
     f = vstack(*rows) if rows else IntMatrix.zeros(0, k * d)
     principal = vstack(*[module.reduce(a - ident) for a in module.actions]) \
         if k else IntMatrix.zeros(0, d)
+    return f, principal
+
+
+def h1(p: Presentation, module: GModule) -> FinAbGroup:
+    """First cohomology of the presented group with the given coefficients.
+
+    Over Z, Z^1 = ker F is saturated in Z^kd (d the dimension, k the
+    generator count), so it is a direct summand of Z^kd that contains B^1
+    = im P, and coker P = Z^1/B^1 + (a free complement).  Hence H^1 =
+    Z^(kd - rank F - rank P) + tors coker P: one Smith form of F for its
+    rank, and one ``cokernel_presentation`` of P, whose rank is kd - rank
+    P.  Over Z/m, Z^kd/Z^1 is finite and the splitting fails, so H^1 is
+    the subquotient of ``h1_by_lattice``.  The module action must satisfy
+    the relators; this is checked and a violation raises ValueError.
+    """
+    if module.modulus:
+        return h1_by_lattice(p, module)
+    f, principal = _cocycle_maps(p, module)
+    coker = cokernel_presentation(principal)[0]
+    return FinAbGroup._trusted(rank=coker.rank - rank(f),
+                               torsion=coker.torsion)
+
+
+def h1_by_lattice(p: Presentation, module: GModule) -> FinAbGroup:
+    """H^1 as the subquotient Z^1/B^1 over the basis ``kernel_basis`` gives
+    of Z^1, for Z and Z/m alike: the route ``h1`` takes over Z/m, and the
+    witness that ``verify`` compares with ``h1`` over Z."""
+    f, principal = _cocycle_maps(p, module)
     return subquotient(kernel_basis(f, module.modulus),
                        _plus_modulus(principal, module.modulus))
 

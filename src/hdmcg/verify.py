@@ -16,7 +16,7 @@ from . import reference as ref
 from .abgroups import FinAbGroup, direct_sum, element_order, quotient_by
 from .cases import divided
 from .cohomology import Presentation, GModule, abelianization, \
-    coinvariants, h1, h1_free_product_of_cyclics
+    coinvariants, h1, h1_by_lattice, h1_free_product_of_cyclics
 from .linalg import IntMatrix
 from .spheres import (AlmostClosedInvariants, bernoulli, boundary_of_plumbing,
                       bp_order, describe_theta_element, minimal_signature,
@@ -112,12 +112,18 @@ def suite_appendix() -> list[Check]:
              for g in range(1, 6)) and theta_index(2) == 10
     checks.append(_check("theta-characteristic-count", ok, "g <= 5, g=2 gives 10"))
 
-    got_q = h1(SP2Q_PRESENTATION, sp2q_module())
-    got_sp = h1(SP2_PRESENTATION, sp2_module())
-    checks.append(_check(
-        "h1-integral-coefficients",
-        got_q == FinAbGroup.cyclic(2) and got_sp == FinAbGroup.trivial(),
-        f"theta group: {got_q.describe()}, symplectic group: {got_sp.describe()}"))
+    ok, parts = True, []
+    for name, pres, module, want in (
+            ("theta group", SP2Q_PRESENTATION, sp2q_module(),
+             FinAbGroup.cyclic(2)),
+            ("symplectic group", SP2_PRESENTATION, sp2_module(),
+             FinAbGroup.trivial())):
+        got, lattice = h1(pres, module), h1_by_lattice(pres, module)
+        ok = ok and got == want == lattice
+        parts.append(f"{name}: {got.describe()}" + (
+            "" if lattice == got
+            else f" (lattice route {lattice.describe()})"))
+    checks.append(_check("h1-integral-coefficients", ok, ", ".join(parts)))
 
     got_pq = h1(PSP2Q_PRESENTATION, sp2q_module(2))
     oracle_pq = h1_free_product_of_cyclics((2, 0), (_S, _R), 2)

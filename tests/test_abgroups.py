@@ -143,6 +143,15 @@ def test_generators_of_another_group_are_refused_alike():
         assert str(err.value) == "generator does not belong to the group"
 
 
+@pytest.mark.parametrize("bad", [2.0, "2", True], ids=repr)
+def test_tensor_with_free_takes_copies_by_the_integer_rule(bad):
+    """2.0 and "2" are refused in one line, not left to a TypeError, and
+    True is not one copy."""
+    with pytest.raises(ValueError) as err:
+        tensor_with_free(FinAbGroup.cyclic(2), bad)
+    assert str(err.value) == f"copies must be an integer, got {bad!r}"
+
+
 def test_helpers():
     assert tensor_with_free(FinAbGroup.cyclic(2), 4) == FinAbGroup(0, (2, 2, 2, 2))
     assert tensor_with_free(FinAbGroup.free(1), 3) == FinAbGroup.free(3)

@@ -9,11 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hdmcg import linalg
+from hdmcg.cocycles import load_class_file
+from hdmcg.cohomology import GModule, fox_derivative
 from hdmcg.linalg import (IntMatrix, cokernel_presentation, column_basis,
                           exact_signature, hstack, inverse_mod, kernel_basis,
                           snf, solve_exact, subquotient)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hdmcg"
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 
 def bareiss_det(m: IntMatrix) -> int:
@@ -391,6 +394,32 @@ def test_from_columns_takes_integers_and_refuses_ragged_columns():
             IntMatrix.from_columns(ragged)
 
 
+@pytest.mark.parametrize("build, what, bad", [
+    (lambda: IntMatrix([], cols=-3), "a column count", None),
+    (lambda: IntMatrix([], cols=2.0), "a column count", 2.0),
+    (lambda: IntMatrix([[1, 2]], cols=2.0), "a column count", 2.0),
+    (lambda: IntMatrix.from_columns([], rows=-2), "a row count", None),
+    (lambda: IntMatrix.from_columns([[1]], rows="1"), "a row count", "1"),
+    (lambda: IntMatrix.zeros(-1, 3), "a row count", None),
+    (lambda: IntMatrix.zeros(3, -1), "a column count", None),
+    (lambda: IntMatrix.zeros(True, 3), "a row count", True),
+], ids=["cols=-3", "cols=2.0", "cols=2.0 on rows", "rows=-2", "rows='1'",
+        "zeros(-1, 3)", "zeros(3, -1)", "zeros(True, 3)"])
+def test_matrix_counts_are_integers_at_least_zero(build, what, bad):
+    """A negative or non-integer row or column count is one ValueError,
+    never a 0 x -3, 0 x 0 or 0 x 3 matrix."""
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == (f"{what} must be >= 0" if bad is None else
+                              f"{what} must be an integer, got {bad!r}")
+
+
+def test_from_columns_refuses_a_contradicting_row_count():
+    assert IntMatrix.from_columns([[1, 2]], rows=2) == IntMatrix([[1], [2]])
+    with pytest.raises(ValueError, match="contradicts column data"):
+        IntMatrix.from_columns([[1, 2]], rows=3)
+
+
 @pytest.mark.parametrize("bad", [1.5, 2.0, "2", Fraction(3, 2), True],
                          ids=repr)
 @pytest.mark.parametrize("build", [
@@ -576,8 +605,10 @@ def _same_as_eager(m: IntMatrix) -> None:
     as int tuples of the right shapes, whichever transform is read first."""
     ref = eager_snf(m)
     shapes = ((m.rows, m.rows), (m.rows, m.cols), (m.cols, m.cols))
+    rank = sum(1 for i in range(min(m.rows, m.cols)) if ref[1].data[i][i])
     for order in ((0, 1, 2), (2, 1, 0)):
         res = snf(m)
+        assert res.rank == rank == linalg.rank(m)
         got = {i: getattr(res, "UDV"[i]) for i in order}
         for i, (rows, cols) in enumerate(shapes):
             assert got[i] == ref[i], (m, i)
@@ -603,6 +634,30 @@ def test_replayed_transforms_match_on_wide_and_empty_shapes():
     for k in range(4):
         for m in (IntMatrix.zeros(0, k), IntMatrix.zeros(k, 0)):
             _same_as_eager(m)
+
+
+def test_replayed_transforms_match_on_the_fox_row_of_a_class():
+    """The 4 x 480 Fox row of the surface relator through the holonomies
+    of ``examples/nonzero.json`` (g = 2, h = 60), whose kernel is Z^1."""
+    cls = load_class_file(str(EXAMPLES / "nonzero.json"))
+    relator = [x for j in range(1, 2 * cls.h, 2) for x in (j, j + 1, -j, -j - 1)]
+    row, _ = fox_derivative(relator, GModule(
+        2 * cls.g, 0, [x for pair in cls.pairs for x in pair]))
+    assert (row.rows, row.cols) == (4, 480)
+    _same_as_eager(row)
+
+
+def test_replayed_transforms_match_on_sparse_20_to_40_row_matrices():
+    """Sparse matrices with entries 1, -1, 2, -3 and a few wider ones, so
+    that row moves leave remainders under a pivot and column moves then
+    reach the rows below it."""
+    rng = random.Random(33)
+    for _ in range(8):
+        rows, cols = rng.randint(20, 40), rng.randint(20, 40)
+        density = rng.choice((0.08, 0.15, 0.3))
+        _same_as_eager(IntMatrix([
+            [rng.choice((1, -1, 2, -3, 5, -7)) if rng.random() < density
+             else 0 for _ in range(cols)] for _ in range(rows)]))
 
 
 def _kept_results(monkeypatch):

@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from hdmcg import cocycles, mcg, spheres, symplectic, verify
-from hdmcg.abgroups import FinAbGroup
+from hdmcg import cocycles, cohomology, mcg, spheres, symplectic, verify
+from hdmcg.abgroups import FinAbGroup, direct_sum
 from hdmcg.verify import run_suites
 
 
@@ -46,6 +46,14 @@ def _filling_missing_a_term(monkeypatch):
     _everywhere(monkeypatch, real, lambda h: real(h)[:-1])
 
 
+def _h1_with_extra_torsion(monkeypatch):
+    # an extra Z/3 over Z only, so the Z/2 checks stay as they were
+    real = cohomology.h1
+    _everywhere(monkeypatch, real, lambda p, module: direct_sum(
+        [real(p, module), FinAbGroup.cyclic(3)]) if module.modulus == 0
+        else real(p, module))
+
+
 MUTATIONS = {  # the mutated answer: (its suite, its check, the mutation)
     "coinvariants_closed": ("appendix", "coinvariants-closed-vs-generators",
                             _wrong_quotient),
@@ -54,6 +62,7 @@ MUTATIONS = {  # the mutated answer: (its suite, its check, the mutation)
                     _wrong_theta_index),
     "_filling": ("cocycles", "canonical-filling-boundary",
                  _filling_missing_a_term),
+    "h1": ("appendix", "h1-integral-coefficients", _h1_with_extra_torsion),
 }
 
 
@@ -80,6 +89,14 @@ def test_the_coinvariant_check_names_each_mismatch(monkeypatch,
                  if name == "coinvariants-closed-vs-generators" and not ok]
     assert detail == ("(g=1, n=8): closed form Z/4, generator matrices "
                       "(Z/2)^2")
+
+
+def test_the_h1_check_names_the_lattice_route_answer(monkeypatch):
+    _h1_with_extra_torsion(monkeypatch)
+    (detail,) = [detail for name, ok, detail in run_suites(["appendix"])
+                 if name == "h1-integral-coefficients" and not ok]
+    assert detail == ("theta group: Z/6 (lattice route Z/2), "
+                      "symplectic group: Z/3 (lattice route 0)")
 
 
 def _count_calls(monkeypatch, module, attr, suite):
