@@ -8,7 +8,8 @@ followed by one per torsion factor.
 
 from __future__ import annotations
 
-from math import gcd
+from itertools import groupby
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .inputs import Record, json_int, json_int_at_least, json_vector
@@ -35,8 +36,8 @@ def _normalize_chain(factors: Iterable[int]) -> tuple[int, ...]:
     """
     mult: dict[int, int] = {}
     for d in factors:
-        if json_int(d, "a torsion factor") <= 0:
-            raise ValueError("torsion factors must be positive")
+        json_int_at_least(d, 1, "a torsion factor",
+                          "torsion factors must be positive")
         if d != 1:
             mult[d] = mult.get(d, 0) + 1
     while True:
@@ -72,8 +73,8 @@ class FinAbGroup(Record):
         json_int_at_least(rank, 0, "the rank", "rank must be nonnegative")
         torsion = tuple(torsion)
         for d in torsion:
-            if json_int(d, "a torsion factor") < 2:
-                raise ValueError("torsion factors must be >= 2")
+            json_int_at_least(d, 2, "a torsion factor",
+                              "torsion factors must be >= 2")
         for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError(f"not a divisibility chain: {torsion}")
@@ -110,12 +111,7 @@ class FinAbGroup(Record):
 
     def order(self) -> int | None:
         """Number of elements, or None when infinite."""
-        if self.rank:
-            return None
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
+        return None if self.rank else prod(self.torsion)
 
     def zero(self) -> "GroupElement":
         return GroupElement(self, (0,) * self.num_coords)
@@ -129,14 +125,9 @@ class FinAbGroup(Record):
             parts.append("Z")
         elif self.rank > 1:
             parts.append(f"Z^{self.rank}")
-        i = 0
-        while i < len(self.torsion):
-            d = self.torsion[i]
-            j = i
-            while j < len(self.torsion) and self.torsion[j] == d:
-                j += 1
-            parts.append(f"Z/{d}" if j - i == 1 else f"(Z/{d})^{j - i}")
-            i = j
+        for d, run in groupby(self.torsion):
+            k = len(list(run))
+            parts.append(f"Z/{d}" if k == 1 else f"(Z/{d})^{k}")
         return " + ".join(parts) if parts else "0"
 
 
@@ -191,11 +182,7 @@ def element_order(x: GroupElement) -> int | None:
     g = x.owner
     if any(x.coords[:g.rank]):
         return None
-    k = 1
-    for d, c in zip(g.torsion, x.coords[g.rank:]):
-        if c:
-            k = k * (d // gcd(d, c)) // gcd(k, d // gcd(d, c))
-    return k
+    return lcm(*[d // gcd(d, c) for d, c in zip(g.torsion, x.coords[g.rank:])])
 
 
 def _presentation_lattice(g: FinAbGroup) -> IntMatrix:

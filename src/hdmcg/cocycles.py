@@ -456,7 +456,8 @@ def divided_eval(which: str, cls) -> int:
 def _json_matrix(x, n: int) -> IntMatrix:
     if not isinstance(x, list) or len(x) != n:
         raise ValueError(f"holonomy matrices must be {n}x{n}")
-    return IntMatrix([json_vector(r, n, "matrix rows") for r in x])
+    # json_vector checks each row, so the matrix is built unchecked
+    return IntMatrix._of(tuple(json_vector(r, n, "matrix rows") for r in x), n)
 
 
 def class_from_json_dict(d: dict) -> SurfaceClass:

@@ -18,7 +18,7 @@ as a witness.  Every other group here is one subquotient or one cokernel.
 from __future__ import annotations
 
 from .abgroups import FinAbGroup
-from .inputs import Record, json_int, json_int_at_least, json_vector
+from .inputs import Record, json_int_at_least, json_vector
 from .linalg import (IntMatrix, cokernel_presentation, hstack, inverse_mod,
                      kernel_basis, rank, ring_modulus, subquotient, vstack)
 
@@ -31,8 +31,8 @@ class Presentation(Record):
 
     def __init__(self, num_generators: int,
                  relators: tuple[tuple[int, ...], ...]):
-        if json_int(num_generators, "the generator count") < 0:
-            raise ValueError("generator count must be nonnegative")
+        json_int_at_least(num_generators, 0, "the generator count",
+                          "generator count must be nonnegative")
         rel = tuple(json_vector(w, None, "a relator") for w in relators)
         for word in rel:
             for letter in word:
@@ -224,8 +224,8 @@ def h1_free_product_of_cyclics(orders, actions, modulus: int) -> FinAbGroup:
     and a factor of order d > 0 needs A^d = I mod m; any other input is
     one ValueError.
     """
-    if json_int(modulus, "the modulus") <= 0:
-        raise ValueError("cross-check formula is for finite coefficients")
+    json_int_at_least(modulus, 1, "the modulus",
+                      "cross-check formula is for finite coefficients")
     orders = json_vector(orders, None, "the factor orders")
     if any(d < 0 for d in orders):
         raise ValueError("a factor's order must be 0 (infinite) or positive")

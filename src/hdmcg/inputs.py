@@ -1,7 +1,9 @@
-"""The input and output boundary: one rule for an integer from outside (an
-``int`` that is not a ``bool``; ``2.0``, ``"2"`` and ``true`` are refused
-with a one-line ValueError, never truncated), which ``json_int_at_least``
-pairs with a lower bound for the genus and dimension arguments;
+"""The input and output boundary: one rule for an integer from outside
+(exactly an ``int``; ``2.0``, ``"2"``, ``true`` and an ``IntEnum`` member
+are refused with a one-line ValueError, never truncated), which
+``json_int`` and ``json_vector`` apply, ``linalg.IntMatrix`` applies to its
+entries, and ``json_int_at_least`` pairs with a lower bound for the genus
+and dimension arguments;
 ``read_json``, through which both file loaders read; and
 ``Record``, the immutable base of the value classes whose constructors
 check what they are given, with the one trusted builder for values the
@@ -103,12 +105,19 @@ def _to_json(value):
     return value
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+# the integer rule: a value is an integer when its type is in this set, so
+# a bool, an IntEnum member or any other subclass of int is not one
+_INT = frozenset((int,))
+
+
+def _all_int(xs) -> bool:
+    """Whether every entry of xs is an integer by the rule; the test of
+    the whole of xs runs in C."""
+    return _INT.issuperset(map(type, xs))
 
 
 def json_int(x, what: str) -> int:
-    if not _is_int(x):
+    if type(x) not in _INT:
         raise ValueError(f"{what} must be an integer, got {x!r}")
     return x
 
@@ -126,7 +135,7 @@ def json_int_at_least(x, least: int, what: str, message: str | None = None,
 def json_vector(x, n: int | None, what: str) -> tuple[int, ...]:
     """x as a tuple of integers, n of them unless n is None."""
     if not isinstance(x, (list, tuple)) or (n is not None and len(x) != n) \
-            or not all(map(_is_int, x)):
+            or not _all_int(x):
         count = "" if n is None else f"{n} "
         raise ValueError(f"{what} must hold {count}integers, got {x!r}")
     return tuple(x)

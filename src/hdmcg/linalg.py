@@ -40,7 +40,7 @@ from math import gcd
 from operator import add, mul
 from typing import Iterable, Sequence
 
-from .inputs import Record, json_int, json_int_at_least
+from .inputs import Record, _all_int, json_int, json_int_at_least
 
 
 class IntMatrix:
@@ -49,10 +49,11 @@ class IntMatrix:
     Instances are hashable, so a value class that holds them, such as
     :class:`hdmcg.cocycles.SurfaceClass`, hashes its pairs.  The public
     constructor, ``from_columns`` and ``diagonal`` take entries by
-    ``inputs.json_int``'s rule, an ``int`` that is not a ``bool`` (1.5,
-    ``"2"`` and ``Fraction(3, 2)`` are refused with one ValueError, never
-    truncated); every other operation builds its result through ``_of``,
-    and ``scaled`` and ``mod`` check their one scalar with ``json_int``.
+    ``inputs``' integer rule, exactly an ``int`` (1.5, ``"2"``, True, an
+    ``IntEnum`` member and ``Fraction(3, 2)`` are refused with one
+    ValueError, never truncated); every other operation builds its result
+    through ``_of``, ``scaled`` checks its scalar with ``json_int``, and
+    ``mod`` takes a modulus m >= 1.
     Immutability is load-bearing: ``identity`` and ``symplectic.j_matrix``
     hand out one shared instance per size, so no operation may ever write
     to ``data``.
@@ -178,7 +179,8 @@ class IntMatrix:
         return IntMatrix._of(tuple(zip(*self.data)), self.rows)
 
     def mod(self, m: int) -> "IntMatrix":
-        json_int(m, "a modulus")
+        """Each entry reduced into 0..m - 1, for an integer m >= 1."""
+        json_int_at_least(m, 1, "a modulus")
         return IntMatrix._of(tuple(tuple(a % m for a in r) for r in self.data),
                              self.cols)
 
@@ -195,16 +197,13 @@ class IntMatrix:
         return [list(r) for r in self.data]
 
 
-_INT = frozenset((int,))
-
-
 def _int_row(row: Iterable) -> tuple[int, ...]:
-    """row as a tuple of ints; a row with any other entry, a bool
-    included, is refused with one ValueError.  The type test runs in C."""
+    """row as a tuple of ints by ``inputs``' integer rule; a row with any
+    other entry, a bool included, is refused with one ValueError."""
     row = tuple(row)
-    if not _INT.issuperset(map(type, row)):
-        bad = next(x for x in row if type(x) is not int)
-        raise ValueError(f"a matrix entry must be an integer, got {bad!r}")
+    if not _all_int(row):
+        for x in row:
+            json_int(x, "a matrix entry")
     return row
 
 
@@ -389,9 +388,8 @@ def snf(m: IntMatrix) -> SNFResult:
 def ring_modulus(modulus) -> int:
     """The modulus of a coefficient ring, 0 for Z or m > 0 for Z/m: an
     integer by ``inputs.json_int``'s rule, and never negative."""
-    if json_int(modulus, "the modulus") < 0:
-        raise ValueError("modulus must be 0 (= Z) or positive")
-    return modulus
+    return json_int_at_least(modulus, 0, "the modulus",
+                             "modulus must be 0 (= Z) or positive")
 
 
 def kernel_basis(m: IntMatrix, modulus: int = 0) -> IntMatrix:
@@ -504,13 +502,8 @@ def subquotient(basis: IntMatrix, bottom: IntMatrix):
     lattice they span (a ``kernel_basis`` or ``column_basis`` result is
     one), and the columns of ``bottom`` must lie in that lattice.  The
     coordinates of ``bottom`` in the basis, unique by independence,
-    present the quotient.  When ``bottom`` spans 0 the quotient is free on
-    the basis, and no solve or cokernel is needed.
+    present the quotient.
     """
-    from .abgroups import FinAbGroup
-
-    if basis.cols == 0 or not any(any(row) for row in bottom.data):
-        return FinAbGroup.free(basis.cols)
     return cokernel_presentation(solve_exact(basis, bottom))[0]
 
 

@@ -88,8 +88,7 @@ def _abs_bernoulli(k: int) -> tuple[int, int]:
 
 def bernoulli(k: int):
     """|B_{2k}| as an exact ``Fraction`` (topologist convention)."""
-    if k < 1:
-        raise ValueError("index must be >= 1")
+    json_int_at_least(k, 1, "index")
     from fractions import Fraction
 
     return Fraction(*_abs_bernoulli(k))
@@ -131,6 +130,8 @@ def _coker_j_entries(entries) -> dict[int, FinAbGroup]:
             raise ValueError(f"entry {entry!r} needs an integer degree and "
                              f"rank and a list of integer torsion "
                              f"orders") from None
+        if degree in table:
+            raise ValueError(f"degree {degree} has more than one entry")
         try:
             table[degree] = FinAbGroup.of(rank, torsion)
         except ValueError as exc:
@@ -141,11 +142,12 @@ def _coker_j_entries(entries) -> dict[int, FinAbGroup]:
 def load_coker_j_file(path: str) -> dict[int, FinAbGroup]:
     """Parse a coker-J extension file into a degree -> group table.
 
-    The file holds a JSON list of objects, each with an integer ``degree``,
-    an optional integer ``rank`` and an optional list of integer
-    ``torsion`` orders.  Anything else, including bools, strings such as
-    ``"15"``, floats such as ``15.0`` and bytes that are not UTF-8, raises
-    a one-line ValueError that starts with ``coker-J table <path>:``.
+    The file holds a JSON list of objects, each with an integer ``degree``
+    that no other entry has, an optional integer ``rank`` and an optional
+    list of integer ``torsion`` orders.  Anything else, including a
+    repeated degree, bools, strings such as ``"15"``, floats such as
+    ``15.0`` and bytes that are not UTF-8, raises a one-line ValueError
+    that starts with ``coker-J table <path>:``.
     """
     return read_json(path, "coker-J table", _coker_j_entries)
 
@@ -255,9 +257,8 @@ def theta_data(n: int, sigma_q_order: int | None = None,
     if n % 2 == 0:
         raise ValueError(odd)
     _check_degree("2n+1", 2 * n + 1, f"n <= {MAX_SPHERE_DEGREE // 2}")
-    if sigma_q_order is not None and json_int(sigma_q_order,
-                                              "sigma_q_order") < 1:
-        raise ValueError("sigma_q_order must be >= 1")
+    if sigma_q_order is not None:
+        json_int_at_least(sigma_q_order, 1, "sigma_q_order")
     if n == 11 and sigma_q_ambient is None:
         raise UnsupportedDimension(
             "n = 11 is an exceptional case: coker J in degree 23 is not built "

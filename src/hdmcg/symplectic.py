@@ -52,12 +52,10 @@ def j_matrix(g: int, epsilon: int) -> IntMatrix:
     json_int_at_least(g, 1, "genus")
     if json_int(epsilon, "epsilon") not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
-    n = 2 * g
-    data = [[0] * n for _ in range(n)]
-    for i in range(g):
-        data[i][g + i] = 1
-        data[g + i][i] = epsilon
-    return IntMatrix(data)
+    # rows f_1..f_g of the identity, then epsilon times rows e_1..e_g
+    ident = IntMatrix.identity(2 * g).data
+    return IntMatrix._of(ident[g:] + tuple(tuple(epsilon * x for x in r)
+                                           for r in ident[:g]), 2 * g)
 
 
 def _q2(g: int, x) -> int:
@@ -133,35 +131,27 @@ def _inverse(rows: tuple, g: int) -> IntMatrix:
     return IntMatrix._of(tuple(top + bottom), 2 * g)
 
 
-def _embed_2x2(m2: list[list[int]], g: int) -> IntMatrix:
-    """Put a 2x2 matrix on the (e_1, f_1) coordinates."""
-    n = 2 * g
-    data = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    data[0][0] = m2[0][0]
-    data[0][g] = m2[0][1]
-    data[g][0] = m2[1][0]
-    data[g][g] = m2[1][1]
-    return IntMatrix(data)
+def _identity_with(g: int, entries: dict) -> IntMatrix:
+    """The 2g x 2g identity with the entry at each (row, col) key of
+    ``entries`` replaced by its value: the one builder of the swaps, the
+    elementary matrix and the transvection below."""
+    data = [list(r) for r in IntMatrix.identity(2 * g).data]
+    for (i, j), x in entries.items():
+        data[i][j] = x
+    return IntMatrix._of(tuple(map(tuple, data)), 2 * g)
 
 
 def _perm_pair(g: int, i: int) -> IntMatrix:
-    """diag(P, P) for the transposition (i, i+1) of the g coordinates."""
-    n = 2 * g
-    data = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    for base in (0, g):
-        a, b = base + i, base + i + 1
-        data[a][a] = data[b][b] = 0
-        data[a][b] = data[b][a] = 1
-    return IntMatrix(data)
+    """diag(P, P) for the transposition (i, i+1) of the g coordinates:
+    the 2x2 blocks on e_i, e_i+1 and on f_i, f_i+1 become [[0, 1], [1, 0]]."""
+    return _identity_with(g, {(a, b): int(a != b) for base in (0, g)
+                              for a in (base + i, base + i + 1)
+                              for b in (base + i, base + i + 1)})
 
 
 def _elementary(g: int) -> IntMatrix:
     """block_diag(B, B^{-T}) with B the unipotent adding e_1 to e_2."""
-    n = 2 * g
-    data = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    data[1][0] = 1
-    data[g][g + 1] = -1
-    return IntMatrix(data)
+    return _identity_with(g, {(1, 0): 1, (g, g + 1): -1})
 
 
 def standard_generators(family: GroupFamily, g: int) -> list[IntMatrix]:
@@ -180,19 +170,17 @@ def standard_generators(family: GroupFamily, g: int) -> list[IntMatrix]:
         gens.append(_elementary(g))
         gens.append(-IntMatrix.identity(2 * g))
         return gens
-    r = [[1, 2], [0, 1]]
-    s = [[0, 1], [-1, 0]]
     if family is GroupFamily.SPQ:
         if g == 1:
-            return [_embed_2x2(r, 1), _embed_2x2(s, 1)]
+            return [IntMatrix([[1, 2], [0, 1]]), IntMatrix([[0, 1], [-1, 0]])]
         gens = [_perm_pair(g, i) for i in range(g - 1)]
         gens.append(-j_matrix(g, -1))
         gens.append(_elementary(g))
         return gens
-    # Sp: the theta-group elements plus the unipotent T = [[1,1],[0,1]]
-    t = [[1, 1], [0, 1]]
+    # Sp: the theta-group elements plus the unipotent T = [[1,1],[0,1]] on
+    # the (e_1, f_1) coordinates
     gens = standard_generators(GroupFamily.SPQ, g)
-    gens.append(_embed_2x2(t, g))
+    gens.append(_identity_with(g, {(0, g): 1}))
     return gens
 
 

@@ -83,11 +83,36 @@ def test_direct_sum_assoc_comm():
 
 
 def test_element_orders():
+    """The lcm of the orders of the torsion coordinates, 1 at zero (also
+    of a group with no coordinates), and None once a free coordinate is
+    nonzero, whatever the torsion."""
     g = FinAbGroup(1, (28,))
     assert element_order(g.zero()) == 1
     assert element_order(g.element([0, 1])) == 28
     assert element_order(g.element([0, 14])) == 2
     assert element_order(g.element([1, 0])) is None
+    g = FinAbGroup(2, (2, 4, 12))
+    assert element_order(g.zero()) == 1
+    assert element_order(FinAbGroup.trivial().zero()) == 1
+    assert element_order(g.element([0, 0, 1, 2, 0])) == 2
+    assert element_order(g.element([0, 0, 1, 1, 8])) == 12  # lcm(2, 4, 3)
+    assert element_order(g.element([0, 0, 0, -1, 3])) == 4
+    assert element_order(g.element([0, 3, 1, 1, 1])) is None
+    assert element_order(g.element([-1, 0, 0, 0, 0])) is None
+
+
+def test_describe_groups_runs_of_equal_factors():
+    assert FinAbGroup(2, (2, 2, 4, 4, 4)).describe() \
+        == "Z^2 + (Z/2)^2 + (Z/4)^3"
+    assert FinAbGroup(1, (2, 4, 4)).describe() == "Z + Z/2 + (Z/4)^2"
+    assert FinAbGroup(0, (6,)).describe() == "Z/6"
+    assert FinAbGroup.trivial().describe() == "0"
+
+
+def test_order_is_the_product_of_the_factors():
+    assert FinAbGroup(0, (2, 2, 4, 12)).order() == 192
+    assert FinAbGroup.trivial().order() == 1
+    assert FinAbGroup(1, (2,)).order() is None
 
 
 def test_order_divides_exponent():

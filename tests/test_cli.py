@@ -172,6 +172,18 @@ def test_coker_j_entry_contradicting_a_builtin_is_refused(tmp_path, capsys):
     assert agreeing[0] == 0 and "Z/2 + Z/8128" in agreeing[1]
 
 
+@pytest.mark.parametrize("orders", [(2, 3), (3, 2)])
+def test_a_repeated_coker_j_degree_exits_1(tmp_path, capsys, orders):
+    """Either order of two entries for degree 15 is one stderr line and
+    exit 1, where the last entry used to win."""
+    path = tmp_path / "ckj.json"
+    path.write_text(json.dumps([{"degree": 15, "torsion": [d]}
+                                for d in orders]))
+    assert run(capsys, "theta", "--n", "7", "--coker-j-table", str(path)) \
+        == (1, "", f"coker-J table {path}: degree 15 has more than one "
+                   f"entry\n")
+
+
 def test_signature_of_the_nonzero_example(capsys):
     path = Path(__file__).resolve().parents[1] / "examples" / "nonzero.json"
     assert run(capsys, "signature", "--file", str(path)) == (0, "4\n", "")

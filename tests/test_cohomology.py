@@ -414,17 +414,10 @@ def test_h1_and_coinvariants_build_no_public_matrices(monkeypatch):
     assert calls == []
 
 
-def test_invariants_over_z_skip_the_solve(monkeypatch):
-    """A subquotient by 0 is free on the basis: over Z ``invariants`` runs
-    one SNF, the kernel's, and every answer equals the one the
-    solve-and-cokernel route gives."""
-    calls = []
-    snf = hdmcg.linalg.snf
-
-    def counted(m):
-        calls.append(m)
-        return snf(m)
-
+def test_invariants_equal_the_solve_and_cokernel_route():
+    """Over Z and Z/m, ``invariants`` equals the cokernel of the solve
+    against a column basis of the kernel, also where the kernel over Z is
+    not 0."""
     free_ranks = []
     for family in GroupFamily:
         for g in (1, 2, 3):
@@ -436,13 +429,9 @@ def test_invariants_over_z_skip_the_solve(monkeypatch):
                     else IntMatrix.zeros(2 * g, 0)
                 want = cokernel_presentation(
                     solve_exact(column_basis(k), bottom))[0]
-                monkeypatch.setattr(hdmcg.linalg, "snf", counted)
-                calls.clear()
                 got = invariants(gens, modulus)
-                monkeypatch.setattr(hdmcg.linalg, "snf", snf)
                 assert got == want, (family, g, modulus)
                 if modulus == 0:
-                    assert len(calls) == 1
                     free_ranks.append(got.rank)
     assert max(free_ranks) > 0  # the kernel over Z is not always 0
 

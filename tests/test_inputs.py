@@ -13,6 +13,7 @@ import ast
 import inspect
 import json
 import re
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from hdmcg.abgroups import FinAbGroup
 from hdmcg.cli import main
 from hdmcg.cocycles import SurfaceClass, class_from_json_dict, load_class_file
 from hdmcg.cohomology import GModule, Presentation
+from hdmcg.inputs import json_int, json_vector
 from hdmcg.linalg import IntMatrix
 from hdmcg.mcg import (MCGParams, automorphism_family, coinvariants_closed,
                        extension_descriptor, full_report, h1_Gg, h1_half_mcg,
@@ -302,17 +304,54 @@ def test_any_json_value_is_a_value_or_one_line(value):
 SRC = Path(hdmcg.inputs.__file__).parent
 
 
+class _Genus(IntEnum):
+    TWO = 2
+
+
+@pytest.mark.parametrize("value", [True, _Genus.TWO], ids=["bool", "IntEnum"])
+def test_an_int_subclass_is_refused_alike_everywhere(value):
+    """``json_int``, ``json_vector`` and ``IntMatrix`` read one rule, an
+    ``int`` exactly, so a bool or an ``IntEnum`` member is refused by
+    each, though it compares equal to an integer."""
+    with pytest.raises(ValueError, match="must be an integer"):
+        json_int(value, "the genus")
+    with pytest.raises(ValueError, match="must hold integers"):
+        json_vector([1, value], None, "a relator")
+    for build in (lambda: IntMatrix([[value]]),
+                  lambda: IntMatrix.from_columns([[1, value]]),
+                  lambda: IntMatrix.diagonal([value])):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) \
+            == f"a matrix entry must be an integer, got {value!r}"
+    assert json_int(2, "the genus") == 2
+    assert json_vector([1, 2], 2, "a relator") == (1, 2)
+
+
+def _names(node, name: str) -> bool:
+    return any(getattr(n, "id", None) == name for n in ast.walk(node))
+
+
+def _spells_the_integer_rule(node) -> bool:
+    """Whether node tests a value's type against int: a ``type(...)``
+    compared with ``int``, a ``frozenset`` that holds ``int`` or an
+    ``isinstance(..., bool)`` check."""
+    if isinstance(node, ast.Compare):
+        return (getattr(getattr(node.left, "func", None), "id", None) == "type"
+                and any(_names(c, "int") for c in node.comparators))
+    if not isinstance(node, ast.Call):
+        return False
+    called = getattr(node.func, "id", None)
+    return (called == "frozenset" and _names(node, "int")
+            or called == "isinstance" and len(node.args) == 2
+            and _names(node.args[1], "bool"))
+
+
 def test_the_json_integer_rule_is_spelled_only_in_inputs():
-    """An ``isinstance(..., bool)`` check is the JSON-integer rule; only
-    ``hdmcg/inputs.py`` may spell it."""
-    spelled = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.Call) and len(node.args) == 2
-                    and getattr(node.func, "id", None) == "isinstance"
-                    and any(getattr(n, "id", None) == "bool"
-                            for n in ast.walk(node.args[1]))):
-                spelled.append(path.name)
+    """Only ``hdmcg/inputs.py`` may spell the JSON-integer rule."""
+    spelled = [path.name for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if _spells_the_integer_rule(node)]
     assert set(spelled) == {"inputs.py"}
 
 

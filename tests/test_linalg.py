@@ -414,6 +414,21 @@ def test_matrix_counts_are_integers_at_least_zero(build, what, bad):
                               f"{what} must be an integer, got {bad!r}")
 
 
+@pytest.mark.parametrize("bad, message", [
+    (0, "a modulus must be >= 1"), (-2, "a modulus must be >= 1"),
+    (True, "a modulus must be an integer, got True"),
+    (2.0, "a modulus must be an integer, got 2.0"),
+], ids=["zero", "negative", "bool", "float"])
+def test_mod_takes_a_modulus_of_at_least_one(bad, message):
+    """0 would divide by zero, a negative m would give entries in (m, 0],
+    and True would reduce mod 1: each is one ValueError instead."""
+    with pytest.raises(ValueError) as err:
+        IntMatrix([[3, -1]]).mod(bad)
+    assert str(err.value) == message
+    assert IntMatrix([[3, -1]]).mod(2) == IntMatrix([[1, 1]])
+    assert IntMatrix([[3, -1]]).mod(1) == IntMatrix([[0, 0]])
+
+
 def test_from_columns_refuses_a_contradicting_row_count():
     assert IntMatrix.from_columns([[1, 2]], rows=2) == IntMatrix([[1], [2]])
     with pytest.raises(ValueError, match="contradicts column data"):

@@ -26,6 +26,9 @@ def test_bernoulli_values():
     assert bernoulli(5) == Fraction(5, 66)
     with pytest.raises(ValueError):
         bernoulli(0)
+    for bad in (1.5, 2.0, True):  # refused, never a TypeError or B_2
+        with pytest.raises(ValueError, match="index must be an integer"):
+            bernoulli(bad)
 
 
 def classical_bernoulli(count):
@@ -104,6 +107,22 @@ def test_coker_j_env_extension(tmp_path, monkeypatch):
         coker_j(23)
     table = load_coker_j_file(str(path))
     assert coker_j(23, table) == FinAbGroup(0, (2, 8))
+
+
+@pytest.mark.parametrize("orders", [(2, 3), (3, 2), (2, 2)],
+                         ids=["builtin-first", "builtin-last", "same-group"])
+def test_a_repeated_coker_j_degree_is_refused(tmp_path, orders):
+    """Two entries for one degree are refused, whichever comes first and
+    even when they agree, so the answer never hangs on entry order."""
+    path = tmp_path / "ckj.json"
+    path.write_text(json.dumps([{"degree": 15, "torsion": [d]}
+                                for d in orders]))
+    with pytest.raises(ValueError) as err:
+        load_coker_j_file(str(path))
+    assert str(err.value) == (f"coker-J table {path}: degree 15 has more "
+                              f"than one entry")
+    with pytest.raises(ValueError, match="degree 15 has more than one"):
+        load_sphere_data(7, coker_j_path=str(path))
 
 
 def test_theta_examples():

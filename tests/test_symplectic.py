@@ -6,9 +6,9 @@ from hdmcg import symplectic
 from hdmcg.cocycles import SurfaceClass, meyer_tau, random_symplectic
 from hdmcg.linalg import IntMatrix
 from hdmcg.mcg import automorphism_family
-from hdmcg.symplectic import (MEMO_SIZE, GroupFamily, _embed_2x2, is_member,
-                              j_matrix, sp_inverse, standard_generators,
-                              theta_index)
+from hdmcg.symplectic import (MEMO_SIZE, GroupFamily, _identity_with,
+                              is_member, j_matrix, sp_inverse,
+                              standard_generators, theta_index)
 
 
 def test_j_matrix_shape():
@@ -345,7 +345,7 @@ def test_the_verdict_is_kept_per_family():
     """The transvection [[1, 1], [0, 1]] lies in Sp but not in the theta
     group, whichever family is asked first."""
     for g in (1, 2, 3):
-        t = _embed_2x2([[1, 1], [0, 1]], g)
+        t = _identity_with(g, {(0, g): 1})  # [[1, 1], [0, 1]] on (e_1, f_1)
         for first, second in ((GroupFamily.SP, GroupFamily.SPQ),
                               (GroupFamily.SPQ, GroupFamily.SP)):
             clear_memos()
@@ -389,3 +389,58 @@ def test_the_memos_stay_within_their_bound():
     assert [m.cache_info().misses for m in (symplectic._verdict,
                                             symplectic._inverse)] \
         == [n + 1 for n in misses]
+
+
+# the generator lists written out entry by entry: at g = 2 and 3 they are
+# the coordinate swaps diag(P, P), then -J_- (Sp, SpQ) or J_+ (Ogg), the
+# elementary matrix E = block_diag(B, B^-T), and T on (e_1, f_1) for Sp or
+# -I for Ogg
+_SWAP_2 = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+_E_2 = [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, -1], [0, 0, 0, 1]]
+_SWAPS_3 = [[[0, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0],
+             [0, 0, 0, 0, 1, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1]],
+            [[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 1, 0, 0, 0, 0],
+             [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 0]]]
+_E_3 = [[1, 0, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0],
+        [0, 0, 0, 1, -1, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]
+_THETA_GENERATORS = {
+    1: [[[1, 2], [0, 1]], [[0, 1], [-1, 0]]],
+    2: [_SWAP_2,
+        [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]], _E_2],
+    3: _SWAPS_3 + [[[0, 0, 0, -1, 0, 0], [0, 0, 0, 0, -1, 0],
+                    [0, 0, 0, 0, 0, -1], [1, 0, 0, 0, 0, 0],
+                    [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]], _E_3],
+}
+LITERAL_GENERATORS = {
+    GroupFamily.SPQ: _THETA_GENERATORS,
+    GroupFamily.SP: {
+        1: _THETA_GENERATORS[1] + [[[1, 1], [0, 1]]],
+        2: _THETA_GENERATORS[2] + [[[1, 0, 1, 0], [0, 1, 0, 0],
+                                    [0, 0, 1, 0], [0, 0, 0, 1]]],
+        3: _THETA_GENERATORS[3] + [[[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 0, 0],
+                                    [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0],
+                                    [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]],
+    },
+    GroupFamily.OGG: {
+        1: [[[-1, 0], [0, -1]], [[0, 1], [1, 0]]],
+        2: [_SWAP_2,
+            [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], _E_2,
+            [[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]],
+        3: _SWAPS_3 + [[[0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0],
+                        [0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0],
+                        [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]], _E_3,
+                       [[-1, 0, 0, 0, 0, 0], [0, -1, 0, 0, 0, 0],
+                        [0, 0, -1, 0, 0, 0], [0, 0, 0, -1, 0, 0],
+                        [0, 0, 0, 0, -1, 0], [0, 0, 0, 0, 0, -1]]],
+    },
+}
+
+
+@pytest.mark.parametrize("family", list(GroupFamily), ids=lambda f: f.value)
+@pytest.mark.parametrize("g", (1, 2, 3))
+def test_generator_lists_entry_by_entry(family, g):
+    got = standard_generators(family, g)
+    assert [m.to_lists() for m in got] == LITERAL_GENERATORS[family][g]
+    # each is an IntMatrix of int tuples, as the checked constructor builds
+    assert got == [IntMatrix(m.data) for m in got]
+    assert all(type(row) is tuple for m in got for row in m.data)
